@@ -20,7 +20,6 @@ from .algebra import (
     theta_conjugate,
     wigner_theta,
 )
-from .backend import BACKEND
 from .bilinears import (
     BilinearSet,
     bilinear_set,
@@ -42,6 +41,7 @@ from .errors import (
     JobError,
     MasslessError,
     ProvenanceError,
+    ScaleError,
     SingularAngleError,
     SpinorError,
     ZeroSpinorError,

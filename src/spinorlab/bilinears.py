@@ -18,13 +18,14 @@ in-artifact cross-check of the conventions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
+from . import kernels
 from .algebra import gamma, gamma5, minkowski_dot
-from .errors import ConventionError, ZeroSpinorError
+from .errors import ConventionError, ScaleError, ZeroSpinorError
 from .factory import BiSpinor
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -61,15 +62,23 @@ def _require_nonzero(psi: BiSpinor):
 
 
 def bilinear_set(psi: BiSpinor) -> BilinearSet:
-    """All bilinear covariants of a nonzero spinor."""
+    """All bilinear covariants of a nonzero spinor.
+
+    Raises :class:`ScaleError` when (psi^dag psi)^2, the scale of the
+    constraint residuals, overflows or underflows float64.
+    """
     _require_nonzero(psi)
-    sigma, omega, j, k, s = backend.bilinears(psi.array[None, :])
+    sigma, omega, j, k, s = kernels.bilinears(psi.array[None, :])
+    j0 = float(j[0, 0])
+    if not math.isfinite(j0 * j0) or j0 * j0 == 0.0:
+        raise ScaleError(f"(psi^dag psi)^2 leaves the float64 range "
+                         f"(psi^dag psi = {j0:.3e})")
     return BilinearSet(float(sigma[0]), float(omega[0]), j[0], k[0], s[0])
 
 
 def bilinear_set_batch(psis: np.ndarray):
-    """Backend bilinears for an (N, 4) array; returns the raw arrays."""
-    return backend.bilinears(psis)
+    """Kernel bilinears for an (N, 4) array; returns the raw arrays."""
+    return kernels.bilinears(psis)
 
 
 _S_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import backend
+from . import kernels
 from .bilinears import BilinearSet, bilinear_set, fpk_residuals
 from .errors import ZeroSpinorError
 from .factory import BiSpinor
@@ -142,7 +142,7 @@ def helicity_profiles(psis: np.ndarray, theta, phi,
     st = np.sin(theta)
     sre = st * np.cos(phi)
     sim = st * np.sin(phi)
-    rp, rm, rn, lp, lm, ln = backend.helicity_residuals(psis, ct, sre, sim)
+    rp, rm, rn, lp, lm, ln = kernels.helicity_residuals(psis, ct, sre, sim)
     total = rn**2 + ln**2
     null_scale = np.sqrt(tol.eps_class * total)
 

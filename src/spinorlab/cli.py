@@ -51,11 +51,23 @@ from .symmetries import charge_conjugate_batch, symmetry_report
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verification import run_verification_suite
 
-MODES = ("classify", "symmetries", "sample", "verify")
 SAMPLE_FAMILIES = ("random_raw", "single_helicity", "dual_helicity",
                    "self_conjugate", "weyl")
 CONSTRUCTOR_FAMILIES = ("single_helicity", "dual_helicity", "self_conjugate",
                         "weyl", "singular_form", "parity_linked")
+
+# Keys a job may carry in each mode.  The common ones are valid everywhere
+# because flags (--seed, --count, ...) and the normalized echo set them in
+# any mode; a key that only another mode reads is rejected, not ignored.
+_COMMON_KEYS = {"mode", "format", "seed", "count", "tolerances", "phases"}
+_SPINOR_KEYS = _COMMON_KEYS | {"spinor", "momentum", "boost"}
+MODE_KEYS = {
+    "classify": _SPINOR_KEYS,
+    "symmetries": _SPINOR_KEYS,
+    "sample": _COMMON_KEYS | {"family"},
+    "verify": _COMMON_KEYS,
+}
+MODES = tuple(MODE_KEYS)
 
 
 @dataclass
@@ -230,11 +242,10 @@ def _spinor_direction(spinor_spec: Optional[dict]) -> Optional[tuple]:
 def parse_job(doc: dict) -> JobSpec:
     """Validate a job document, apply defaults and normalize it."""
     doc = _expect_dict(doc, "")
-    _check_keys(doc, {"mode", "format", "seed", "count", "family", "spinor",
-                      "momentum", "boost", "tolerances", "phases"}, "")
     mode = doc.get("mode")
     if mode not in MODES:
         _fail("mode", f"must be one of {', '.join(MODES)}, got {mode!r}")
+    _check_keys(doc, MODE_KEYS[mode], "")
     fmt = doc.get("format", "structured")
     if fmt not in ("structured", "human"):
         _fail("format", f"must be 'structured' or 'human', got {fmt!r}")

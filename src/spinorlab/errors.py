@@ -25,6 +25,10 @@ class ProvenanceError(SpinorError):
     """Operation needs construction provenance that the spinor does not carry."""
 
 
+class ScaleError(SpinorError):
+    """A derived quantity overflows or underflows float64 at the input's scale."""
+
+
 class ConventionError(SpinorError):
     """A bilinear came out non-real beyond tolerance: internal convention bug."""
 

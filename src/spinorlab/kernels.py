@@ -1,14 +1,26 @@
-"""Pure-numpy batch kernels.
+"""Numpy batch kernels: the one implementation behind every analysis path.
 
-Mirrors ``spinorlab._core`` operation for operation, with the same evaluation
-order and the same explicit real/imaginary expansion, so the two backends
-produce bit-identical results (asserted by tests/test_backend_parity.py).
+Each kernel takes an (N, 4) complex128 array, one spinor per row, and
+expands complex products into explicit real and imaginary parts.  The
+evaluation order is part of the output format: the golden reports and the
+sample bytes depend on it.
 
 Kernel contracts
 ----------------
-bilinears(psi)            psi (N,4) complex128 -> sigma, omega (N,), j, k (N,4), s (N,6)
-helicity_residuals(...)   per-block eigen-residual numerators and block norms
-dirac_apply_shift(...)    gamma_mu p^mu psi - shift psi with compensated products
+bilinears(psi)                 -> sigma, omega (N,), j, k (N,4), s (N,6)
+helicity_residuals(psi, ct, sre, sim)
+                               -> ||M b - b||, ||M b + b||, ||b|| for the
+                                  right then the left block, M = sigma.n
+dirac_apply_shift(psi, e, m, px, py, pz, shift)
+                               -> (N,4) gamma_mu p^mu psi - shift psi
+
+The Dirac products are compensated because for a Dirac-type spinor an image
+of size E ||psi|| cancels against m psi; plain products would leave a
+relative residual of order eps E/m.  Each output component is a four-term
+dot product whose product errors (Veltkamp splitting) and sum errors
+(two-sum) are added back, as accurate as evaluating in twice the working
+precision (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J.
+Sci. Comput. 26, 2005).
 """
 import numpy as np
 

@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import backend
+from . import kernels
 from .algebra import FourMomentum, angles_match, boost_block, theta_conjugate
-from .errors import MasslessError, ProvenanceError, ZeroSpinorError
+from .errors import MasslessError, ProvenanceError, ScaleError, ZeroSpinorError
 from .factory import (
     DEFAULT_PHASE_MINUS,
     DEFAULT_PHASE_PLUS,
@@ -27,6 +27,16 @@ from .factory import (
     dual_helicity_partner,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+
+def _ratio(num: float, den: float, name: str) -> float:
+    """num / den for a normalized residual, whose den is the norm of a
+    nonzero vector: a zero or non-finite den or quotient means float64 ran
+    out of range at the input's scale, raised as :class:`ScaleError`."""
+    if den == 0.0 or not math.isfinite(den) or not math.isfinite(num / den):
+        raise ScaleError(f"{name} is not representable in float64 at the "
+                         "magnitudes of this spinor and momentum")
+    return num / den
 
 
 def charge_conjugate(psi: BiSpinor) -> BiSpinor:
@@ -91,7 +101,7 @@ def _phase_alignment(x: complex, y: complex) -> float:
         return 0.0
     if ax == 0.0 or ay == 0.0:
         return 1.0
-    return abs(x * ay - y * ax) / (ax * ay)
+    return _ratio(abs(x * ay - y * ax), ax * ay, "C phase alignment")
 
 
 def c_eigen_check(psi: BiSpinor,
@@ -107,8 +117,8 @@ def c_eigen_check(psi: BiSpinor,
     arr = psi.array
     carr = charge_conjugate(psi).array
     nrm = float(np.linalg.norm(arr))
-    res_plus = float(np.linalg.norm(carr - arr)) / nrm
-    res_minus = float(np.linalg.norm(carr + arr)) / nrm
+    res_plus = _ratio(float(np.linalg.norm(carr - arr)), nrm, "C residual")
+    res_minus = _ratio(float(np.linalg.norm(carr + arr)), nrm, "C residual")
     eigenvalue: Optional[int] = None
     if res_plus <= tol.exact:
         eigenvalue = 1
@@ -197,9 +207,9 @@ def dirac_matrix(p: FourMomentum) -> np.ndarray:
 
 def dirac_apply(psi: BiSpinor, p: FourMomentum,
                 shift: float = 0.0) -> np.ndarray:
-    """gamma_mu p^mu psi - shift psi via the compensated backend kernel."""
+    """gamma_mu p^mu psi - shift psi via the compensated kernel."""
     px, py, pz = p.vector
-    out = backend.dirac_apply_shift(
+    out = kernels.dirac_apply_shift(
         psi.array[None, :],
         np.array([p.energy]),
         np.array([p.m]),
@@ -225,7 +235,8 @@ def dirac_residual(psi: BiSpinor, p: FourMomentum, sign: int = 1) -> float:
     if psi.is_zero():
         raise ZeroSpinorError("Dirac residual of the zero spinor is undefined")
     out = dirac_apply(psi, p, shift=sign * p.m)
-    return float(np.linalg.norm(out)) / (p.m * float(np.linalg.norm(psi.array)))
+    return _ratio(float(np.linalg.norm(out)),
+                  p.m * float(np.linalg.norm(psi.array)), "Dirac residual")
 
 
 def dirac_flip_residual(psi_from: BiSpinor, psi_onto: BiSpinor,
@@ -247,7 +258,7 @@ def dirac_flip_residual(psi_from: BiSpinor, psi_onto: BiSpinor,
     w = psi_onto.array
     coeff = (np.conj(w) @ v) / (np.conj(w) @ w)
     vnorm = float(np.linalg.norm(v))
-    return float(np.linalg.norm(v - coeff * w)) / vnorm
+    return _ratio(float(np.linalg.norm(v - coeff * w)), vnorm, "flip residual")
 
 
 def theta_link_check(phi_left_rest, p: FourMomentum, zeta: complex = 1.0) -> float:
@@ -266,7 +277,8 @@ def theta_link_check(phi_left_rest, p: FourMomentum, zeta: complex = 1.0) -> flo
         raise ValueError("zeta must be a unit phase")
     lhs = complex(zeta) * theta_conjugate(boost_block("left", p) @ block)
     rhs = boost_block("right", p) @ (complex(zeta) * theta_conjugate(block))
-    return float(np.linalg.norm(lhs - rhs)) / float(np.linalg.norm(lhs))
+    return _ratio(float(np.linalg.norm(lhs - rhs)), float(np.linalg.norm(lhs)),
+                  "theta-link residual")
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,9 +321,8 @@ def symmetry_report(psi: BiSpinor, p: Optional[FourMomentum] = None,
 
     cres = c_eigen_check(psi, tol)
     cc = charge_conjugate(charge_conjugate(psi)).array
-    involution = float(np.linalg.norm(cc - psi.array)) / float(
-        np.linalg.norm(psi.array)
-    )
+    involution = _ratio(float(np.linalg.norm(cc - psi.array)),
+                        float(np.linalg.norm(psi.array)), "C involution residual")
 
     parity_eigenvalue = None
     parity_residual = None

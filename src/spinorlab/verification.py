@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend, sampling
+from . import kernels, sampling
 from .algebra import gamma, gamma5
 from .bilinears import bilinear_set_batch, fpk_residuals_batch
 from .classify import (
@@ -176,7 +176,7 @@ def check_parity_dirac_link(seed: int = 3, count: int = 10_000,
         spinors = [build_parity_linked(int(h), fm) for h, fm in zip(hel, moms)]
         arr = spinor_array(spinors)
         e, px, py, pz = _momentum_components(moms)
-        out = backend.dirac_apply_shift(arr, e, m, px, py, pz, m)
+        out = kernels.dirac_apply_shift(arr, e, m, px, py, pz, m)
         resid = np.linalg.norm(out, axis=1) / (m * np.linalg.norm(arr, axis=1))
         return float(np.max(resid))
 
@@ -212,16 +212,16 @@ def check_dual_helicity_dirac(seed: int = 4, count: int = 10_000,
 
         norms = np.linalg.norm(arr, axis=1)
         res_plus = np.linalg.norm(
-            backend.dirac_apply_shift(arr, e, m, px, py, pz, m), axis=1
+            kernels.dirac_apply_shift(arr, e, m, px, py, pz, m), axis=1
         ) / (m * norms)
         res_minus = np.linalg.norm(
-            backend.dirac_apply_shift(arr, e, m, px, py, pz, -m), axis=1
+            kernels.dirac_apply_shift(arr, e, m, px, py, pz, -m), axis=1
         ) / (m * norms)
 
         zero = np.zeros(count)
 
         def flip_defect(src, dst):
-            v = backend.dirac_apply_shift(src, e, m, px, py, pz, zero)
+            v = kernels.dirac_apply_shift(src, e, m, px, py, pz, zero)
             coeff = np.sum(np.conj(dst) * v, axis=1) / np.sum(
                 np.conj(dst) * dst, axis=1
             )
@@ -389,40 +389,6 @@ def check_boost_inverse(seed: int = 8, count: int = 1_000, ratio=(1e-3, 1e3),
                           count, dt)
 
 
-def check_backend_agreement(seed: int = 9, count: int = 2_000) -> PropertyResult:
-    """Compiled and pure kernels agree bit for bit."""
-    def run():
-        backends = backend.available_backends()
-        if len(backends) < 2:
-            return 0.0, "single backend present"
-        rng = sampling.rng_for(seed)
-        psis = sampling.random_raw_spinors(rng, count)
-        m, pmag, theta, phi = sampling.random_momenta(rng, count)
-        moms = sampling.momenta_list(m, pmag, theta, phi)
-        e, px, py, pz = _momentum_components(moms)
-        shift = rng.uniform(-1.0, 1.0, size=count)
-        ct = np.cos(theta)
-        sre = np.sin(theta) * np.cos(phi)
-        sim = np.sin(theta) * np.sin(phi)
-        worst = 0.0
-        pure, comp = backends["pure"], backends["compiled"]
-        for lhs, rhs in zip(pure.bilinears(psis), comp.bilinears(psis)):
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        d1 = pure.dirac_apply_shift(psis, e, m, px, py, pz, shift)
-        d2 = comp.dirac_apply_shift(psis, e, m, px, py, pz, shift)
-        worst = max(worst, float(np.max(np.abs(d1 - d2))))
-        for lhs, rhs in zip(
-            pure.helicity_residuals(psis, ct, sre, sim),
-            comp.helicity_residuals(psis, ct, sre, sim),
-        ):
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst, "bitwise comparison"
-
-    (worst, details), dt = _timed(run)
-    return PropertyResult("backend-agreement", worst == 0.0, worst, 0.0,
-                          count, dt, details)
-
-
 def run_verification_suite(seed: int = 0,
                            tol: Tolerances = DEFAULT_TOLERANCES) -> list[PropertyResult]:
     """All properties at their campaign sizes; seed offsets are fixed."""
@@ -437,5 +403,4 @@ def run_verification_suite(seed: int = 0,
         check_charge_conjugation(seed + 5, tol=tol),
         check_theta_link(seed + 6),
         check_klein_gordon(seed + 7),
-        check_backend_agreement(seed + 9),
     ]

@@ -66,8 +66,33 @@ class TestParseJob:
             })
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(JobError, match="unknown key"):
-            parse_job({"mode": "verify", "bogus": 1})
+        raw = {"components": [[1, 0], [0, 0], [1, 0], [0, 0]]}
+        momentum = {"m": 1.0, "pmag": 0.0, "theta": 0.0, "phi": 0.0}
+        # keys that only another mode reads count as unknown, not ignored
+        for doc in (
+            {"mode": "verify", "bogus": 1},
+            {"mode": "sample", "family": "random_raw", "spinor": raw},
+            {"mode": "sample", "family": "random_raw", "momentum": momentum},
+            {"mode": "sample", "family": "random_raw", "boost": False},
+            {"mode": "verify", "spinor": raw},
+            {"mode": "verify", "family": "weyl"},
+            {"mode": "classify", "spinor": raw, "family": "random_raw"},
+            {"mode": "symmetries", "spinor": raw, "momentum": momentum,
+             "family": "weyl"},
+        ):
+            with pytest.raises(JobError, match="unknown key"):
+                parse_job(doc)
+
+    def test_common_keys_valid_in_every_mode(self):
+        common = {"seed": 3, "count": 5, "format": "human",
+                  "tolerances": {"epsilon_class": 1e-9}, "phases": {"theta1": 0.0}}
+        raw = {"components": [[1, 0], [0, 0], [1, 0], [0, 0]]}
+        for doc in (
+            {"mode": "verify"},
+            {"mode": "sample", "family": "random_raw"},
+            {"mode": "classify", "spinor": raw},
+        ):
+            assert parse_job({**doc, **common}).seed == 3
 
     def test_normalized_echo_round_trips(self):
         job = parse_job({
@@ -233,6 +258,56 @@ class TestCliProcess:
         assert code == 0
         proc = run_cli(doc=doc, tmp_path=tmp_path)
         assert captured.out == proc.stdout
+
+
+def _extreme_scale_jobs():
+    """Spinor and momentum magnitudes across the float64 exponent range."""
+    direction = {"theta": 0.7, "phi": 0.2}
+    for scale in (1e-300, 1e-200, 1e-160, 1e-77, 1e77, 1e160, 1e200, 1e300):
+        comps = [[scale, 0.0], [0.5 * scale, 0.25 * scale], [0.3 * scale, 0.0],
+                 [0.0, scale]]
+        for mode in ("classify", "symmetries"):
+            yield f"{mode}-raw-{scale:g}", {
+                "mode": mode, "spinor": {"components": comps},
+                "momentum": {"m": 1.0, "pmag": 1.0, **direction}}
+    # a normal-range spinor whose a and d components are tiny
+    yield "symmetries-raw-mixed", {
+        "mode": "symmetries",
+        "spinor": {"components": [[1e-200, 0], [1, 0], [1, 0], [0, 1e-200]]},
+        "momentum": {"m": 1.0, "pmag": 1.0, **direction}}
+    for m, pmag in ((1e-300, 1.0), (1.0, 1e-300), (1e300, 1.0), (1.0, 1e300),
+                    (1e-300, 1e300), (1e300, 1e-300), (1.0, 1e150),
+                    (1e-300, 1e150), (1e-150, 1.0), (1e150, 1e150),
+                    (1e-300, 1e-300), (1e300, 1e300)):
+        momentum = {"m": m, "pmag": pmag, **direction}
+        yield f"dual-m{m:g}-p{pmag:g}", {
+            "mode": "symmetries", "boost": True, "momentum": momentum,
+            "spinor": {"family": "dual_helicity", "pair": "+-", "a": [1, 0],
+                       "c": [0.5, 0.5], **direction}}
+        yield f"parity-m{m:g}-p{pmag:g}", {
+            "mode": "symmetries", "momentum": momentum,
+            "spinor": {"family": "parity_linked", "helicity": 1}}
+        yield f"raw-m{m:g}-p{pmag:g}", {
+            "mode": "symmetries", "momentum": momentum,
+            "spinor": {"components": [[1, 0], [0.5, 0.25], [0, 0], [0, 0]]}}
+
+
+EXTREME_SCALE_JOBS = dict(_extreme_scale_jobs())
+
+
+# numpy warns on the overflow or underflow that precedes the domain error
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", EXTREME_SCALE_JOBS)
+def test_extreme_scales_end_in_report_or_domain_error(name, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(EXTREME_SCALE_JOBS[name]), encoding="utf-8")
+    code = main(["--job", str(path)])
+    captured = capsys.readouterr()
+    assert code in (0, 3)
+    if code == 0:
+        assert "lounesto" in json.loads(captured.out)
+    else:
+        assert json.loads(captured.err)["error"]["type"] == "domain"
 
 
 @pytest.mark.parametrize("name", [f"class{i}" for i in range(1, 7)])
