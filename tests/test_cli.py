@@ -328,3 +328,33 @@ def test_goldens_round_trip_their_job_echo():
         report = json.loads((GOLDEN_DIR / f"class{i}.report.json").read_text())
         again, _ = run_job(parse_job(report["job"]))
         assert emit_structured(again["job"]) == emit_structured(report["job"])
+
+
+# Counts of `sample` at seed 7, count 2000, recorded before the batch
+# constructors replaced the per-spinor ones; they pin the RNG call order of
+# every draw.  fpk_max is left out: it may move by ulps.
+_ZERO_CLASSES = {str(i): 0 for i in range(1, 7)} | {"unclassifiable": 0}
+_NO_CATEGORIES = {"single": 0, "dual": 0, "not-well-defined": 0, "non-eigen": 0}
+SAMPLE_PINS = {
+    "random_raw": ({"1": 2000}, None, (0, 0, 2000)),
+    "single_helicity": ({"1": 2000}, {"single": 2000}, (0, 0, 2000)),
+    "dual_helicity": ({"4": 2000}, {"dual": 2000}, (0, 0, 2000)),
+    "self_conjugate": ({"5": 2000}, {"dual": 2000}, (990, 1010, 0)),
+    "weyl": ({"6": 2000}, {"not-well-defined": 2000}, (0, 0, 2000)),
+}
+
+
+@pytest.mark.parametrize("family", SAMPLE_PINS)
+def test_sample_counts_pinned(family):
+    classes, categories, (plus, minus, neither) = SAMPLE_PINS[family]
+    report, code = run_job(parse_job({"mode": "sample", "family": family,
+                                      "seed": 7, "count": 2000}))
+    sample = report["sample"]
+    assert code == 0
+    assert sample["class_counts"] == _ZERO_CLASSES | classes
+    if categories is None:
+        assert "helicity_category_counts" not in sample
+    else:
+        assert sample["helicity_category_counts"] == _NO_CATEGORIES | categories
+    cc = sample["charge_conjugation"]
+    assert (cc["eigen_plus"], cc["eigen_minus"], cc["not_eigen"]) == (plus, minus, neither)
