@@ -70,9 +70,12 @@ def wigner_theta() -> np.ndarray:
 
 
 def theta_conjugate(block: np.ndarray) -> np.ndarray:
-    """Theta . conj(block); flips the helicity of any sigma.n eigenvector."""
+    """Theta . conj(block); flips the helicity of any sigma.n eigenvector.
+
+    Acts on the last axis, so an (N, 2) array of blocks maps row by row.
+    """
     b = np.asarray(block, dtype=complex)
-    return np.array([-np.conj(b[1]), np.conj(b[0])])
+    return np.stack([-np.conj(b[..., 1]), np.conj(b[..., 0])], axis=-1)
 
 
 def rotation_block(angle: float, axis) -> np.ndarray:
@@ -114,7 +117,7 @@ class FourMomentum:
 
     @property
     def energy(self) -> float:
-        return math.hypot(self.m, self.pmag)
+        return float(np.hypot(self.m, self.pmag))
 
     @property
     def direction(self) -> tuple[float, float]:
@@ -123,8 +126,7 @@ class FourMomentum:
     @property
     def vector(self) -> np.ndarray:
         """Spatial momentum (px, py, pz)."""
-        st, ct = math.sin(self.theta), math.cos(self.theta)
-        return self.pmag * np.array([st * math.cos(self.phi), st * math.sin(self.phi), ct])
+        return np.array(momentum_components(self.m, self.pmag, self.theta, self.phi)[1:])
 
     @property
     def four_vector(self) -> np.ndarray:
@@ -142,21 +144,48 @@ def minkowski_dot(u, v) -> float:
     return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
 
 
-def _diag_entry(q: float, e: float, m: float, pxy2: float) -> float:
+def momentum_components(m, pmag, theta, phi):
+    """(E, px, py, pz) of on-shell momenta given as (N,) arrays or scalars."""
+    st = np.sin(theta)
+    return (np.hypot(m, pmag), pmag * (st * np.cos(phi)),
+            pmag * (st * np.sin(phi)), pmag * np.cos(theta))
+
+
+def _diag_entry(q, e, m, pxy2):
     # 1 + q/(E+m) for q in [-pmag, pmag]; for negative q the naive form
     # cancels at high boost, so use (E + m + q)/(E + m) with
     # E + q = (m^2 + pxy2)/(E - q), pxy2 = pmag^2 - q^2.
-    if q >= 0.0:
-        return 1.0 + q / (e + m)
-    return (m + (m * m + pxy2) / (e - q)) / (e + m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q >= 0.0, 1.0 + q / (e + m),
+                        (m + (m * m + pxy2) / (e - q)) / (e + m))
 
 
-def _check_handedness(handedness: str) -> int:
-    if handedness == "right":
-        return 1
-    if handedness == "left":
-        return -1
-    raise ValueError(f"handedness must be 'right' or 'left', got {handedness!r}")
+def _check_boost(handedness: str, p: FourMomentum) -> int:
+    """The boost sign of ``handedness``, once p allows a boost."""
+    if handedness not in ("right", "left"):
+        raise ValueError(f"handedness must be 'right' or 'left', got {handedness!r}")
+    if p.m <= 0.0:
+        raise MasslessError("boost requires m > 0")
+    return 1 if handedness == "right" else -1
+
+
+def boost_block_batch(sign, m, pmag, theta, phi) -> np.ndarray:
+    """(N, 2, 2) chiral block boosts; sign is +1 (right) or -1 (left).
+
+    sqrt((E+m)/2m) (I + sign sigma.p/(E+m)), with the diagonal entries in
+    cancellation-free form.  Every row needs m > 0.
+    """
+    e, px, py, pz = momentum_components(m, pmag, theta, phi)
+    pxy2 = px * px + py * py
+    pref = np.sqrt((e + m) / (2.0 * m))
+    ox = pref * (sign * px / (e + m))
+    oy = pref * (sign * py / (e + m))
+    out = np.empty(np.shape(e) + (2, 2), dtype=complex)
+    out[..., 0, 0] = pref * _diag_entry(sign * pz, e, m, pxy2)
+    out[..., 0, 1] = ox - 1j * oy
+    out[..., 1, 0] = ox + 1j * oy
+    out[..., 1, 1] = pref * _diag_entry(-sign * pz, e, m, pxy2)
+    return out
 
 
 def boost_block(handedness: str, p: FourMomentum) -> np.ndarray:
@@ -166,44 +195,41 @@ def boost_block(handedness: str, p: FourMomentum) -> np.ndarray:
     sign-flipped generator for the left-handed one.  Right and left boosts
     at the same momentum are exact inverses of each other.
     """
-    sign = _check_handedness(handedness)
-    if p.m <= 0.0:
-        raise MasslessError("boost requires m > 0")
-    e, m = p.energy, p.m
-    px, py, pz = p.vector
-    pxy2 = px * px + py * py
-    pref = math.sqrt((e + m) / (2.0 * m))
-    off = complex(px, py) / (e + m)
-    d0 = _diag_entry(sign * pz, e, m, pxy2)
-    d1 = _diag_entry(-sign * pz, e, m, pxy2)
-    return pref * np.array([[d0, sign * off.conjugate()], [sign * off, d1]])
+    sign = _check_boost(handedness, p)
+    return boost_block_batch(sign, p.m, p.pmag, p.theta, p.phi)
 
 
-def boost_factor(handedness: str, p: FourMomentum, helicity: int) -> float:
-    """Scalar by which the boost multiplies a helicity eigenblock.
+def boost_factor_batch(sign, helicity, m, pmag) -> np.ndarray:
+    """Scalars by which the boosts multiply helicity eigenblocks.
 
     For a block with sigma.p eigenvalue ``helicity * pmag`` the boost acts as
     multiplication by sqrt((E+m)/2m) (1 +- helicity pmag/(E+m)).
     """
-    sign = _check_handedness(handedness)
+    e = np.hypot(m, pmag)
+    return np.sqrt((e + m) / (2.0 * m)) * _diag_entry(sign * helicity * pmag, e, m, 0.0)
+
+
+def boost_factor(handedness: str, p: FourMomentum, helicity: int) -> float:
+    """N=1 form of :func:`boost_factor_batch` at one momentum."""
+    sign = _check_boost(handedness, p)
     if helicity not in (1, -1):
         raise ValueError(f"helicity must be +1 or -1, got {helicity!r}")
-    if p.m <= 0.0:
-        raise MasslessError("boost requires m > 0")
-    e, m = p.energy, p.m
-    pref = math.sqrt((e + m) / (2.0 * m))
-    return pref * _diag_entry(sign * helicity * p.pmag, e, m, 0.0)
+    return float(boost_factor_batch(sign, helicity, p.m, p.pmag))
+
+
+def bloch_direction_batch(b0, b1):
+    """(theta, phi) along which each 2-spinor (b0, b1) has helicity +1."""
+    nx = 2.0 * (b0.real * b1.real + b0.imag * b1.imag)
+    ny = 2.0 * (b0.real * b1.imag - b0.imag * b1.real)
+    nz = (b0.real ** 2 + b0.imag ** 2) - (b1.real ** 2 + b1.imag ** 2)
+    return np.arctan2(np.hypot(nx, ny), nz), np.arctan2(ny, nx) % math.tau
 
 
 def bloch_direction(block) -> tuple[float, float]:
     """Polar angles of the direction along which a 2-spinor has helicity +1."""
     b = np.asarray(block, dtype=complex)
-    cross = np.conj(b[0]) * b[1]
-    nx, ny = 2.0 * cross.real, 2.0 * cross.imag
-    nz = (b[0].real ** 2 + b[0].imag ** 2) - (b[1].real ** 2 + b[1].imag ** 2)
-    theta = math.atan2(math.hypot(nx, ny), nz)
-    phi = math.atan2(ny, nx) % math.tau
-    return (theta, phi)
+    theta, phi = bloch_direction_batch(b[0], b[1])
+    return (float(theta), float(phi))
 
 
 def angles_match(t1: float, p1: float, t2: float, p2: float, tol: float = 1e-12) -> bool:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .algebra import gamma, gamma5, minkowski_dot
+from .algebra import gamma, gamma5
 from .errors import ConventionError, ScaleError, ZeroSpinorError
 from .factory import BiSpinor
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -76,11 +76,6 @@ def bilinear_set(psi: BiSpinor) -> BilinearSet:
     return BilinearSet(float(sigma[0]), float(omega[0]), j[0], k[0], s[0])
 
 
-def bilinear_set_batch(psis: np.ndarray):
-    """Kernel bilinears for an (N, 4) array; returns the raw arrays."""
-    return kernels.bilinears(psis)
-
-
 _S_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
@@ -121,28 +116,13 @@ def bilinear_set_via_gammas(psi: BiSpinor,
     return BilinearSet(sigma, omega, j, k, s)
 
 
-def fpk_residuals(bset: BilinearSet) -> np.ndarray:
-    """Normalized residuals of the three scalar constraints.
+def fpk_residuals_batch(sigma, omega, j, k) -> np.ndarray:
+    """Normalized residuals of the three scalar constraints, (N, 3).
 
     |J.J - (sigma^2 + omega^2)|, |J.K| and |J.J + K.K|, each divided by
     (J^0)^2; the constraints hold identically for every four-component
     spinor, so these measure numerical noise only.
     """
-    jj = minkowski_dot(bset.j, bset.j)
-    jk = minkowski_dot(bset.j, bset.k)
-    kk = minkowski_dot(bset.k, bset.k)
-    scale = bset.j[0] ** 2
-    return np.array(
-        [
-            abs(jj - (bset.sigma**2 + bset.omega**2)) / scale,
-            abs(jk) / scale,
-            abs(jj + kk) / scale,
-        ]
-    )
-
-
-def fpk_residuals_batch(sigma, omega, j, k) -> np.ndarray:
-    """Vectorized form of :func:`fpk_residuals`; returns an (N, 3) array."""
     jj = j[:, 0] ** 2 - j[:, 1] ** 2 - j[:, 2] ** 2 - j[:, 3] ** 2
     jk = j[:, 0] * k[:, 0] - j[:, 1] * k[:, 1] - j[:, 2] * k[:, 2] - j[:, 3] * k[:, 3]
     kk = k[:, 0] ** 2 - k[:, 1] ** 2 - k[:, 2] ** 2 - k[:, 3] ** 2
@@ -155,3 +135,9 @@ def fpk_residuals_batch(sigma, omega, j, k) -> np.ndarray:
         ],
         axis=1,
     )
+
+
+def fpk_residuals(bset: BilinearSet) -> np.ndarray:
+    """N=1 form of :func:`fpk_residuals_batch` for one bilinear set."""
+    return fpk_residuals_batch(np.array([bset.sigma]), np.array([bset.omega]),
+                               bset.j[None, :], bset.k[None, :])[0]

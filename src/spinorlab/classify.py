@@ -20,12 +20,12 @@ measured bilinears for diagnosis rather than raised as an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import kernels
-from .bilinears import BilinearSet, bilinear_set, fpk_residuals
+from .bilinears import BilinearSet, bilinear_set, fpk_residuals, fpk_residuals_batch
 from .errors import ZeroSpinorError
 from .factory import BiSpinor
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -120,7 +120,6 @@ class HelicityProfile:
 
     @property
     def category(self) -> str:
-        states = (self.right, self.left)
         if (self.right == NULL_BLOCK) != (self.left == NULL_BLOCK):
             return CATEGORY_NOT_WELL_DEFINED
         eigen = {RIGHT_PLUS, RIGHT_MINUS}
@@ -193,6 +192,29 @@ def helicity_categories(rstate, lstate) -> np.ndarray:
     out[both & (rstate != lstate)] = CAT_DUAL
     out[(rstate == 0) ^ (lstate == 0)] = CAT_NOT_WELL_DEFINED
     return out
+
+
+class Analysis(NamedTuple):
+    """Per-row verdicts of :func:`analyze` for an (N, 4) spinor array."""
+    classes: np.ndarray               # (N,) int8 class index, 0 = unclassifiable
+    categories: Optional[np.ndarray]  # (N,) int8 CAT_* code; None without a direction
+    fpk_max: np.ndarray               # (3,) worst constraint residuals
+
+
+def analyze(psis: np.ndarray, theta=None, phi=None,
+            tol: Tolerances = DEFAULT_TOLERANCES) -> Analysis:
+    """Bilinears, Lounesto classes and, along (theta, phi), helicity
+    categories of every row; the bilinear arrays are freed before the
+    helicity pass."""
+    sigma, omega, j, k, s = kernels.bilinears(psis)
+    classes = lounesto_classes(sigma, omega, j, k, s, tol)
+    fpk_max = np.max(fpk_residuals_batch(sigma, omega, j, k), axis=0)
+    del sigma, omega, j, k, s
+    categories = None
+    if theta is not None:
+        rstate, lstate, _, _ = helicity_profiles(psis, theta, phi, tol)
+        categories = helicity_categories(rstate, lstate)
+    return Analysis(classes, categories, fpk_max)
 
 
 _STATE_NAME = {0: NULL_BLOCK, 1: RIGHT_PLUS, -1: RIGHT_MINUS, 2: NOT_EIGEN}

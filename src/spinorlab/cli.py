@@ -19,14 +19,7 @@ import numpy as np
 
 from . import sampling
 from .algebra import FourMomentum
-from .bilinears import bilinear_set_batch, fpk_residuals_batch
-from .classify import (
-    CATEGORY_NAMES,
-    classify_report,
-    helicity_categories,
-    helicity_profiles,
-    lounesto_classes,
-)
+from .classify import CATEGORY_NAMES, analyze, classify_report
 from .errors import JobError, SpinorError
 from .factory import (
     DEFAULT_PHASE_MINUS,
@@ -218,25 +211,11 @@ def _spinor_direction(spinor_spec: Optional[dict]) -> Optional[tuple]:
     (self_conjugate, weyl, singular_form) are built once to read it off;
     raw components and parity_linked spinors carry none at this stage.
     """
-    if spinor_spec is None or "components" in spinor_spec:
+    if spinor_spec is None or spinor_spec.get("family") in (None, "parity_linked"):
         return None
     if "theta" in spinor_spec:
         return (spinor_spec["theta"], spinor_spec["phi"])
-    family = spinor_spec["family"]
-    if family == "self_conjugate":
-        psi = build_self_conjugate(spinor_spec["sign"], complex(*spinor_spec["c"]),
-                                   complex(*spinor_spec["d"]))
-    elif family == "weyl":
-        psi = build_weyl(spinor_spec["side"],
-                         (complex(*spinor_spec["block"][0]),
-                          complex(*spinor_spec["block"][1])))
-    elif family == "singular_form":
-        psi = build_singular_form(complex(*spinor_spec["b"]),
-                                  complex(*spinor_spec["c"]),
-                                  complex(*spinor_spec["d"]))
-    else:
-        return None
-    return psi.provenance.direction
+    return _construct(spinor_spec, None).provenance.direction
 
 
 def parse_job(doc: dict) -> JobSpec:
@@ -351,18 +330,14 @@ def _parse_momentum(doc, spinor_spec: Optional[dict]) -> dict:
     return {"m": m, "pmag": pmag, "theta": theta, "phi": phi}
 
 
-def _build_spinor(job: JobSpec) -> BiSpinor:
-    spec = job.spinor_spec
-    assert spec is not None
+def _construct(spec: dict, p: Optional[FourMomentum]) -> BiSpinor:
     if "components" in spec:
         return BiSpinor(*(complex(re, im) for re, im in spec["components"]))
     family = spec["family"]
-    if family == "single_helicity":
-        return build_single_helicity(spec["pair"], complex(*spec["a"]),
-                                     complex(*spec["c"]), spec["theta"], spec["phi"])
-    if family == "dual_helicity":
-        return build_dual_helicity(spec["pair"], complex(*spec["a"]),
-                                   complex(*spec["c"]), spec["theta"], spec["phi"])
+    if family in ("single_helicity", "dual_helicity"):
+        build = build_single_helicity if family == "single_helicity" else build_dual_helicity
+        return build(spec["pair"], complex(*spec["a"]), complex(*spec["c"]),
+                     spec["theta"], spec["phi"])
     if family == "self_conjugate":
         return build_self_conjugate(spec["sign"], complex(*spec["c"]),
                                     complex(*spec["d"]))
@@ -373,7 +348,7 @@ def _build_spinor(job: JobSpec) -> BiSpinor:
         return build_singular_form(complex(*spec["b"]), complex(*spec["c"]),
                                    complex(*spec["d"]))
     assert family == "parity_linked"
-    return build_parity_linked(spec["helicity"], _momentum_of(job), spec["phase"])
+    return build_parity_linked(spec["helicity"], p, spec["phase"])
 
 
 def _momentum_of(job: JobSpec) -> Optional[FourMomentum]:
@@ -388,18 +363,9 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
     report: dict = {"job": job.normalized, "conventions": dict(CONVENTIONS)}
     if job.mode == "verify":
         results = run_verification_suite(job.seed, job.tolerances)
+        keys = ("name", "passed", "worst", "threshold", "count", "details")
         report["verify"] = {
-            "properties": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "worst": r.worst,
-                    "threshold": r.threshold,
-                    "count": r.count,
-                    "details": r.details,
-                }
-                for r in results
-            ],
+            "properties": [{k: getattr(r, k) for k in keys} for r in results],
             "all_passed": all(r.passed for r in results),
         }
         return report, 0 if report["verify"]["all_passed"] else 4
@@ -408,8 +374,8 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
         report["sample"] = _run_sample(job)
         return report, 0
 
-    psi = _build_spinor(job)
     p = _momentum_of(job)
+    psi = _construct(job.spinor_spec, p)
     if job.boost and p is not None:
         psi = boost_bispinor(psi, p)
     direction = None
@@ -437,28 +403,24 @@ def _run_sample(job: JobSpec) -> dict:
     if job.family == "random_raw":
         arr = sampling.random_raw_spinors(rng, n)
     else:
-        spinors, theta, phi = sampling.FAMILY_DRAWS[job.family](rng, n)
-        arr = sampling.spinor_array(spinors)
+        arr, theta, phi, _ = sampling.FAMILY_DRAWS[job.family](rng, n)
 
-    sigma, omega, j, k, s = bilinear_set_batch(arr)
-    classes = lounesto_classes(sigma, omega, j, k, s, tol)
-    class_counts = {str(idx): int(np.sum(classes == idx)) for idx in range(1, 7)}
-    class_counts["unclassifiable"] = int(np.sum(classes == 0))
-
-    fpk = fpk_residuals_batch(sigma, omega, j, k)
+    res = analyze(arr, theta, phi, tol)
+    counts = np.bincount(res.classes, minlength=7)
+    class_counts = {str(idx): int(counts[idx]) for idx in range(1, 7)}
+    class_counts["unclassifiable"] = int(counts[0])
     out: dict = {
         "family": job.family,
         "seed": job.seed,
         "count": n,
         "class_counts": class_counts,
-        "fpk_max": [float(x) for x in np.max(fpk, axis=0)],
+        "fpk_max": [float(x) for x in res.fpk_max],
     }
 
-    if theta is not None:
-        rstate, lstate, _, _ = helicity_profiles(arr, theta, phi, tol)
-        cats = helicity_categories(rstate, lstate)
+    if res.categories is not None:
+        counts = np.bincount(res.categories, minlength=len(CATEGORY_NAMES))
         out["helicity_category_counts"] = {
-            name: int(np.sum(cats == code)) for code, name in CATEGORY_NAMES.items()
+            name: int(counts[code]) for code, name in CATEGORY_NAMES.items()
         }
 
     carr = charge_conjugate_batch(arr)

@@ -1,9 +1,18 @@
 """Constructors for every bispinor family the workbench analyzes.
 
-All constructors return :class:`BiSpinor` values carrying a
-:class:`Provenance` record (family name, construction parameters, direction,
-unboosted blocks) so that reports can state how a spinor was generated and
-the parity operation can rebuild it at a reflected momentum.
+Each family has one batch constructor, ``<family>_batch``, taking (N,)
+parameter arrays and returning ``(components, theta, phi)``: an (N, 4)
+complex array, one spinor per row, and each row's construction direction.
+Batch constructors do not validate; their rows must meet the preconditions
+that the scalar ``build_*`` N=1 wrappers check.  A wrapper returns a
+:class:`BiSpinor` carrying a :class:`Provenance` record (family name,
+construction parameters, direction, unboosted blocks) so that reports can
+state how a spinor was generated and the parity operation can rebuild it
+at a reflected momentum.
+
+Complex products and quotients are written out in real and imaginary parts
+as Python complex arithmetic evaluates them (numpy's complex loops may fuse
+multiply-adds), so a component does not depend on the batch size.
 
 Component conventions: a bispinor is (a, b, c, d) with right-handed block
 (a, b) on top and left-handed block (c, d) below.  Helicity labels are
@@ -12,7 +21,7 @@ relative to the construction direction (theta, phi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -20,9 +29,10 @@ import numpy as np
 from .algebra import (
     FourMomentum,
     angles_match,
-    bloch_direction,
-    boost_block,
+    bloch_direction_batch,
+    boost_block_batch,
     boost_factor,
+    boost_factor_batch,
 )
 from .errors import (
     DirectionMismatchError,
@@ -36,8 +46,6 @@ from .errors import (
 #: close.  Use (0, 0) for the parity-profile preset.
 DEFAULT_PHASE_PLUS = 0.0
 DEFAULT_PHASE_MINUS = math.pi
-
-_POLE_TOL = 0.0  # singular angles are rejected exactly; callers may rotate coordinates
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +109,7 @@ class BiSpinor:
 
 
 def bispinor_from_blocks(right, left, provenance: Optional[Provenance] = None) -> BiSpinor:
-    right = np.asarray(right, dtype=complex)
-    left = np.asarray(left, dtype=complex)
-    return BiSpinor(complex(right[0]), complex(right[1]),
-                    complex(left[0]), complex(left[1]), provenance)
+    return BiSpinor.from_array(np.concatenate([right, left]), provenance)
 
 
 @dataclass(frozen=True)
@@ -134,28 +139,47 @@ class RestSpinorSpec:
         return DEFAULT_PHASE_PLUS if self.helicity > 0 else DEFAULT_PHASE_MINUS
 
 
-def rest_spinor(spec: RestSpinorSpec) -> np.ndarray:
-    """Two-component rest spinor, sqrt(m)-normalized helicity eigenstate.
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _mul(z, wr, wi) -> np.ndarray:
+    # z * (wr + i wi) without fused multiply-add, as CPython rounds it
+    return _complex(z.real * wr - z.imag * wi, z.real * wi + z.imag * wr)
+
+
+def _rows(*values):
+    return [np.array([v]) for v in values]
+
+
+def rest_spinor_batch(helicity, theta, phi, m, phase=None) -> np.ndarray:
+    """(N, 2) rest spinors, sqrt(m)-normalized helicity eigenstates.
 
     Helicity +1: sqrt(m) e^{i phase} (cos(theta/2) e^{-i phi/2},
     sin(theta/2) e^{i phi/2}); helicity -1 swaps the trigonometric factors
-    and flips the lower sign.  Vanishes in the massless limit because there
-    is no rest frame to build it in.
+    and flips the lower sign.  ``phase=None`` takes the default phase of
+    each row's helicity sign.
     """
+    if phase is None:
+        phase = np.where(helicity > 0, DEFAULT_PHASE_PLUS, DEFAULT_PHASE_MINUS)
+    ch, sh = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    er, ei = np.cos(0.5 * phi), np.sin(0.5 * phi)
+    u = np.where(helicity > 0, ch, sh)
+    v = np.where(helicity > 0, sh, -ch)
+    pref = _complex(np.sqrt(m) * np.cos(phase), np.sqrt(m) * np.sin(phase))
+    return np.stack([_mul(pref, u * er, -(u * ei)), _mul(pref, v * er, v * ei)],
+                    axis=-1)
+
+
+def rest_spinor(spec: RestSpinorSpec) -> np.ndarray:
+    """N=1 form of :func:`rest_spinor_batch`; m = 0 has no rest frame."""
     if spec.m <= 0.0:
         raise MasslessError("rest spinor requires m > 0")
-    half_t = 0.5 * spec.theta
-    eph = complex(math.cos(0.5 * spec.phi), math.sin(0.5 * spec.phi))
-    pref = math.sqrt(spec.m) * complex(
-        math.cos(spec.resolved_phase), math.sin(spec.resolved_phase)
-    )
-    if spec.helicity > 0:
-        return pref * np.array(
-            [math.cos(half_t) * eph.conjugate(), math.sin(half_t) * eph]
-        )
-    return pref * np.array(
-        [math.sin(half_t) * eph.conjugate(), -math.cos(half_t) * eph]
-    )
+    return rest_spinor_batch(*_rows(spec.helicity, spec.theta, spec.phi, spec.m,
+                                    spec.resolved_phase))[0]
 
 
 def boosted_block(spec: RestSpinorSpec, handedness: str, p: FourMomentum) -> np.ndarray:
@@ -175,20 +199,49 @@ def boosted_block(spec: RestSpinorSpec, handedness: str, p: FourMomentum) -> np.
     return boost_factor(handedness, p, spec.helicity) * rest_spinor(spec)
 
 
-def _helicity_fraction(sign: int, theta: float, phi: float) -> complex:
-    # b/a ratio for a helicity eigenblock: +: sin t e^{i phi}/(1+cos t),
-    # -: -sin t e^{i phi}/(1-cos t).  Rejects the pole of the chosen form.
-    ct, st = math.cos(theta), math.sin(theta)
-    eph = complex(math.cos(phi), math.sin(phi))
-    if sign > 0:
-        den = 1.0 + ct
-        if den == 0.0 or theta == math.pi:
-            raise SingularAngleError("helicity + form diverges at theta = pi")
-        return st * eph / den
-    den = 1.0 - ct
-    if den == 0.0 or theta == 0.0:
-        raise SingularAngleError("helicity - form diverges at theta = 0")
-    return -st * eph / den
+def _helicity_fraction(sign, theta, phi):
+    # (re, im) of the b/a ratio of a helicity eigenblock:
+    # +: sin t e^{i phi}/(1+cos t), -: -sin t e^{i phi}/(1-cos t)
+    num = sign * np.sin(theta)
+    den = 1.0 + sign * np.cos(theta)
+    return num * np.cos(phi) / den, num * np.sin(phi) / den
+
+
+def _check_pole(sign: int, theta: float):
+    pole = math.pi if sign > 0 else 0.0
+    if theta == pole or 1.0 + sign * math.cos(theta) == 0.0:
+        raise SingularAngleError(f"helicity {'+' if sign > 0 else '-'} form "
+                                 f"diverges at theta = {'pi' if sign > 0 else '0'}")
+
+
+def single_helicity_batch(sign, a, c, theta, phi):
+    """Spinors whose blocks both carry helicity ``sign`` along (theta, phi).
+
+    a and c are the free amplitudes of the right and left blocks; the
+    dependent components follow the eigenvector ratio.  Rows must avoid the
+    pole of their form (theta = pi for +1, theta = 0 for -1).
+    """
+    a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
+    tr, ti = _helicity_fraction(sign, theta, phi)
+    return np.stack([a, _mul(a, tr, ti), c, _mul(c, tr, ti)], axis=1), theta, phi
+
+
+def dual_helicity_batch(sign, a, c, theta, phi):
+    """Spinors with right-block helicity ``sign`` and left-block ``-sign``.
+
+    Rows must avoid both poles and have a, c nonzero.
+    """
+    a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
+    rr, ri = _helicity_fraction(sign, theta, phi)
+    lr, li = _helicity_fraction(-sign, theta, phi)
+    return np.stack([a, _mul(a, rr, ri), c, _mul(c, lr, li)], axis=1), theta, phi
+
+
+def _spinor(arr, **prov) -> BiSpinor:
+    """Row 0 of ``arr`` as an unboosted BiSpinor; ``prov`` fills its
+    Provenance, whose rest blocks are the row itself."""
+    a, b, c, d = (complex(z) for z in arr[0])
+    return BiSpinor(a, b, c, d, Provenance(rest_right=(a, b), rest_left=(c, d), **prov))
 
 
 _PAIRS_SINGLE = {"++": 1, "--": -1}
@@ -197,38 +250,27 @@ _PAIRS_DUAL = {"+-": (1, -1), "-+": (-1, 1)}
 
 def build_single_helicity(pair: str, a: complex, c: complex,
                           theta: float, phi: float) -> BiSpinor:
-    """Bispinor whose two blocks carry the same helicity along (theta, phi).
-
-    pair is "++" or "--"; a and c are the free amplitudes of the right and
-    left blocks.  The dependent components follow the eigenvector ratio for
-    the common helicity sign.
-    """
+    """N=1 form of :func:`single_helicity_batch`; pair is "++" or "--"."""
     if pair not in _PAIRS_SINGLE:
         raise ValueError(f"pair must be '++' or '--', got {pair!r}")
     a, c = complex(a), complex(c)
     if a == 0 and c == 0:
         raise ZeroSpinorError("at least one of a, c must be nonzero")
     h = _PAIRS_SINGLE[pair]
-    t = _helicity_fraction(h, theta, phi)
-    prov = Provenance(
-        family="single_helicity",
-        params={"pair": pair, "a": a, "c": c},
-        theta=theta,
-        phi=phi,
-        rest_right=(a, a * t),
-        rest_left=(c, c * t),
-        helicities=(h, h),
-    )
-    return BiSpinor(a, a * t, c, c * t, prov)
+    _check_pole(h, theta)
+    arr, _, _ = single_helicity_batch(*_rows(h, a, c, theta, phi))
+    return _spinor(
+        arr, family="single_helicity", params={"pair": pair, "a": a, "c": c},
+        theta=theta, phi=phi, helicities=(h, h))
 
 
 def build_dual_helicity(pair: str, a: complex, c: complex,
                         theta: float, phi: float) -> BiSpinor:
-    """Bispinor whose blocks carry opposite helicities along (theta, phi).
+    """N=1 form of :func:`dual_helicity_batch`; pair is "+-" or "-+".
 
-    pair is "+-" (right block +, left block -) or "-+".  Both forms diverge
-    at the poles, and a vanishing amplitude would degenerate the spinor to a
-    single-block (class 6) shape, so a = 0 and c = 0 are rejected.
+    Both forms diverge at the poles, and a vanishing amplitude would
+    degenerate the spinor to a single-block (class 6) shape, so a = 0 and
+    c = 0 are rejected.
     """
     if pair not in _PAIRS_DUAL:
         raise ValueError(f"pair must be '+-' or '-+', got {pair!r}")
@@ -236,31 +278,31 @@ def build_dual_helicity(pair: str, a: complex, c: complex,
     if a == 0 or c == 0:
         raise ZeroSpinorError("dual-helicity amplitudes must both be nonzero")
     hr, hl = _PAIRS_DUAL[pair]
-    tr = _helicity_fraction(hr, theta, phi)
-    tl = _helicity_fraction(hl, theta, phi)
-    prov = Provenance(
-        family="dual_helicity",
-        params={"pair": pair, "a": a, "c": c},
-        theta=theta,
-        phi=phi,
-        rest_right=(a, a * tr),
-        rest_left=(c, c * tl),
-        helicities=(hr, hl),
-    )
-    return BiSpinor(a, a * tr, c, c * tl, prov)
+    _check_pole(hr, theta)
+    _check_pole(hl, theta)
+    arr, _, _ = dual_helicity_batch(*_rows(hr, a, c, theta, phi))
+    return _spinor(
+        arr, family="dual_helicity", params={"pair": pair, "a": a, "c": c},
+        theta=theta, phi=phi, helicities=(hr, hl))
+
+
+def dual_helicity_partner_batch(sign, a, c, theta, phi, m, pmag):
+    """The dual-helicity spinors the Dirac operator maps each row onto, at
+    its momentum (m, pmag) along (theta, phi); pmag = 0 leaves them unboosted.
+
+    Flips the helicity pair and swaps the free amplitudes.
+    """
+    arr, _, _ = dual_helicity_batch(-sign, c, a, theta, phi)
+    return boost_bispinor_batch(arr, m, pmag, theta, phi), theta, phi
 
 
 def dual_helicity_partner(psi: BiSpinor) -> BiSpinor:
-    """The dual-helicity spinor the Dirac operator maps psi onto.
-
-    Flips the helicity pair and swaps the free amplitudes; gamma_mu p^mu
-    sends each member of the pair onto a multiple of the other.
-    """
+    """N=1 form of :func:`dual_helicity_partner_batch` for a spinor built by
+    :func:`build_dual_helicity` (and possibly boosted)."""
     prov = psi.provenance
     if prov is None or prov.family != "dual_helicity":
         raise ValueError("partner is defined for dual_helicity spinors only")
-    pair = prov.params["pair"]
-    flipped = "-+" if pair == "+-" else "+-"
+    flipped = "-+" if prov.params["pair"] == "+-" else "+-"
     partner = build_dual_helicity(
         flipped, prov.params["c"], prov.params["a"], prov.theta, prov.phi
     )
@@ -269,62 +311,81 @@ def dual_helicity_partner(psi: BiSpinor) -> BiSpinor:
     return partner
 
 
-def build_singular_form(b: complex, c: complex, d: complex) -> BiSpinor:
-    """Singular-structure spinor (-b c conj(d)/|c|^2, b, c, d).
+def singular_form_batch(b, c, d):
+    """Singular-structure spinors (-b c conj(d)/|c|^2, b, c, d); c != 0.
 
     The leading component is forced so that the scalar and pseudoscalar
-    bilinears vanish identically; requires c != 0.
+    bilinears vanish identically.  The direction is the Bloch direction of
+    the right block, or of the left one where the right block is null.
     """
+    b, c, d = (np.asarray(x, dtype=complex) for x in (b, c, d))
+    y = _mul(_mul(-b, c.real, c.imag), d.real, -d.imag)
+    n2 = np.hypot(c.real, c.imag) ** 2
+    a = _complex(y.real / n2, y.imag / n2)
+    right = (a != 0) | (b != 0)
+    tr, pr = bloch_direction_batch(a, b)
+    tl, pl = bloch_direction_batch(c, d)
+    return (np.stack([a, b, c, d], axis=1), np.where(right, tr, tl),
+            np.where(right, pr, pl))
+
+
+def build_singular_form(b: complex, c: complex, d: complex) -> BiSpinor:
+    """N=1 form of :func:`singular_form_batch`; requires c != 0."""
     b, c, d = complex(b), complex(c), complex(d)
     if c == 0:
         raise ZeroSpinorError("singular form requires c != 0")
-    a = -b * c * d.conjugate() / (abs(c) ** 2)
-    right = (a, b)
-    theta, phi = bloch_direction(right if (a != 0 or b != 0) else (c, d))
-    prov = Provenance(
-        family="singular_form",
-        params={"b": b, "c": c, "d": d},
-        theta=theta,
-        phi=phi,
-        rest_right=right,
-        rest_left=(c, d),
-    )
-    return BiSpinor(a, b, c, d, prov)
+    arr, theta, phi = singular_form_batch(*_rows(b, c, d))
+    return _spinor(
+        arr, family="singular_form", params={"b": b, "c": c, "d": d},
+        theta=float(theta[0]), phi=float(phi[0]))
+
+
+def self_conjugate_batch(sign, c, d):
+    """Eigenspinors of charge conjugation with eigenvalue ``sign`` per row.
+
+    The right block is fixed by the left one: (-i s conj(d), i s conj(c), c,
+    d) with s = sign, which satisfies C psi = sign psi exactly and forces
+    |a| = |d|, |b| = |c|.  The direction is the left block's Bloch
+    direction.  Rows need (c, d) nonzero.
+    """
+    c, d = np.asarray(c, dtype=complex), np.asarray(d, dtype=complex)
+    a = _complex(-sign * d.imag, -sign * d.real)
+    b = _complex(sign * c.imag, sign * c.real)
+    theta, phi = bloch_direction_batch(c, d)
+    return np.stack([a, b, c, d], axis=1), theta, phi
 
 
 def build_self_conjugate(sign: int, c: complex, d: complex) -> BiSpinor:
-    """Eigenspinor of charge conjugation with eigenvalue sign.
-
-    The right block is fixed by the left one: (-i s conj(d), i s conj(c), c, d)
-    with s = sign, which satisfies C psi = sign psi exactly and forces
-    |a| = |d|, |b| = |c|.
-    """
+    """N=1 form of :func:`self_conjugate_batch`."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     c, d = complex(c), complex(d)
     if c == 0 and d == 0:
         raise ZeroSpinorError("left block (c, d) must be nonzero")
-    a = -1j * sign * d.conjugate()
-    b = 1j * sign * c.conjugate()
-    theta, phi = bloch_direction((c, d))
-    prov = Provenance(
-        family="self_conjugate",
-        params={"sign": sign, "c": c, "d": d},
-        theta=theta,
-        phi=phi,
-        rest_right=(a, b),
-        rest_left=(c, d),
-        helicities=(-1, 1),  # left block sets the axis; Theta-conjugation flips it
-    )
-    return BiSpinor(a, b, c, d, prov)
+    arr, theta, phi = self_conjugate_batch(*_rows(sign, c, d))
+    return _spinor(
+        arr, family="self_conjugate", params={"sign": sign, "c": c, "d": d},
+        theta=float(theta[0]), phi=float(phi[0]),
+        helicities=(-1, 1))  # left block sets the axis; Theta-conjugation flips it
+
+
+def weyl_batch(right, b0, b1):
+    """Single-block spinors: block (b0, b1) on the right where ``right`` is
+    true, on the left elsewhere, and the other block null.
+
+    The direction is the block's Bloch direction, along which it has
+    helicity +1.  Rows need (b0, b1) nonzero.
+    """
+    blk = np.stack([b0, b1], axis=1).astype(complex)
+    on_right = np.asarray(right)[:, None]
+    arr = np.concatenate([np.where(on_right, blk, 0), np.where(on_right, 0, blk)],
+                         axis=1)
+    theta, phi = bloch_direction_batch(blk[:, 0], blk[:, 1])
+    return arr, theta, phi
 
 
 def build_weyl(which: str, block) -> BiSpinor:
-    """Single-block bispinor: the other chiral block is null.
-
-    which is "right" or "left".  The stored direction is the Bloch direction
-    of the nonzero block, along which that block has helicity +1.
-    """
+    """N=1 form of :func:`weyl_batch`; which is "right" or "left"."""
     if which not in ("right", "left"):
         raise ValueError(f"which must be 'right' or 'left', got {which!r}")
     blk = np.asarray(block, dtype=complex)
@@ -332,55 +393,50 @@ def build_weyl(which: str, block) -> BiSpinor:
         raise ValueError("block must have two components")
     if blk[0] == 0 and blk[1] == 0:
         raise ZeroSpinorError("block must be nonzero")
-    theta, phi = bloch_direction(blk)
     b0, b1 = complex(blk[0]), complex(blk[1])
-    if which == "right":
-        comps = (b0, b1, 0j, 0j)
-        hel = (1, None)
-        rest_r, rest_l = (b0, b1), (0j, 0j)
-    else:
-        comps = (0j, 0j, b0, b1)
-        hel = (None, 1)
-        rest_r, rest_l = (0j, 0j), (b0, b1)
-    prov = Provenance(
-        family="weyl",
-        params={"which": which, "block": (b0, b1)},
-        theta=theta,
-        phi=phi,
-        rest_right=rest_r,
-        rest_left=rest_l,
-        helicities=hel,
-    )
-    return BiSpinor(*comps, prov)
+    arr, theta, phi = weyl_batch(*_rows(which == "right", b0, b1))
+    return _spinor(
+        arr, family="weyl", params={"which": which, "block": (b0, b1)},
+        theta=float(theta[0]), phi=float(phi[0]),
+        helicities=(1, None) if which == "right" else (None, 1))
+
+
+def parity_linked_batch(helicity, m, pmag, theta, phi, phase=None):
+    """Dirac-type spinors: one rest eigenstate boosted into both chiral slots.
+
+    Because the two representation spaces share the same rest block and are
+    connected by opposite-handed boosts, each row satisfies
+    gamma_mu p^mu psi = m psi at its momentum (m, pmag, theta, phi).
+    ``phase=None`` takes the default phase of each row's helicity.
+    """
+    rest = rest_spinor_batch(helicity, theta, phi, m, phase)
+    right = boost_factor_batch(1, helicity, m, pmag)[:, None] * rest
+    left = boost_factor_batch(-1, helicity, m, pmag)[:, None] * rest
+    return np.concatenate([right, left], axis=1), theta, phi
 
 
 def build_parity_linked(helicity: int, p: FourMomentum,
                         phase: Optional[float] = None) -> BiSpinor:
-    """Dirac-type spinor: one rest eigenstate boosted into both chiral slots.
-
-    Because the two representation spaces share the same rest block and are
-    connected by opposite-handed boosts, the result satisfies
-    gamma_mu p^mu psi = m psi.
-    """
+    """N=1 form of :func:`parity_linked_batch` at momentum p."""
     spec = RestSpinorSpec(helicity, p.theta, p.phi, p.m, phase)
-    rest = rest_spinor(spec)
-    right = boost_factor("right", p, helicity) * rest
-    left = boost_factor("left", p, helicity) * rest
-    prov = Provenance(
-        family="parity_linked",
-        params={"helicity": helicity, "phase": spec.resolved_phase},
-        theta=p.theta,
-        phi=p.phi,
-        momentum=p,
-        rest_right=(complex(rest[0]), complex(rest[1])),
-        rest_left=(complex(rest[0]), complex(rest[1])),
-        helicities=(helicity, helicity),
-    )
-    return bispinor_from_blocks(right, left, prov)
+    rest = tuple(complex(z) for z in rest_spinor(spec))
+    arr, _, _ = parity_linked_batch(*_rows(helicity, p.m, p.pmag, p.theta, p.phi,
+                                           spec.resolved_phase))
+    return BiSpinor.from_array(arr[0], Provenance(
+        "parity_linked", {"helicity": helicity, "phase": spec.resolved_phase},
+        p.theta, p.phi, p, rest, rest, (helicity, helicity)))
+
+
+def boost_bispinor_batch(psis, m, pmag, theta, phi) -> np.ndarray:
+    """(N, 4) spinors with the chiral block boosts applied row by row."""
+    psis = np.asarray(psis, dtype=complex)
+    right = boost_block_batch(1, m, pmag, theta, phi) @ psis[:, :2, None]
+    left = boost_block_batch(-1, m, pmag, theta, phi) @ psis[:, 2:, None]
+    return np.concatenate([right, left], axis=1)[:, :, 0]
 
 
 def boost_bispinor(psi: BiSpinor, p: FourMomentum) -> BiSpinor:
-    """Apply the chiral block boosts to a bispinor.
+    """N=1 form of :func:`boost_bispinor_batch`.
 
     If the spinor records a construction direction it must match the boost
     direction (helicity structure is only preserved along the spinor's own
@@ -396,18 +452,10 @@ def boost_bispinor(psi: BiSpinor, p: FourMomentum) -> BiSpinor:
             raise DirectionMismatchError(
                 "boost direction must match the construction direction"
             )
-    right = boost_block("right", p) @ psi.right
-    left = boost_block("left", p) @ psi.left
-    new_prov = None
+    if p.m <= 0.0:
+        raise MasslessError("boost requires m > 0")
+    arr = boost_bispinor_batch(psi.array[None, :], *_rows(p.m, p.pmag, p.theta, p.phi))
     if prov is not None:
-        new_prov = Provenance(
-            family=prov.family,
-            params=prov.params,
-            theta=prov.theta,
-            phi=prov.phi,
-            momentum=p,
-            rest_right=(psi.a, psi.b),
-            rest_left=(psi.c, psi.d),
-            helicities=prov.helicities,
-        )
-    return bispinor_from_blocks(right, left, new_prov)
+        prov = replace(prov, momentum=p, rest_right=(psi.a, psi.b),
+                       rest_left=(psi.c, psi.d))
+    return BiSpinor.from_array(arr[0], prov)

@@ -12,18 +12,19 @@ documented in one place and a (seed, count) pair reproduces a run exactly:
   single-block ones)
 * momenta: mass log-uniform on [0.1, 10], pmag/m log-uniform over the
   requested ratio range, direction as above
+
+Family draws return a batch constructor's ``(components, theta, phi)``
+plus ``params``, its per-row parameter arrays keyed by argument name.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import FourMomentum
 from .factory import (
-    BiSpinor,
-    build_dual_helicity,
-    build_self_conjugate,
-    build_single_helicity,
-    build_weyl,
+    dual_helicity_batch,
+    self_conjugate_batch,
+    single_helicity_batch,
+    weyl_batch,
 )
 
 MIN_RAW_NORM_SQ = 1e-6
@@ -92,13 +93,6 @@ def random_momenta(rng, count: int, ratio=(1e-3, 1e3), mass=(0.1, 10.0)):
     return m, m * r, theta, phi
 
 
-def momenta_list(m, pmag, theta, phi) -> list[FourMomentum]:
-    return [
-        FourMomentum(float(mi), float(pi), float(ti), float(fi))
-        for mi, pi, ti, fi in zip(m, pmag, theta, phi)
-    ]
-
-
 def steered_amplitudes(rng, count: int, target_class: int):
     """(a, c) amplitude pairs steering a single-helicity spinor's subclass.
 
@@ -133,53 +127,39 @@ def steered_amplitudes(rng, count: int, target_class: int):
 
 
 def draw_single_helicity(rng, count: int, steer: int | None = None):
-    """(spinors, theta, phi); steer picks the targeted regular subclass."""
+    """Single-helicity draws; steer picks the targeted regular subclass."""
     theta, phi = random_directions(rng, count)
-    pick = rng.integers(0, 2, size=count)
+    sign = np.where(rng.integers(0, 2, size=count) == 0, 1, -1)
     if steer is None:
         a = random_amplitudes(rng, count)
         c = random_amplitudes(rng, count)
     else:
         a, c = steered_amplitudes(rng, count, steer)
-    spinors = [
-        build_single_helicity("++" if k == 0 else "--", ai, ci, ti, fi)
-        for k, ai, ci, ti, fi in zip(pick, a, c, theta, phi)
-    ]
-    return spinors, theta, phi
+    return (*single_helicity_batch(sign, a, c, theta, phi),
+            {"sign": sign, "a": a, "c": c})
 
 
 def draw_dual_helicity(rng, count: int):
     theta, phi = random_directions(rng, count)
-    pick = rng.integers(0, 2, size=count)
+    sign = np.where(rng.integers(0, 2, size=count) == 0, 1, -1)
     a = random_amplitudes(rng, count)
     c = random_amplitudes(rng, count)
-    spinors = [
-        build_dual_helicity("+-" if k == 0 else "-+", ai, ci, ti, fi)
-        for k, ai, ci, ti, fi in zip(pick, a, c, theta, phi)
-    ]
-    return spinors, theta, phi
+    return (*dual_helicity_batch(sign, a, c, theta, phi),
+            {"sign": sign, "a": a, "c": c})
 
 
 def draw_self_conjugate(rng, count: int):
     sign = np.where(rng.integers(0, 2, size=count) == 0, 1, -1)
     c = random_amplitudes(rng, count)
     d = random_amplitudes(rng, count)
-    spinors = [
-        build_self_conjugate(int(s), ci, di) for s, ci, di in zip(sign, c, d)
-    ]
-    theta = np.array([s.provenance.theta for s in spinors])
-    phi = np.array([s.provenance.phi for s in spinors])
-    return spinors, theta, phi
+    return (*self_conjugate_batch(sign, c, d), {"sign": sign, "c": c, "d": d})
 
 
 def draw_weyl(rng, count: int):
-    side = np.where(rng.integers(0, 2, size=count) == 0, "right", "left")
+    right = rng.integers(0, 2, size=count) == 0
     b0 = random_amplitudes(rng, count)
     b1 = random_amplitudes(rng, count)
-    spinors = [build_weyl(str(s), (x, y)) for s, x, y in zip(side, b0, b1)]
-    theta = np.array([s.provenance.theta for s in spinors])
-    phi = np.array([s.provenance.phi for s in spinors])
-    return spinors, theta, phi
+    return (*weyl_batch(right, b0, b1), {"right": right, "b0": b0, "b1": b1})
 
 
 FAMILY_DRAWS = {
@@ -188,13 +168,3 @@ FAMILY_DRAWS = {
     "self_conjugate": draw_self_conjugate,
     "weyl": draw_weyl,
 }
-
-
-def spinor_array(spinors: list[BiSpinor]) -> np.ndarray:
-    out = np.empty((len(spinors), 4), dtype=complex)
-    for i, s in enumerate(spinors):
-        out[i, 0] = s.a
-        out[i, 1] = s.b
-        out[i, 2] = s.c
-        out[i, 3] = s.d
-    return out

@@ -6,7 +6,9 @@ level as gamma0 composed with momentum reflection (intrinsic phase +1): the
 rest blocks recorded in a spinor's provenance are re-boosted at the
 reflected momentum, which swaps the handedness of the boost factors.  All
 Dirac-operator residuals are normalized by m ||psi|| so that one threshold
-covers every momentum scale.
+covers every momentum scale.  Being homogeneous of degree 0 in the spinor
+and in (m, pmag), the Dirac, flip and theta-link residuals are evaluated on
+inputs scaled near 1 by exact powers of two, so nothing under- or overflows.
 """
 from __future__ import annotations
 
@@ -17,7 +19,14 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .algebra import FourMomentum, angles_match, boost_block, theta_conjugate
+from .algebra import (
+    FourMomentum,
+    angles_match,
+    boost_block,
+    boost_block_batch,
+    momentum_components,
+    theta_conjugate,
+)
 from .errors import MasslessError, ProvenanceError, ScaleError, ZeroSpinorError
 from .factory import (
     DEFAULT_PHASE_MINUS,
@@ -29,30 +38,24 @@ from .factory import (
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-def _ratio(num: float, den: float, name: str) -> float:
-    """num / den for a normalized residual, whose den is the norm of a
-    nonzero vector: a zero or non-finite den or quotient means float64 ran
-    out of range at the input's scale, raised as :class:`ScaleError`."""
-    if den == 0.0 or not math.isfinite(den) or not math.isfinite(num / den):
+def _finite(value: float, name: str) -> float:
+    """A residual that is not finite means float64 ran out of range at the
+    input's scale, raised as :class:`ScaleError`."""
+    if not math.isfinite(value):
         raise ScaleError(f"{name} is not representable in float64 at the "
                          "magnitudes of this spinor and momentum")
-    return num / den
+    return value
 
 
-def charge_conjugate(psi: BiSpinor) -> BiSpinor:
-    """Charge conjugation: off-diagonal +-i Theta blocks composed with
-    complex conjugation.  Applying it twice returns the input exactly."""
-    a, b, c, d = psi.a, psi.b, psi.c, psi.d
-    return BiSpinor(
-        -1j * d.conjugate(),
-        1j * c.conjugate(),
-        1j * b.conjugate(),
-        -1j * a.conjugate(),
-    )
+def _ratio(num: float, den: float, name: str) -> float:
+    # normalized residual whose den is the norm of a nonzero vector
+    return _finite(num / den if 0.0 < den < math.inf else math.nan, name)
 
 
 def charge_conjugate_batch(psis: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`charge_conjugate` for an (N, 4) component array."""
+    """Charge conjugation of an (N, 4) component array: off-diagonal +-i
+    Theta blocks composed with complex conjugation.  Applying it twice
+    returns the input exactly."""
     psis = np.asarray(psis, dtype=complex)
     out = np.empty_like(psis)
     out[:, 0] = -1j * np.conj(psis[:, 3])
@@ -92,6 +95,11 @@ class CEigenCheck:
             name for name, value in sorted(self.constraints.items())
             if value > tol.exact
         )
+
+
+def charge_conjugate(psi: BiSpinor) -> BiSpinor:
+    """N=1 form of :func:`charge_conjugate_batch`."""
+    return BiSpinor.from_array(charge_conjugate_batch(psi.array[None, :])[0])
 
 
 def _phase_alignment(x: complex, y: complex) -> float:
@@ -191,82 +199,133 @@ def parity_eigen_check(psi: BiSpinor, p: Optional[FourMomentum] = None,
     return None, min(res_plus, res_minus)
 
 
+def dirac_matrix_batch(m, pmag, theta, phi) -> np.ndarray:
+    """(N, 4, 4) matrices gamma_mu p^mu, with the Dirac kernel's
+    cancellation-free E +- pz entries."""
+    e, px, py, pz = momentum_components(m, pmag, theta, phi)
+    mt2 = m * m + (px * px + py * py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ezp = np.where(pz >= 0.0, e + pz, mt2 / (e - pz))
+        ezm = np.where(pz <= 0.0, e - pz, mt2 / (e + pz))
+    pm = px - 1j * py
+    out = np.zeros(np.shape(e) + (4, 4), dtype=complex)
+    out[..., 0, 2], out[..., 0, 3] = ezp, pm
+    out[..., 1, 2], out[..., 1, 3] = np.conj(pm), ezm
+    out[..., 2, 0], out[..., 2, 1] = ezm, -pm
+    out[..., 3, 0], out[..., 3, 1] = -np.conj(pm), ezp
+    return out
+
+
 def dirac_matrix(p: FourMomentum) -> np.ndarray:
     """gamma_mu p^mu as an explicit 4x4 matrix."""
-    e = p.energy
-    px, py, pz = p.vector
-    mt2 = p.m * p.m + (px * px + py * py)
-    ezp = e + pz if pz >= 0.0 else mt2 / (e - pz)
-    ezm = e - pz if pz <= 0.0 else mt2 / (e + pz)
-    pm = complex(px, -py)
-    top = np.array([[ezp, pm], [pm.conjugate(), ezm]])
-    bot = np.array([[ezm, -pm], [-pm.conjugate(), ezp]])
-    z = np.zeros((2, 2), dtype=complex)
-    return np.block([[z, top], [bot, z]])
+    return dirac_matrix_batch(p.m, p.pmag, p.theta, p.phi)
 
 
 def dirac_apply(psi: BiSpinor, p: FourMomentum,
                 shift: float = 0.0) -> np.ndarray:
     """gamma_mu p^mu psi - shift psi via the compensated kernel."""
-    px, py, pz = p.vector
-    out = kernels.dirac_apply_shift(
-        psi.array[None, :],
-        np.array([p.energy]),
-        np.array([p.m]),
-        np.array([px]),
-        np.array([py]),
-        np.array([pz]),
-        np.array([shift]),
-    )
-    return out[0]
+    e, px, py, pz = momentum_components(p.m, p.pmag, p.theta, p.phi)
+    return kernels.dirac_apply_shift(psi.array[None, :], e, p.m, px, py, pz, shift)[0]
 
 
-def dirac_residual(psi: BiSpinor, p: FourMomentum, sign: int = 1) -> float:
-    """|| gamma_mu p^mu psi - sign m psi || / (m ||psi||).
+def _pow2_scaled(x, dtype=complex) -> np.ndarray:
+    """Each row of x, as ``dtype``, times the power of two that puts its
+    largest real or imaginary part in [0.5, 1); exact for normal entries."""
+    flat = np.ascontiguousarray(x, dtype=dtype).view(np.float64)
+    exp = np.frexp(np.max(np.abs(flat), axis=-1, keepdims=True))[1]
+    return np.ldexp(flat, -exp).view(dtype)
+
+
+def _pow2_mass(m, pmag):
+    # each row's (m, pmag) times one common power of two
+    mp = _pow2_scaled(np.stack([m, pmag], axis=-1), float)
+    return mp[..., 0], mp[..., 1]
+
+
+def dirac_residuals(psis, m, pmag, theta, phi, sign=1) -> np.ndarray:
+    """|| gamma_mu p^mu psi - sign m psi || / (m ||psi||) for each (N, 4) row
+    at its own momentum.
 
     Zero for spinors obeying the Dirac dynamics with the chosen mass branch;
     at least one for dual-helicity spinors, whose Dirac image is orthogonal
-    to them.
+    to them.  Every row needs m > 0.
     """
+    arr = _pow2_scaled(psis)
+    m, pmag = _pow2_mass(m, pmag)
+    e, px, py, pz = momentum_components(m, pmag, theta, phi)
+    out = kernels.dirac_apply_shift(arr, e, m, px, py, pz, sign * m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.linalg.norm(out, axis=1) / (m * np.linalg.norm(arr, axis=1))
+
+
+def dirac_residual(psi: BiSpinor, p: FourMomentum, sign: int = 1) -> float:
+    """N=1 form of :func:`dirac_residuals`."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if p.m <= 0.0:
         raise MasslessError("Dirac residual requires m > 0")
     if psi.is_zero():
         raise ZeroSpinorError("Dirac residual of the zero spinor is undefined")
-    out = dirac_apply(psi, p, shift=sign * p.m)
-    return _ratio(float(np.linalg.norm(out)),
-                  p.m * float(np.linalg.norm(psi.array)), "Dirac residual")
+    res = dirac_residuals(psi.array[None, :], p.m, p.pmag, p.theta, p.phi, sign)
+    return _finite(float(res[0]), "Dirac residual")
+
+
+def dirac_flip_residuals(src, dst, m, pmag, theta, phi) -> np.ndarray:
+    """Collinearity defects of gamma_mu p^mu src against dst, row by row.
+
+    || v - proj_w v || / ||v|| with v the Dirac image of a row of src and
+    w the same row of dst; near zero confirms that the Dirac operator
+    carries src onto the line spanned by dst.  For a dual-helicity spinor
+    the partner with flipped helicity pair and swapped amplitudes makes this
+    vanish in both directions (see :func:`factory.dual_helicity_partner`).
+    """
+    m, pmag = _pow2_mass(m, pmag)
+    e, px, py, pz = momentum_components(m, pmag, theta, phi)
+    v = kernels.dirac_apply_shift(_pow2_scaled(src), e, m, px, py, pz, 0.0)
+    w = _pow2_scaled(dst)
+    coeff = np.sum(np.conj(w) * v, axis=1) / np.sum(np.conj(w) * w, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.linalg.norm(v - coeff[:, None] * w, axis=1)
+                / np.linalg.norm(v, axis=1))
 
 
 def dirac_flip_residual(psi_from: BiSpinor, psi_onto: BiSpinor,
                         p: FourMomentum) -> float:
-    """Collinearity defect of gamma_mu p^mu psi_from against psi_onto.
-
-    || v - proj_w v || / ||v|| with v the Dirac image of psi_from and
-    w = psi_onto; near zero confirms that the Dirac operator carries
-    psi_from onto the line spanned by psi_onto.  For a dual-helicity spinor
-    the partner with flipped helicity pair and swapped amplitudes makes this
-    vanish in both directions (see :func:`factory.dual_helicity_partner`).
-    """
+    """N=1 form of :func:`dirac_flip_residuals`."""
     if psi_from.is_zero() or psi_onto.is_zero():
         raise ZeroSpinorError("flip residual needs two nonzero spinors")
     if p.m <= 0.0:
         raise MasslessError("flip residual requires m > 0 (the image vanishes "
                             "on the light cone)")
-    v = dirac_apply(psi_from, p)
-    w = psi_onto.array
-    coeff = (np.conj(w) @ v) / (np.conj(w) @ w)
-    vnorm = float(np.linalg.norm(v))
-    return _ratio(float(np.linalg.norm(v - coeff * w)), vnorm, "flip residual")
+    res = dirac_flip_residuals(psi_from.array[None, :], psi_onto.array[None, :],
+                               p.m, p.pmag, p.theta, p.phi)
+    return _finite(float(res[0]), "flip residual")
 
 
-def theta_link_check(phi_left_rest, p: FourMomentum, zeta: complex = 1.0) -> float:
-    """Residual of the Theta-conjugation route between the chiral spaces.
+def theta_link_residuals(blocks, zeta, m, pmag, theta, phi) -> np.ndarray:
+    """Residuals of the Theta-conjugation route between the chiral spaces.
 
     Boosting a left-handed block and Theta-conjugating must equal
     Theta-conjugating first and boosting with the right-handed factor:
     zeta Theta conj(B_left block) = B_right (zeta Theta conj(block)).
+    One (N, 2) block, unit phase and momentum per row; each residual is
+    || lhs - rhs || / || lhs ||.  Every row needs m > 0.
+    """
+    blocks = _pow2_scaled(blocks)
+    m, pmag = _pow2_mass(m, pmag)
+    zeta = np.asarray(zeta, dtype=complex)[..., None]
+    left = boost_block_batch(-1, m, pmag, theta, phi) @ blocks[..., None]
+    lhs = zeta * theta_conjugate(left[..., 0])
+    rhs = boost_block_batch(1, m, pmag, theta, phi) @ (
+        zeta * theta_conjugate(blocks))[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.linalg.norm(lhs - rhs[..., 0], axis=-1)
+                / np.linalg.norm(lhs, axis=-1))
+
+
+def theta_link_check(phi_left_rest, p: FourMomentum, zeta: complex = 1.0) -> float:
+    """N=1 form of :func:`theta_link_residuals`.
+
     The unit phase zeta passes through both sides and cannot change the
     residual.
     """
@@ -275,10 +334,11 @@ def theta_link_check(phi_left_rest, p: FourMomentum, zeta: complex = 1.0) -> flo
         raise ZeroSpinorError("theta-link check needs a nonzero block")
     if abs(abs(complex(zeta)) - 1.0) > 1e-12:
         raise ValueError("zeta must be a unit phase")
-    lhs = complex(zeta) * theta_conjugate(boost_block("left", p) @ block)
-    rhs = boost_block("right", p) @ (complex(zeta) * theta_conjugate(block))
-    return _ratio(float(np.linalg.norm(lhs - rhs)), float(np.linalg.norm(lhs)),
-                  "theta-link residual")
+    if p.m <= 0.0:
+        raise MasslessError("boost requires m > 0")
+    res = theta_link_residuals(block[None, :], [complex(zeta)], *(
+        np.array([x]) for x in (p.m, p.pmag, p.theta, p.phi)))
+    return _finite(float(res[0]), "theta-link residual")
 
 
 @dataclass(frozen=True, eq=False)

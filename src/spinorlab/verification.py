@@ -21,25 +21,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, sampling
-from .algebra import gamma, gamma5
-from .bilinears import bilinear_set_batch, fpk_residuals_batch
-from .classify import (
-    CAT_DUAL,
-    CAT_NOT_WELL_DEFINED,
-    CAT_SINGLE,
-    helicity_categories,
-    helicity_profiles,
-    lounesto_classes,
-)
+from .algebra import boost_block_batch, gamma, gamma5
+from .bilinears import fpk_residuals_batch
+from .classify import CAT_DUAL, CAT_NOT_WELL_DEFINED, CAT_SINGLE, analyze
 from .factory import (
     BiSpinor,
-    boost_bispinor,
-    build_dual_helicity,
-    build_parity_linked,
-    dual_helicity_partner,
+    boost_bispinor_batch,
+    dual_helicity_batch,
+    dual_helicity_partner_batch,
+    parity_linked_batch,
 )
-from .sampling import spinor_array
-from .symmetries import c_eigen_check, charge_conjugate_batch, dirac_matrix, theta_link_check
+from .symmetries import (
+    c_eigen_check,
+    charge_conjugate_batch,
+    dirac_flip_residuals,
+    dirac_matrix_batch,
+    dirac_residuals,
+    theta_link_residuals,
+)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -53,30 +52,11 @@ class PropertyResult:
     seconds: float
     details: str = ""
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status}  {self.name}: worst {self.worst:.3e} "
-            f"(threshold {self.threshold:.1e}, n={self.count})"
-            + (f"  [{self.details}]" if self.details else "")
-        )
-
 
 def _timed(fn):
     t0 = time.perf_counter()
     out = fn()
     return out, time.perf_counter() - t0
-
-
-def _momentum_components(moms):
-    px = np.empty(len(moms))
-    py = np.empty(len(moms))
-    pz = np.empty(len(moms))
-    e = np.empty(len(moms))
-    for i, fm in enumerate(moms):
-        px[i], py[i], pz[i] = fm.vector
-        e[i] = fm.energy
-    return e, px, py, pz
 
 
 def check_fpk_identities(seed: int = 0, count: int = 100_000,
@@ -85,7 +65,7 @@ def check_fpk_identities(seed: int = 0, count: int = 100_000,
     def run():
         rng = sampling.rng_for(seed)
         psis = sampling.random_raw_spinors(rng, count)
-        sigma, omega, j, k, _ = bilinear_set_batch(psis)
+        sigma, omega, j, k, _ = kernels.bilinears(psis)
         return float(np.max(fpk_residuals_batch(sigma, omega, j, k)))
 
     worst, dt = _timed(run)
@@ -110,14 +90,14 @@ def check_constructor_class_table(seed: int = 1, count: int = 10_000,
         details = []
         slices = [count - 2 * (count // 3), count // 3, count // 3]
         for target, n in zip((1, 2, 3), slices):
-            spinors, _, _ = sampling.draw_single_helicity(rng, n, steer=target)
-            got = _classes_of(spinors, tol)
+            arr, _, _, _ = sampling.draw_single_helicity(rng, n, steer=target)
+            got = analyze(arr, tol=tol).classes
             miss = int(np.sum(got != target))
             bad += miss
             details.append(f"single->{target}: {miss}/{n} off")
         for family, expected in _FAMILY_EXPECTED_CLASSES.items():
-            spinors, _, _ = sampling.FAMILY_DRAWS[family](rng, count)
-            got = _classes_of(spinors, tol)
+            arr, _, _, _ = sampling.FAMILY_DRAWS[family](rng, count)
+            got = analyze(arr, tol=tol).classes
             miss = int(np.sum(~np.isin(got, list(expected))))
             bad += miss
             details.append(f"{family}: {miss}/{count} off")
@@ -129,32 +109,22 @@ def check_constructor_class_table(seed: int = 1, count: int = 10_000,
                           0.0, total, dt, details)
 
 
-def _classes_of(spinors, tol):
-    arr = spinor_array(spinors)
-    sigma, omega, j, k, s = bilinear_set_batch(arr)
-    return lounesto_classes(sigma, omega, j, k, s, tol)
-
-
 def check_helicity_dichotomy(seed: int = 2, count: int = 10_000,
                              tol: Tolerances = DEFAULT_TOLERANCES) -> PropertyResult:
     """Measured helicity category matches the class annotation for every
     constructor-generated spinor, at its own construction direction."""
-    expected_cat = {1: CAT_SINGLE, 2: CAT_SINGLE, 3: CAT_SINGLE,
-                    4: CAT_DUAL, 5: CAT_DUAL, 6: CAT_NOT_WELL_DEFINED}
+    # expected category by class index; unclassifiable (0) matches none
+    expected_cat = np.array([-1, CAT_SINGLE, CAT_SINGLE, CAT_SINGLE,
+                             CAT_DUAL, CAT_DUAL, CAT_NOT_WELL_DEFINED])
 
     def run():
         rng = sampling.rng_for(seed)
         bad = 0
         details = []
         for family, draw in sampling.FAMILY_DRAWS.items():
-            spinors, theta, phi = draw(rng, count)
-            arr = spinor_array(spinors)
-            sigma, omega, j, k, s = bilinear_set_batch(arr)
-            classes = lounesto_classes(sigma, omega, j, k, s, tol)
-            rstate, lstate, _, _ = helicity_profiles(arr, theta, phi, tol)
-            cats = helicity_categories(rstate, lstate)
-            want = np.array([expected_cat.get(int(c), -1) for c in classes])
-            miss = int(np.sum(cats != want))
+            arr, theta, phi, _ = draw(rng, count)
+            res = analyze(arr, theta, phi, tol)
+            miss = int(np.sum(res.categories != expected_cat[res.classes]))
             bad += miss
             details.append(f"{family}: {miss}/{count} off")
         return bad, "; ".join(details)
@@ -172,13 +142,8 @@ def check_parity_dirac_link(seed: int = 3, count: int = 10_000,
         rng = sampling.rng_for(seed)
         m, pmag, theta, phi = sampling.random_momenta(rng, count, ratio=ratio)
         hel = np.where(rng.integers(0, 2, size=count) == 0, 1, -1)
-        moms = sampling.momenta_list(m, pmag, theta, phi)
-        spinors = [build_parity_linked(int(h), fm) for h, fm in zip(hel, moms)]
-        arr = spinor_array(spinors)
-        e, px, py, pz = _momentum_components(moms)
-        out = kernels.dirac_apply_shift(arr, e, m, px, py, pz, m)
-        resid = np.linalg.norm(out, axis=1) / (m * np.linalg.norm(arr, axis=1))
-        return float(np.max(resid))
+        arr, _, _ = parity_linked_batch(hel, m, pmag, theta, phi)
+        return float(np.max(dirac_residuals(arr, m, pmag, theta, phi)))
 
     worst, dt = _timed(run)
     return PropertyResult("parity-dirac-dynamics", worst < threshold, worst,
@@ -194,43 +159,16 @@ def check_dual_helicity_dirac(seed: int = 4, count: int = 10_000,
     def run():
         rng = sampling.rng_for(seed)
         m, pmag, theta, phi = sampling.random_momenta(rng, count, ratio=ratio)
-        moms = sampling.momenta_list(m, pmag, theta, phi)
-        pick = rng.integers(0, 2, size=count)
+        sign = np.where(rng.integers(0, 2, size=count) == 0, 1, -1)
         a = sampling.random_amplitudes(rng, count)
         c = sampling.random_amplitudes(rng, count)
-        boosted = []
-        partners = []
-        for k, ai, ci, fm in zip(pick, a, c, moms):
-            psi = build_dual_helicity("+-" if k == 0 else "-+", ai, ci,
-                                      fm.theta, fm.phi)
-            psi_b = boost_bispinor(psi, fm)
-            boosted.append(psi_b)
-            partners.append(dual_helicity_partner(psi_b))
-        arr = spinor_array(boosted)
-        parr = spinor_array(partners)
-        e, px, py, pz = _momentum_components(moms)
-
-        norms = np.linalg.norm(arr, axis=1)
-        res_plus = np.linalg.norm(
-            kernels.dirac_apply_shift(arr, e, m, px, py, pz, m), axis=1
-        ) / (m * norms)
-        res_minus = np.linalg.norm(
-            kernels.dirac_apply_shift(arr, e, m, px, py, pz, -m), axis=1
-        ) / (m * norms)
-
-        zero = np.zeros(count)
-
-        def flip_defect(src, dst):
-            v = kernels.dirac_apply_shift(src, e, m, px, py, pz, zero)
-            coeff = np.sum(np.conj(dst) * v, axis=1) / np.sum(
-                np.conj(dst) * dst, axis=1
-            )
-            return np.linalg.norm(v - coeff[:, None] * dst, axis=1) / np.linalg.norm(
-                v, axis=1
-            )
-
-        fwd = flip_defect(arr, parr)
-        rev = flip_defect(parr, arr)
+        arr = boost_bispinor_batch(dual_helicity_batch(sign, a, c, theta, phi)[0],
+                                   m, pmag, theta, phi)
+        parr, _, _ = dual_helicity_partner_batch(sign, a, c, theta, phi, m, pmag)
+        res_plus = dirac_residuals(arr, m, pmag, theta, phi, 1)
+        res_minus = dirac_residuals(arr, m, pmag, theta, phi, -1)
+        fwd = dirac_flip_residuals(arr, parr, m, pmag, theta, phi)
+        rev = dirac_flip_residuals(parr, arr, m, pmag, theta, phi)
         return (
             float(np.min(res_plus)),
             float(np.min(res_minus)),
@@ -264,16 +202,13 @@ def check_charge_conjugation(seed: int = 5, count: int = 10_000,
             np.max(np.abs(charge_conjugate_batch(charge_conjugate_batch(raw)) - raw))
         )
 
-        spinors, _, _ = sampling.draw_self_conjugate(rng, count)
-        arr = spinor_array(spinors)
-        signs = np.array([s.provenance.params["sign"] for s in spinors])
+        arr, _, _, params = sampling.draw_self_conjugate(rng, count)
         cres = np.linalg.norm(
-            charge_conjugate_batch(arr) - signs[:, None] * arr, axis=1
+            charge_conjugate_batch(arr) - params["sign"][:, None] * arr, axis=1
         ) / np.linalg.norm(arr, axis=1)
         eigen_worst = float(np.max(cres))
 
-        singles, _, _ = sampling.draw_single_helicity(rng, count)
-        sarr = spinor_array(singles)
+        sarr, _, _, _ = sampling.draw_single_helicity(rng, count)
         csarr = charge_conjugate_batch(sarr)
         nrm = np.linalg.norm(sarr, axis=1)
         nearest = np.minimum(
@@ -313,17 +248,13 @@ def check_theta_link(seed: int = 6, count: int = 10_000, ratio=(1e-3, 1e3),
     def run():
         rng = sampling.rng_for(seed)
         m, pmag, theta, phi = sampling.random_momenta(rng, count, ratio=ratio)
-        moms = sampling.momenta_list(m, pmag, theta, phi)
         blocks = np.stack(
             [sampling.random_amplitudes(rng, count),
              sampling.random_amplitudes(rng, count)],
             axis=1,
         )
         zetas = sampling.random_unit_phases(rng, count)
-        worst = 0.0
-        for fm, blk, z in zip(moms, blocks, zetas):
-            worst = max(worst, theta_link_check(blk, fm, z))
-        return worst
+        return float(np.max(theta_link_residuals(blocks, zetas, m, pmag, theta, phi)))
 
     worst, dt = _timed(run)
     return PropertyResult("theta-link", worst < threshold, worst, threshold,
@@ -336,13 +267,9 @@ def check_klein_gordon(seed: int = 7, count: int = 1_000, ratio=(1e-3, 10.0),
     def run():
         rng = sampling.rng_for(seed)
         m, pmag, theta, phi = sampling.random_momenta(rng, count, ratio=ratio)
-        worst = 0.0
-        eye = np.eye(4)
-        for fm in sampling.momenta_list(m, pmag, theta, phi):
-            mat = dirac_matrix(fm)
-            dev = np.max(np.abs(mat @ mat - fm.m**2 * eye)) / fm.m**2
-            worst = max(worst, dev)
-        return worst
+        mats = dirac_matrix_batch(m, pmag, theta, phi)
+        dev = np.abs(mats @ mats - (m * m)[:, None, None] * np.eye(4))
+        return float(np.max(np.max(dev, axis=(1, 2)) / m**2))
 
     worst, dt = _timed(run)
     return PropertyResult("klein-gordon", worst < threshold, worst, threshold,
@@ -372,17 +299,12 @@ def check_clifford_algebra(threshold: float = 1e-15) -> PropertyResult:
 def check_boost_inverse(seed: int = 8, count: int = 1_000, ratio=(1e-3, 1e3),
                         threshold: float = 1e-12) -> PropertyResult:
     """Right and left boosts at the same momentum are mutual inverses."""
-    from .algebra import boost_block
-
     def run():
         rng = sampling.rng_for(seed)
         m, pmag, theta, phi = sampling.random_momenta(rng, count, ratio=ratio)
-        eye = np.eye(2)
-        worst = 0.0
-        for fm in sampling.momenta_list(m, pmag, theta, phi):
-            prod = boost_block("right", fm) @ boost_block("left", fm)
-            worst = max(worst, float(np.max(np.abs(prod - eye))))
-        return worst
+        prod = (boost_block_batch(1, m, pmag, theta, phi)
+                @ boost_block_batch(-1, m, pmag, theta, phi))
+        return float(np.max(np.abs(prod - np.eye(2))))
 
     worst, dt = _timed(run)
     return PropertyResult("boost-inverse", worst < threshold, worst, threshold,

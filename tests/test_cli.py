@@ -330,9 +330,9 @@ def test_goldens_round_trip_their_job_echo():
         assert emit_structured(again["job"]) == emit_structured(report["job"])
 
 
-# Counts of `sample` at seed 7, count 2000, recorded before the batch
-# constructors replaced the per-spinor ones; they pin the RNG call order of
-# every draw.  fpk_max is left out: it may move by ulps.
+# Counts of `sample` at seed 7, count 2000 for every family; the
+# self-conjugate C split depends on the order of the RNG calls.  fpk_max is
+# left out: it may move by ulps.
 _ZERO_CLASSES = {str(i): 0 for i in range(1, 7)} | {"unclassifiable": 0}
 _NO_CATEGORIES = {"single": 0, "dual": 0, "not-well-defined": 0, "non-eigen": 0}
 SAMPLE_PINS = {
@@ -358,3 +358,21 @@ def test_sample_counts_pinned(family):
         assert sample["helicity_category_counts"] == _NO_CATEGORIES | categories
     cc = sample["charge_conjugation"]
     assert (cc["eigen_plus"], cc["eigen_minus"], cc["not_eigen"]) == (plus, minus, neither)
+
+
+def test_dirac_residuals_are_scale_free_at_extreme_magnitudes():
+    # homogeneous of degree 0 in (m, pmag): 1e-300 and 1e300 read as 1 does
+    def residuals(scale):
+        report, code = run_job(parse_job({
+            "mode": "symmetries",
+            "spinor": {"components": [[1, 0], [0.5, 0.25], [0.3, 0], [0, 1]]},
+            "momentum": {"m": scale, "pmag": scale, "theta": 0.7, "phi": 0.2}}))
+        assert code == 0
+        dirac = report["symmetries"]["dirac"]
+        return dirac["residual_plus"], dirac["residual_minus"]
+
+    unit = residuals(1.0)
+    assert unit[0] > 0.5 and unit[1] > 0.5
+    for scale in (1e-300, 1e300):
+        for got, want in zip(residuals(scale), unit):
+            assert abs(got - want) <= 1e-14 * want

@@ -1,7 +1,26 @@
 """Draw distributions: documented constraints and reproducibility."""
+import math
+
 import numpy as np
 
-from spinorlab import sampling
+import oracles
+from spinorlab import (
+    FourMomentum,
+    boost_bispinor,
+    build_dual_helicity,
+    build_parity_linked,
+    build_self_conjugate,
+    build_single_helicity,
+    build_weyl,
+    dual_helicity_partner,
+    sampling,
+)
+from spinorlab.algebra import momentum_components
+from spinorlab.factory import (
+    boost_bispinor_batch,
+    dual_helicity_partner_batch,
+    parity_linked_batch,
+)
 
 
 def test_same_seed_reproduces_draws():
@@ -42,8 +61,8 @@ def test_momenta_on_shell_and_in_range():
     assert np.all((m >= 0.5) & (m <= 2.0))
     ratio = pmag / m
     assert np.all((ratio >= 1e-2) & (ratio <= 1e2))
-    for fm in sampling.momenta_list(m[:10], pmag[:10], theta[:10], phi[:10]):
-        assert abs(fm.energy**2 - fm.pmag**2 - fm.m**2) < 1e-12 * fm.energy**2
+    e, _, _, _ = momentum_components(m, pmag, theta, phi)
+    assert np.all(np.abs(e**2 - pmag**2 - m**2) < 1e-12 * e**2)
 
 
 def test_steered_amplitudes_patterns():
@@ -68,10 +87,95 @@ def test_steered_amplitudes_patterns():
 
 
 def test_family_draws_carry_directions():
+    # each nonzero block is a sigma.n eigenvector along its row's direction
     for name, draw in sampling.FAMILY_DRAWS.items():
-        spinors, theta, phi = draw(sampling.rng_for(11), 50)
-        assert len(spinors) == len(theta) == len(phi) == 50
-        assert all(s.provenance is not None for s in spinors)
+        arr, theta, phi, params = draw(sampling.rng_for(11), 50)
+        assert arr.shape == (50, 4) and arr.dtype == complex
+        assert theta.shape == phi.shape == (50,)
+        assert all(np.shape(v) == (50,) for v in params.values())
+        for row, t, f in zip(arr, theta, phi):
+            for block in (row[:2], row[2:]):
+                if np.any(block != 0):
+                    assert oracles.eigen_sign(block, t, f) is not None, name
+
+
+def _scalar_build(family, params, theta, phi):
+    p = {key: value.item() for key, value in params.items()}
+    if family == "single_helicity":
+        pair = "++" if p["sign"] > 0 else "--"
+        return build_single_helicity(pair, p["a"], p["c"], theta, phi)
+    if family == "dual_helicity":
+        pair = "+-" if p["sign"] > 0 else "-+"
+        return build_dual_helicity(pair, p["a"], p["c"], theta, phi)
+    if family == "self_conjugate":
+        return build_self_conjugate(p["sign"], p["c"], p["d"])
+    return build_weyl("right" if p["right"] else "left", (p["b0"], p["b1"]))
+
+
+def _python_components(family, p, theta, phi):
+    # each family's formula in Python complex arithmetic, the reference the
+    # batch constructors reproduce
+    def fraction(sign):
+        eph = complex(math.cos(phi), math.sin(phi))
+        st, ct = math.sin(theta), math.cos(theta)
+        return (st if sign > 0 else -st) * eph / (1.0 + ct if sign > 0 else 1.0 - ct)
+
+    if family == "single_helicity":
+        t = fraction(p["sign"])
+        return [p["a"], p["a"] * t, p["c"], p["c"] * t]
+    if family == "dual_helicity":
+        tr, tl = fraction(p["sign"]), fraction(-p["sign"])
+        return [p["a"], p["a"] * tr, p["c"], p["c"] * tl]
+    if family == "self_conjugate":
+        s, c, d = p["sign"], p["c"], p["d"]
+        return [-1j * s * d.conjugate(), 1j * s * c.conjugate(), c, d]
+    zero = [0j, 0j]
+    block = [p["b0"], p["b1"]]
+    return block + zero if p["right"] else zero + block
+
+
+def test_batch_rows_match_python_complex_formulas():
+    for family, draw in sampling.FAMILY_DRAWS.items():
+        arr, theta, phi, params = draw(sampling.rng_for(23), 200)
+        for i in range(200):
+            row = {key: value[i].item() for key, value in params.items()}
+            want = _python_components(family, row, float(theta[i]), float(phi[i]))
+            assert arr[i].tolist() == want, (family, i)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+def test_scalar_constructors_are_the_batch_rows():
+    # the scalar build_* on a row's inputs gives that row bit for bit,
+    # signed zeros included, and so do the boost and the partner
+    n = 200
+    for family, draw in sampling.FAMILY_DRAWS.items():
+        arr, theta, phi, params = draw(sampling.rng_for(21), n)
+        for i in range(n):
+            row = {key: value[i] for key, value in params.items()}
+            psi = _scalar_build(family, row, float(theta[i]), float(phi[i]))
+            np.testing.assert_array_equal(_bits(psi.array), _bits(arr[i]))
+            assert (psi.provenance.theta, psi.provenance.phi) == (theta[i], phi[i])
+
+    rng = sampling.rng_for(22)
+    arr, theta, phi, params = sampling.draw_dual_helicity(rng, n)
+    m, pmag, _, _ = sampling.random_momenta(rng, n)
+    boosted = boost_bispinor_batch(arr, m, pmag, theta, phi)
+    partners, _, _ = dual_helicity_partner_batch(params["sign"], params["a"],
+                                                 params["c"], theta, phi, m, pmag)
+    linked, _, _ = parity_linked_batch(params["sign"], m, pmag, theta, phi)
+    for i in range(n):
+        p = FourMomentum(float(m[i]), float(pmag[i]), float(theta[i]), float(phi[i]))
+        row = {key: value[i] for key, value in params.items()}
+        psi = boost_bispinor(
+            _scalar_build("dual_helicity", row, p.theta, p.phi), p)
+        np.testing.assert_array_equal(_bits(psi.array), _bits(boosted[i]))
+        np.testing.assert_array_equal(_bits(dual_helicity_partner(psi).array),
+                                      _bits(partners[i]))
+        np.testing.assert_array_equal(_bits(build_parity_linked(row["sign"].item(), p).array),
+                                      _bits(linked[i]))
 
 
 def test_unit_phases():

@@ -186,6 +186,13 @@ class TestDiracOperator:
         with pytest.raises(MasslessError):
             dirac_residual(BiSpinor(1, 0, 0, 0), FourMomentum(0.0, 1.0), 1)
 
+    def test_integer_inputs_read_as_floats(self):
+        psi = build_dual_helicity("+-", 1, 2, 0.3, 0.4)
+        ints, floats = FourMomentum(1, 2, 0.3, 0.4), FourMomentum(1.0, 2.0, 0.3, 0.4)
+        assert dirac_residual(psi, ints, 1) == dirac_residual(psi, floats, 1)
+        assert dirac_flip_residual(psi, psi, ints) == dirac_flip_residual(psi, psi, floats)
+        assert theta_link_check([1, 2], ints) == theta_link_check([1, 2], floats)
+
     def test_zero_spinor_rejected(self):
         with pytest.raises(ZeroSpinorError):
             dirac_residual(BiSpinor(0, 0, 0, 0), FourMomentum(1.0, 1.0), 1)
