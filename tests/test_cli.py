@@ -1,4 +1,5 @@
 """Job parsing, report generation, exit codes and golden files."""
+import hashlib
 import json
 import math
 import subprocess
@@ -358,6 +359,28 @@ def test_sample_counts_pinned(family):
         assert sample["helicity_category_counts"] == _NO_CATEGORIES | categories
     cc = sample["charge_conjugation"]
     assert (cc["eigen_plus"], cc["eigen_minus"], cc["not_eigen"]) == (plus, minus, neither)
+
+
+# sha256 of the structured `sample` stdout at seed 7, count 20000: every drawn
+# value reaches the bytes through fpk_max, so a change in the RNG call order,
+# the draws or the aggregation shows up here even where the counts do not move.
+SAMPLE_BYTES_SHA256 = {
+    "random_raw": "aa323af64e2fe2eb1acb97552385e267cde38a016aef84fa70ac36bc565d19b7",
+    "single_helicity": "755d3396e92e3bd454f9c833f24ef3e4c89adfa5405faee1b574fbcce7224b81",
+    "dual_helicity": "0da7c82df499020ca1c23a19c161757658c5000735cc1385e2cb4e6821df51d2",
+    "self_conjugate": "b0a04055f3796a17f5c5a4c99e84af3ecc58874df47ef15f31d23d99a7a927fd",
+    "weyl": "583ec6ea53e54516560872184009061450c0c6111c401a6b5b8c060063536c11",
+}
+
+
+@pytest.mark.parametrize("family", SAMPLE_BYTES_SHA256)
+def test_sample_bytes_pinned(family, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"mode": "sample", "family": family, "seed": 7,
+                                "count": 20000}), encoding="utf-8")
+    assert main(["--job", str(path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SAMPLE_BYTES_SHA256[family]
 
 
 def test_dirac_residuals_are_scale_free_at_extreme_magnitudes():
