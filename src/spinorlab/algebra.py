@@ -173,18 +173,21 @@ def boost_block_batch(sign, m, pmag, theta, phi) -> np.ndarray:
     """(N, 2, 2) chiral block boosts; sign is +1 (right) or -1 (left).
 
     sqrt((E+m)/2m) (I + sign sigma.p/(E+m)), with the diagonal entries in
-    cancellation-free form.  Every row needs m > 0.
+    cancellation-free form.  Every row needs m > 0.  Entries that leave the
+    float64 range come out inf or nan without a warning; the bilinear and
+    residual guards downstream turn them into a ScaleError.
     """
     e, px, py, pz = momentum_components(m, pmag, theta, phi)
-    pxy2 = px * px + py * py
-    pref = np.sqrt((e + m) / (2.0 * m))
-    ox = pref * (sign * px / (e + m))
-    oy = pref * (sign * py / (e + m))
     out = np.empty(np.shape(e) + (2, 2), dtype=complex)
-    out[..., 0, 0] = pref * _diag_entry(sign * pz, e, m, pxy2)
-    out[..., 0, 1] = ox - 1j * oy
-    out[..., 1, 0] = ox + 1j * oy
-    out[..., 1, 1] = pref * _diag_entry(-sign * pz, e, m, pxy2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pxy2 = px * px + py * py
+        pref = np.sqrt((e + m) / (2.0 * m))
+        ox = pref * (sign * px / (e + m))
+        oy = pref * (sign * py / (e + m))
+        out[..., 0, 0] = pref * _diag_entry(sign * pz, e, m, pxy2)
+        out[..., 0, 1] = ox - 1j * oy
+        out[..., 1, 0] = ox + 1j * oy
+        out[..., 1, 1] = pref * _diag_entry(-sign * pz, e, m, pxy2)
     return out
 
 
@@ -203,10 +206,13 @@ def boost_factor_batch(sign, helicity, m, pmag) -> np.ndarray:
     """Scalars by which the boosts multiply helicity eigenblocks.
 
     For a block with sigma.p eigenvalue ``helicity * pmag`` the boost acts as
-    multiplication by sqrt((E+m)/2m) (1 +- helicity pmag/(E+m)).
+    multiplication by sqrt((E+m)/2m) (1 +- helicity pmag/(E+m)).  Like
+    :func:`boost_block_batch`, it returns inf or nan out of range silently.
     """
     e = np.hypot(m, pmag)
-    return np.sqrt((e + m) / (2.0 * m)) * _diag_entry(sign * helicity * pmag, e, m, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.sqrt((e + m) / (2.0 * m))
+                * _diag_entry(sign * helicity * pmag, e, m, 0.0))
 
 
 def boost_factor(handedness: str, p: FourMomentum, helicity: int) -> float:

@@ -68,7 +68,9 @@ def bilinear_set(psi: BiSpinor) -> BilinearSet:
     constraint residuals, overflows or underflows float64.
     """
     _require_nonzero(psi)
-    sigma, omega, j, k, s = kernels.bilinears(psi.array[None, :])
+    # an overflow here leaves j0 * j0 non-finite, which the guard reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma, omega, j, k, s = kernels.bilinears(psi.array[None, :])
     j0 = float(j[0, 0])
     if not math.isfinite(j0 * j0) or j0 * j0 == 0.0:
         raise ScaleError(f"(psi^dag psi)^2 leaves the float64 range "

@@ -62,6 +62,11 @@ MODE_KEYS = {
 }
 MODES = tuple(MODE_KEYS)
 
+# Rows analysed at a time in sample mode: keeps the per-row temporaries of
+# the kernels and the charge-conjugation pass in cache and bounds their
+# memory, whatever the count.
+SAMPLE_BLOCK_ROWS = 8192
+
 
 @dataclass
 class JobSpec:
@@ -396,6 +401,9 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
 
 
 def _run_sample(job: JobSpec) -> dict:
+    """Draw the whole sample, then analyse it SAMPLE_BLOCK_ROWS rows at a
+    time; counts add up and maxima combine in any order, so the report does
+    not depend on the block size."""
     rng = sampling.rng_for(job.seed)
     n = job.count
     tol = job.tolerances
@@ -405,35 +413,52 @@ def _run_sample(job: JobSpec) -> dict:
     else:
         arr, theta, phi, _ = sampling.FAMILY_DRAWS[job.family](rng, n)
 
-    res = analyze(arr, theta, phi, tol)
-    counts = np.bincount(res.classes, minlength=7)
-    class_counts = {str(idx): int(counts[idx]) for idx in range(1, 7)}
-    class_counts["unclassifiable"] = int(counts[0])
+    class_counts = np.zeros(7, dtype=np.int64)
+    category_counts = np.zeros(len(CATEGORY_NAMES), dtype=np.int64)
+    fpk_max = np.full(3, -np.inf)
+    involution_max = 0.0
+    eigen_plus = eigen_minus = not_eigen = 0
+    for start in range(0, n, SAMPLE_BLOCK_ROWS):
+        rows = slice(start, start + SAMPLE_BLOCK_ROWS)
+        block = arr[rows]
+        if theta is None:
+            res = analyze(block, tol=tol)
+        else:
+            res = analyze(block, theta[rows], phi[rows], tol)
+            category_counts += np.bincount(res.categories,
+                                           minlength=len(CATEGORY_NAMES))
+        class_counts += np.bincount(res.classes, minlength=7)
+        fpk_max = np.maximum(fpk_max, res.fpk_max)
+
+        cblock = charge_conjugate_batch(block)
+        nrm = np.linalg.norm(block, axis=1)
+        res_plus = np.linalg.norm(cblock - block, axis=1) / nrm
+        res_minus = np.linalg.norm(cblock + block, axis=1) / nrm
+        involution_max = np.maximum(
+            involution_max, np.max(np.abs(charge_conjugate_batch(cblock) - block))
+        )
+        eigen_plus += int(np.sum(res_plus <= tol.exact))
+        eigen_minus += int(np.sum(res_minus <= tol.exact))
+        not_eigen += int(np.sum((res_plus > tol.exact) & (res_minus > tol.exact)))
+
+    classes = {str(idx): int(class_counts[idx]) for idx in range(1, 7)}
+    classes["unclassifiable"] = int(class_counts[0])
     out: dict = {
         "family": job.family,
         "seed": job.seed,
         "count": n,
-        "class_counts": class_counts,
-        "fpk_max": [float(x) for x in res.fpk_max],
+        "class_counts": classes,
+        "fpk_max": [float(x) for x in fpk_max],
     }
-
-    if res.categories is not None:
-        counts = np.bincount(res.categories, minlength=len(CATEGORY_NAMES))
+    if theta is not None:
         out["helicity_category_counts"] = {
-            name: int(counts[code]) for code, name in CATEGORY_NAMES.items()
+            name: int(category_counts[code]) for code, name in CATEGORY_NAMES.items()
         }
-
-    carr = charge_conjugate_batch(arr)
-    nrm = np.linalg.norm(arr, axis=1)
-    res_plus = np.linalg.norm(carr - arr, axis=1) / nrm
-    res_minus = np.linalg.norm(carr + arr, axis=1) / nrm
     out["charge_conjugation"] = {
-        "involution_max": float(
-            np.max(np.abs(charge_conjugate_batch(carr) - arr))
-        ),
-        "eigen_plus": int(np.sum(res_plus <= tol.exact)),
-        "eigen_minus": int(np.sum(res_minus <= tol.exact)),
-        "not_eigen": int(np.sum((res_plus > tol.exact) & (res_minus > tol.exact))),
+        "involution_max": float(involution_max),
+        "eigen_plus": eigen_plus,
+        "eigen_minus": eigen_minus,
+        "not_eigen": not_eigen,
     }
     return out
 
@@ -447,7 +472,8 @@ def _emit_error(kind: str, message: str, code: int) -> int:
 def _load_document(args) -> dict:
     if args.job is not None:
         try:
-            text = open(args.job, "r", encoding="utf-8").read()
+            with open(args.job, "r", encoding="utf-8") as handle:
+                text = handle.read()
         except OSError as exc:
             raise JobError(f"cannot read job file: {exc}") from exc
     elif not sys.stdin.isatty():

@@ -428,10 +428,12 @@ def build_parity_linked(helicity: int, p: FourMomentum,
 
 
 def boost_bispinor_batch(psis, m, pmag, theta, phi) -> np.ndarray:
-    """(N, 4) spinors with the chiral block boosts applied row by row."""
+    """(N, 4) spinors with the chiral block boosts applied row by row; an
+    out-of-range boost gives inf or nan components without a warning."""
     psis = np.asarray(psis, dtype=complex)
-    right = boost_block_batch(1, m, pmag, theta, phi) @ psis[:, :2, None]
-    left = boost_block_batch(-1, m, pmag, theta, phi) @ psis[:, 2:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        right = boost_block_batch(1, m, pmag, theta, phi) @ psis[:, :2, None]
+        left = boost_block_batch(-1, m, pmag, theta, phi) @ psis[:, 2:, None]
     return np.concatenate([right, left], axis=1)[:, :, 0]
 
 

@@ -38,21 +38,25 @@ def rng_for(seed: int) -> np.random.Generator:
 
 
 def _rejection_fill(rng, count, draw, keep):
-    """Draw batches until ``count`` samples satisfy ``keep``."""
+    """Draw batches until ``count`` samples satisfy ``keep``; a first batch
+    that is kept whole is returned as drawn, without a copy."""
     chunks = []
     have = 0
     while have < count:
         cand = draw(rng, count - have)
-        good = cand[keep(cand)]
-        chunks.append(good)
-        have += len(good)
-    return np.concatenate(chunks)[:count]
+        mask = keep(cand)
+        if not chunks and mask.all():
+            return cand
+        chunks.append(cand[mask])
+        have += len(chunks[-1])
+    return np.concatenate(chunks)
 
 
 def random_raw_spinors(rng, count: int) -> np.ndarray:
     def draw(r, n):
-        dof = r.uniform(-1.0, 1.0, size=(n, 8))
-        return dof[:, 0::2] + 1j * dof[:, 1::2]
+        # (re, im) pairs are complex128 in memory; uniform(-1, 1) never
+        # returns -0.0, so this equals re + 1j * im bit for bit
+        return r.uniform(-1.0, 1.0, size=(n, 8)).view(np.complex128)
 
     return _rejection_fill(
         rng, count, draw,

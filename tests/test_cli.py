@@ -2,15 +2,20 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spinorlab.cli import main, parse_job, run_job
+from spinorlab import sampling
+from spinorlab.classify import CATEGORY_NAMES, analyze
+from spinorlab.cli import SAMPLE_BLOCK_ROWS, _run_sample, main, parse_job, run_job
 from spinorlab.errors import JobError
 from spinorlab.report import emit_structured
+from spinorlab.symmetries import charge_conjugate_batch
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -296,8 +301,9 @@ def _extreme_scale_jobs():
 EXTREME_SCALE_JOBS = dict(_extreme_scale_jobs())
 
 
-# numpy warns on the overflow or underflow that precedes the domain error
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# the overflow that precedes a domain error is expected and must stay silent:
+# a numpy warning on stderr fails the job here
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", EXTREME_SCALE_JOBS)
 def test_extreme_scales_end_in_report_or_domain_error(name, tmp_path, capsys):
     path = tmp_path / "job.json"
@@ -381,6 +387,67 @@ def test_sample_bytes_pinned(family, tmp_path, capsys):
     assert main(["--job", str(path)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == SAMPLE_BYTES_SHA256[family]
+
+
+def _whole_array_sample(job):
+    """The `sample` section computed in one pass: one analyze over every row
+    and the charge-conjugation residuals of the whole array."""
+    rng = sampling.rng_for(job.seed)
+    theta = phi = None
+    if job.family == "random_raw":
+        arr = sampling.random_raw_spinors(rng, job.count)
+    else:
+        arr, theta, phi, _ = sampling.FAMILY_DRAWS[job.family](rng, job.count)
+    res = analyze(arr, theta, phi, job.tolerances)
+    counts = np.bincount(res.classes, minlength=7)
+    classes = {str(idx): int(counts[idx]) for idx in range(1, 7)}
+    classes["unclassifiable"] = int(counts[0])
+    out = {"family": job.family, "seed": job.seed, "count": job.count,
+           "class_counts": classes, "fpk_max": [float(x) for x in res.fpk_max]}
+    if theta is not None:
+        counts = np.bincount(res.categories, minlength=len(CATEGORY_NAMES))
+        out["helicity_category_counts"] = {
+            name: int(counts[code]) for code, name in CATEGORY_NAMES.items()}
+    exact = job.tolerances.exact
+    carr = charge_conjugate_batch(arr)
+    nrm = np.linalg.norm(arr, axis=1)
+    res_plus = np.linalg.norm(carr - arr, axis=1) / nrm
+    res_minus = np.linalg.norm(carr + arr, axis=1) / nrm
+    out["charge_conjugation"] = {
+        "involution_max": float(np.max(np.abs(charge_conjugate_batch(carr) - arr))),
+        "eigen_plus": int(np.sum(res_plus <= exact)),
+        "eigen_minus": int(np.sum(res_minus <= exact)),
+        "not_eigen": int(np.sum((res_plus > exact) & (res_minus > exact))),
+    }
+    return out
+
+
+@pytest.mark.parametrize("count", [1, SAMPLE_BLOCK_ROWS - 1, SAMPLE_BLOCK_ROWS,
+                                   SAMPLE_BLOCK_ROWS + 1, 3 * SAMPLE_BLOCK_ROWS + 5])
+@pytest.mark.parametrize("family", ["random_raw", "self_conjugate"])
+def test_blocked_sample_equals_whole_array_pass(family, count):
+    job = parse_job({"mode": "sample", "family": family, "seed": 5, "count": count})
+    assert _run_sample(job) == _whole_array_sample(job)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is read in KiB, as Linux reports it")
+def test_sample_peak_rss_grows_only_with_the_drawn_rows(tmp_path):
+    # The drawn components take 64 B/row and the draw's norm test 41 B/row;
+    # analysing the whole array at once added about 330 B/row more.
+    def peak_rss_bytes(count):
+        path = tmp_path / f"job-{count}.json"
+        path.write_text(json.dumps({"mode": "sample", "family": "random_raw",
+                                    "seed": 1, "count": count}), encoding="utf-8")
+        proc = subprocess.Popen([sys.executable, "-m", "spinorlab", "--job", str(path)],
+                                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        return usage.ru_maxrss * 1024
+
+    slope = (peak_rss_bytes(400_000) - peak_rss_bytes(100_000)) / 300_000
+    assert slope < 160, f"peak RSS grows by {slope:.0f} B per sampled row"
 
 
 def test_dirac_residuals_are_scale_free_at_extreme_magnitudes():
