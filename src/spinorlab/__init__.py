@@ -14,7 +14,6 @@ from .algebra import (
     boost_factor,
     gamma,
     gamma5,
-    minkowski_dot,
     pauli_dot,
     rotation_block,
     theta_conjugate,

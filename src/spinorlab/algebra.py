@@ -138,12 +138,6 @@ class FourMomentum:
                             math.remainder(self.phi + math.pi, math.tau))
 
 
-def minkowski_dot(u, v) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
-
-
 def momentum_components(m, pmag, theta, phi):
     """(E, px, py, pz) of on-shell momenta given as (N,) arrays or scalars."""
     st = np.sin(theta)

@@ -40,6 +40,7 @@ from .report import (
     emit_structured,
     symmetry_to_dict,
 )
+from .sampling import SAMPLE_BLOCK_ROWS
 from .symmetries import charge_conjugate_batch, symmetry_report
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verification import run_verification_suite
@@ -61,11 +62,6 @@ MODE_KEYS = {
     "verify": _COMMON_KEYS,
 }
 MODES = tuple(MODE_KEYS)
-
-# Rows analysed at a time in sample mode: keeps the per-row temporaries of
-# the kernels and the charge-conjugation pass in cache and bounds their
-# memory, whatever the count.
-SAMPLE_BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -401,17 +397,18 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
 
 
 def _run_sample(job: JobSpec) -> dict:
-    """Draw the whole sample, then analyse it SAMPLE_BLOCK_ROWS rows at a
-    time; counts add up and maxima combine in any order, so the report does
-    not depend on the block size."""
+    """Draw the whole sample's parameters, then construct and analyse it
+    SAMPLE_BLOCK_ROWS rows at a time; counts add up and maxima combine in
+    any order, so the report does not depend on the block size."""
     rng = sampling.rng_for(job.seed)
     n = job.count
     tol = job.tolerances
-    theta = phi = None
-    if job.family == "random_raw":
+    raw = job.family == "random_raw"
+    if raw:
         arr = sampling.random_raw_spinors(rng, n)
     else:
-        arr, theta, phi, _ = sampling.FAMILY_DRAWS[job.family](rng, n)
+        params = sampling.FAMILY_PARAMS[job.family](rng, n)
+        construct = sampling.FAMILY_CONSTRUCTORS[job.family]
 
     class_counts = np.zeros(7, dtype=np.int64)
     category_counts = np.zeros(len(CATEGORY_NAMES), dtype=np.int64)
@@ -420,11 +417,13 @@ def _run_sample(job: JobSpec) -> dict:
     eigen_plus = eigen_minus = not_eigen = 0
     for start in range(0, n, SAMPLE_BLOCK_ROWS):
         rows = slice(start, start + SAMPLE_BLOCK_ROWS)
-        block = arr[rows]
-        if theta is None:
+        if raw:
+            block = arr[rows]
             res = analyze(block, tol=tol)
         else:
-            res = analyze(block, theta[rows], phi[rows], tol)
+            block, theta, phi = construct(
+                **{key: value[rows] for key, value in params.items()})
+            res = analyze(block, theta, phi, tol)
             category_counts += np.bincount(res.categories,
                                            minlength=len(CATEGORY_NAMES))
         class_counts += np.bincount(res.classes, minlength=7)
@@ -450,7 +449,7 @@ def _run_sample(job: JobSpec) -> dict:
         "class_counts": classes,
         "fpk_max": [float(x) for x in fpk_max],
     }
-    if theta is not None:
+    if not raw:
         out["helicity_category_counts"] = {
             name: int(category_counts[code]) for code, name in CATEGORY_NAMES.items()
         }

@@ -62,6 +62,10 @@ def _dot4(a0, b0, a1, b1, a2, b2, a3, b3):
     return s + err
 
 
+def _sum_diff(a, b):
+    return a + b, a - b
+
+
 def bilinears(psi):
     psi = np.ascontiguousarray(psi, dtype=np.complex128)
     ar, ai = psi[:, 0].real.copy(), psi[:, 0].imag.copy()
@@ -69,29 +73,28 @@ def bilinears(psi):
     cr, ci = psi[:, 2].real.copy(), psi[:, 2].imag.copy()
     dr, di = psi[:, 3].real.copy(), psi[:, 3].imag.copy()
 
-    z_re = (ar * cr + ai * ci) + (br * dr + bi * di)
+    # A product sum shared by two outputs is computed once and dropped as
+    # soon as both are formed.  Only identical expressions are shared
+    # (products commute exactly); a negated one would flip the sign of an
+    # exact zero.
+    z_re, w3_re = _sum_diff(ar * cr + ai * ci, br * dr + bi * di)
     z_im = (ar * ci - ai * cr) + (br * di - bi * dr)
     sigma = 2.0 * z_re
     omega = 2.0 * z_im
 
-    r = (ar * ar + ai * ai) + (br * br + bi * bi)
-    l = (cr * cr + ci * ci) + (dr * dr + di * di)
+    r, r3 = _sum_diff(ar * ar + ai * ai, br * br + bi * bi)
+    l, l3 = _sum_diff(cr * cr + ci * ci, dr * dr + di * di)
     r1 = 2.0 * (ar * br + ai * bi)
     r2 = 2.0 * (ar * bi - ai * br)
-    r3 = (ar * ar + ai * ai) - (br * br + bi * bi)
     l1 = 2.0 * (cr * dr + ci * di)
     l2 = 2.0 * (cr * di - ci * dr)
-    l3 = (cr * cr + ci * ci) - (dr * dr + di * di)
 
     j = np.stack([r + l, r1 - l1, r2 - l2, r3 - l3], axis=1)
     k = np.stack([r - l, r1 + l1, r2 + l2, r3 + l3], axis=1)
 
-    w1_re = (cr * br + ci * bi) + (dr * ar + di * ai)
-    w1_im = (cr * bi - ci * br) + (dr * ai - di * ar)
-    w3_re = (cr * ar + ci * ai) - (dr * br + di * bi)
+    w1_re, q_re = _sum_diff(cr * br + ci * bi, dr * ar + di * ai)
+    w1_im, q_im = _sum_diff(cr * bi - ci * br, dr * ai - di * ar)
     w3_im = (cr * ai - ci * ar) - (dr * bi - di * br)
-    q_re = (cr * br + ci * bi) - (dr * ar + di * ai)
-    q_im = (cr * bi - ci * br) - (dr * ai - di * ar)
 
     s = np.stack(
         [

@@ -57,6 +57,32 @@ def test_draw_params_pinned(family):
     assert digest.hexdigest() == DRAW_PARAMS_SHA256[family]
 
 
+@pytest.mark.parametrize("family, steer", [
+    ("single_helicity", None), ("single_helicity", 1), ("single_helicity", 2),
+    ("single_helicity", 3), ("dual_helicity", None), ("self_conjugate", None),
+    ("weyl", None)])
+def test_draws_are_param_draws_then_blockwise_construction(family, steer):
+    # sample mode draws the parameters whole and constructs them one block
+    # at a time; the composed whole-array draw must give the same bits
+    block_rows = sampling.SAMPLE_BLOCK_ROWS
+    n = 2 * block_rows + 3
+    extra = {} if steer is None else {"steer": steer}
+    arr, theta, phi, params = sampling.FAMILY_DRAWS[family](
+        sampling.rng_for(31), n, **extra)
+    drawn = sampling.FAMILY_PARAMS[family](sampling.rng_for(31), n, **extra)
+    construct = sampling.FAMILY_CONSTRUCTORS[family]
+    blocks = [construct(**{key: value[start:start + block_rows]
+                           for key, value in drawn.items()})
+              for start in range(0, n, block_rows)]
+    for got, parts in zip((arr, theta, phi), zip(*blocks)):
+        want = np.concatenate(parts)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert set(params) == set(drawn) - {"theta", "phi"}
+    for key, value in params.items():
+        np.testing.assert_array_equal(value, drawn[key])
+
+
 def test_same_seed_reproduces_draws():
     a = sampling.random_raw_spinors(sampling.rng_for(3), 500)
     b = sampling.random_raw_spinors(sampling.rng_for(3), 500)
