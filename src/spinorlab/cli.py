@@ -1,8 +1,8 @@
 """Command-line front-end.
 
-Reads a JSON job document from --job or standard input, applies flag
-overrides, runs the requested analysis and writes a deterministic report to
-standard output.  Exit codes: 0 success, 2 input error, 3 domain
+Reads a JSON job document from --job or, unless the flags alone form the
+job, from standard input; applies flag overrides, runs the requested
+analysis and writes a deterministic report to standard output.  Exit codes: 0 success, 2 input error, 3 domain
 precondition error, 4 property-suite failure.  The document schema with
 worked examples lives in docs/cli_schema.md.
 """
@@ -40,8 +40,8 @@ from .report import (
     emit_structured,
     symmetry_to_dict,
 )
-from .sampling import SAMPLE_BLOCK_ROWS
-from .symmetries import charge_conjugate_batch, symmetry_report
+from .sampling import DRAW_ROWS, SAMPLE_BLOCK_ROWS
+from .symmetries import c_eigen_residuals, charge_conjugate_batch, symmetry_report
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verification import run_verification_suite
 
@@ -396,49 +396,64 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
     return report, 0
 
 
+def _sample_blocks(family: str, rng, count: int):
+    """(block, theta, phi) for consecutive blocks of up to SAMPLE_BLOCK_ROWS
+    rows of the sample, theta and phi being None for random_raw.
+
+    The rows are drawn from ``rng`` DRAW_ROWS at a time and a constructor
+    family is built one block at a time, so memory does not grow with
+    ``count``.  random_raw rows do not depend on the chunk size; a
+    constructor family's do once ``count`` exceeds DRAW_ROWS, because each
+    chunk draws all of its parameters in turn.
+    """
+    for offset in range(0, count, DRAW_ROWS):
+        rows = min(DRAW_ROWS, count - offset)
+        if family == "random_raw":
+            arr = sampling.random_raw_spinors(rng, rows)
+            for start in range(0, rows, SAMPLE_BLOCK_ROWS):
+                yield arr[start:start + SAMPLE_BLOCK_ROWS], None, None
+        else:
+            params = sampling.FAMILY_PARAMS[family](rng, rows)
+            construct = sampling.FAMILY_CONSTRUCTORS[family]
+            for start in range(0, rows, SAMPLE_BLOCK_ROWS):
+                block = slice(start, start + SAMPLE_BLOCK_ROWS)
+                yield construct(**{key: value[block] for key, value in params.items()})
+        # release the chunk before the next one is drawn; a raw block is a
+        # view of it, so the caller drops its block too
+        arr = params = None
+
+
 def _run_sample(job: JobSpec) -> dict:
-    """Draw the whole sample's parameters, then construct and analyse it
-    SAMPLE_BLOCK_ROWS rows at a time; counts add up and maxima combine in
-    any order, so the report does not depend on the block size."""
+    """Draw, construct and analyse the sample block by block; counts add up
+    and maxima combine in any order, so the report does not depend on the
+    analysis block size."""
     rng = sampling.rng_for(job.seed)
     n = job.count
     tol = job.tolerances
     raw = job.family == "random_raw"
-    if raw:
-        arr = sampling.random_raw_spinors(rng, n)
-    else:
-        params = sampling.FAMILY_PARAMS[job.family](rng, n)
-        construct = sampling.FAMILY_CONSTRUCTORS[job.family]
 
     class_counts = np.zeros(7, dtype=np.int64)
     category_counts = np.zeros(len(CATEGORY_NAMES), dtype=np.int64)
     fpk_max = np.full(3, -np.inf)
     involution_max = 0.0
     eigen_plus = eigen_minus = not_eigen = 0
-    for start in range(0, n, SAMPLE_BLOCK_ROWS):
-        rows = slice(start, start + SAMPLE_BLOCK_ROWS)
-        if raw:
-            block = arr[rows]
-            res = analyze(block, tol=tol)
-        else:
-            block, theta, phi = construct(
-                **{key: value[rows] for key, value in params.items()})
-            res = analyze(block, theta, phi, tol)
+    for block, theta, phi in _sample_blocks(job.family, rng, n):
+        res = analyze(block, theta, phi, tol)
+        if not raw:
             category_counts += np.bincount(res.categories,
                                            minlength=len(CATEGORY_NAMES))
         class_counts += np.bincount(res.classes, minlength=7)
         fpk_max = np.maximum(fpk_max, res.fpk_max)
 
-        cblock = charge_conjugate_batch(block)
-        nrm = np.linalg.norm(block, axis=1)
-        res_plus = np.linalg.norm(cblock - block, axis=1) / nrm
-        res_minus = np.linalg.norm(cblock + block, axis=1) / nrm
+        res_plus, res_minus = c_eigen_residuals(block)
         involution_max = np.maximum(
-            involution_max, np.max(np.abs(charge_conjugate_batch(cblock) - block))
+            involution_max,
+            np.max(np.abs(charge_conjugate_batch(charge_conjugate_batch(block)) - block)),
         )
-        eigen_plus += int(np.sum(res_plus <= tol.exact))
-        eigen_minus += int(np.sum(res_minus <= tol.exact))
-        not_eigen += int(np.sum((res_plus > tol.exact) & (res_minus > tol.exact)))
+        eigen_plus += int(np.count_nonzero(res_plus <= tol.exact))
+        eigen_minus += int(np.count_nonzero(res_minus <= tol.exact))
+        not_eigen += int(np.count_nonzero((res_plus > tol.exact) & (res_minus > tol.exact)))
+        del block  # see _sample_blocks
 
     classes = {str(idx): int(class_counts[idx]) for idx in range(1, 7)}
     classes["unclassifiable"] = int(class_counts[0])
@@ -469,13 +484,16 @@ def _emit_error(kind: str, message: str, code: int) -> int:
 
 
 def _load_document(args) -> dict:
+    """The job document from --job, else from standard input when the flags
+    alone cannot form the job.  Only ``--mode verify`` needs no document, so
+    it never waits on a standard input that is left open."""
     if args.job is not None:
         try:
             with open(args.job, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
             raise JobError(f"cannot read job file: {exc}") from exc
-    elif not sys.stdin.isatty():
+    elif args.mode != "verify" and not sys.stdin.isatty():
         text = sys.stdin.read()
     else:
         text = ""

@@ -33,6 +33,9 @@ from spinorlab import (
     theta_link_check,
     RestSpinorSpec,
 )
+from spinorlab.sampling import draw_self_conjugate, random_raw_spinors
+from spinorlab.symmetries import c_eigen_residuals, charge_conjugate_batch
+from spinorlab.tolerances import DEFAULT_TOLERANCES
 
 
 class TestChargeConjugation:
@@ -95,6 +98,30 @@ class TestChargeConjugation:
         check = c_eigen_check(psi)
         assert check.eigenvalue is None
         assert "norm_ad" in check.violated()
+
+    def test_fused_eigen_residuals_match_the_norm_form(self, rng):
+        raw = random_raw_spinors(rng, 4096)
+        conj, _, _, params = draw_self_conjugate(rng, 4096)
+        rows = np.concatenate([raw, conj])
+        res_plus, res_minus = c_eigen_residuals(rows)
+
+        image = charge_conjugate_batch(rows)
+        nrm = np.linalg.norm(rows, axis=1)
+        want_plus = np.linalg.norm(image - rows, axis=1) / nrm
+        want_minus = np.linalg.norm(image + rows, axis=1) / nrm
+        # both sides round a four-term sum, a square root and a division, in
+        # different orders
+        np.testing.assert_array_max_ulp(res_plus, want_plus, maxulp=8)
+        np.testing.assert_array_max_ulp(res_minus, want_minus, maxulp=8)
+
+        sign = params["sign"]
+        assert {1, -1} <= set(sign)
+        assert np.all(res_plus[len(raw):][sign == 1] == 0.0)
+        assert np.all(res_minus[len(raw):][sign == -1] == 0.0)
+        exact = DEFAULT_TOLERANCES.exact
+        for got, want in ((res_plus, want_plus), (res_minus, want_minus)):
+            assert np.count_nonzero(got <= exact) == np.count_nonzero(want <= exact)
+        assert np.count_nonzero(res_plus <= exact) == np.count_nonzero(sign == 1)
 
 
 class TestParity:
