@@ -341,8 +341,21 @@ def test_golden_reports(name):
         capture_output=True, check=True,
     )
     assert proc.stdout == expected
+    assert proc.stderr == b""
     expected_index = int(name[-1])
     assert json.loads(expected)["lounesto"]["index"] == expected_index
+
+
+# sha256 of the structured `--mode verify` stdout at seed 0: every property's
+# worst value and details string reaches the bytes.
+VERIFY_BYTES_SHA256 = "0dee2371e0b75c92e86675875723f3a1769651a48ce74852c6a3262e75761e0a"
+
+
+def test_verify_bytes_pinned(capsys):
+    assert main(["--mode", "verify", "--seed", "0"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == VERIFY_BYTES_SHA256
+    assert captured.err == ""
 
 
 def test_goldens_round_trip_their_job_echo():
