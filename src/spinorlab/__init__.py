@@ -9,21 +9,14 @@ numerically.
 
 from .algebra import (
     FourMomentum,
-    bloch_direction,
     boost_block,
-    boost_factor,
     gamma,
     gamma5,
-    pauli_dot,
-    rotation_block,
     theta_conjugate,
-    wigner_theta,
 )
 from .bilinears import (
     BilinearSet,
     bilinear_set,
-    bilinear_set_via_gammas,
-    dirac_adjoint,
     fpk_residuals,
 )
 from .classify import (
@@ -35,7 +28,6 @@ from .classify import (
     lounesto_class,
 )
 from .errors import (
-    ConventionError,
     DirectionMismatchError,
     JobError,
     MasslessError,
@@ -50,7 +42,6 @@ from .factory import (
     Provenance,
     RestSpinorSpec,
     boost_bispinor,
-    boosted_block,
     build_dual_helicity,
     build_parity_linked,
     build_self_conjugate,
@@ -66,7 +57,6 @@ from .symmetries import (
     SymmetryReport,
     c_eigen_check,
     charge_conjugate,
-    dirac_apply,
     dirac_flip_residual,
     dirac_matrix,
     dirac_residual,

@@ -1,8 +1,8 @@
 """Fixed-size complex linear algebra for chiral bispinors.
 
-Constant operators (Pauli matrices, gamma matrices, the antisymmetric 2x2
-time-reversal matrix) plus the boost and rotation blocks that act on
-two-component amplitudes.  Conventions used throughout the package:
+Constant operators (Pauli and gamma matrices), Theta conjugation of
+two-component blocks, on-shell momenta, the chiral boost blocks and the
+Bloch direction of a block.  Conventions used throughout the package:
 
 * metric signature (+, -, -, -)
 * chiral ordering with the right-handed block on top
@@ -51,24 +51,6 @@ def gamma5() -> np.ndarray:
     return _GAMMA5.copy()
 
 
-def pauli_dot(theta: float, phi: float) -> np.ndarray:
-    """sigma . n for the unit vector with polar angles (theta, phi).
-
-    Hermitian and squares to the identity; its +1/-1 eigenvectors are the
-    helicity eigenstates along that direction.
-    """
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
-    ct, st = math.cos(theta), math.sin(theta)
-    e = complex(math.cos(phi), math.sin(phi))
-    return np.array([[ct, st * e.conjugate()], [st * e, -ct]], dtype=complex)
-
-
-def wigner_theta() -> np.ndarray:
-    """Antisymmetric 2x2 time-reversal matrix [[0, -1], [1, 0]]."""
-    return np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-
-
 def theta_conjugate(block: np.ndarray) -> np.ndarray:
     """Theta . conj(block); flips the helicity of any sigma.n eigenvector.
 
@@ -76,20 +58,6 @@ def theta_conjugate(block: np.ndarray) -> np.ndarray:
     """
     b = np.asarray(block, dtype=complex)
     return np.stack([-np.conj(b[..., 1]), np.conj(b[..., 0])], axis=-1)
-
-
-def rotation_block(angle: float, axis) -> np.ndarray:
-    """Spin-1/2 rotation cos(angle/2) I + i sin(angle/2) sigma.axis.
-
-    The axis must be a unit 3-vector.  Unitary with determinant one; a full
-    2 pi turn gives -identity.
-    """
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,) or abs(float(n @ n) - 1.0) > 1e-9:
-        raise ValueError("axis must be a unit 3-vector")
-    ns = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    half = 0.5 * angle
-    return math.cos(half) * _I2 + 1j * math.sin(half) * ns
 
 
 @dataclass(frozen=True)
@@ -154,15 +122,6 @@ def _diag_entry(q, e, m, pxy2):
                         (m + (m * m + pxy2) / (e - q)) / (e + m))
 
 
-def _check_boost(handedness: str, p: FourMomentum) -> int:
-    """The boost sign of ``handedness``, once p allows a boost."""
-    if handedness not in ("right", "left"):
-        raise ValueError(f"handedness must be 'right' or 'left', got {handedness!r}")
-    if p.m <= 0.0:
-        raise MasslessError("boost requires m > 0")
-    return 1 if handedness == "right" else -1
-
-
 def boost_block_batch(sign, m, pmag, theta, phi) -> np.ndarray:
     """(N, 2, 2) chiral block boosts; sign is +1 (right) or -1 (left).
 
@@ -192,8 +151,12 @@ def boost_block(handedness: str, p: FourMomentum) -> np.ndarray:
     sign-flipped generator for the left-handed one.  Right and left boosts
     at the same momentum are exact inverses of each other.
     """
-    sign = _check_boost(handedness, p)
-    return boost_block_batch(sign, p.m, p.pmag, p.theta, p.phi)
+    if handedness not in ("right", "left"):
+        raise ValueError(f"handedness must be 'right' or 'left', got {handedness!r}")
+    if p.m <= 0.0:
+        raise MasslessError("boost requires m > 0")
+    return boost_block_batch(1 if handedness == "right" else -1, p.m, p.pmag,
+                             p.theta, p.phi)
 
 
 def boost_factor_batch(sign, helicity, m, pmag) -> np.ndarray:
@@ -209,27 +172,17 @@ def boost_factor_batch(sign, helicity, m, pmag) -> np.ndarray:
                 * _diag_entry(sign * helicity * pmag, e, m, 0.0))
 
 
-def boost_factor(handedness: str, p: FourMomentum, helicity: int) -> float:
-    """N=1 form of :func:`boost_factor_batch` at one momentum."""
-    sign = _check_boost(handedness, p)
-    if helicity not in (1, -1):
-        raise ValueError(f"helicity must be +1 or -1, got {helicity!r}")
-    return float(boost_factor_batch(sign, helicity, p.m, p.pmag))
-
-
 def bloch_direction_batch(b0, b1):
-    """(theta, phi) along which each 2-spinor (b0, b1) has helicity +1."""
-    nx = 2.0 * (b0.real * b1.real + b0.imag * b1.imag)
-    ny = 2.0 * (b0.real * b1.imag - b0.imag * b1.real)
-    nz = (b0.real ** 2 + b0.imag ** 2) - (b1.real ** 2 + b1.imag ** 2)
-    return np.arctan2(np.hypot(nx, ny), nz), np.arctan2(ny, nx) % math.tau
+    """(theta, phi) along which each 2-spinor (b0, b1) has helicity +1.
 
-
-def bloch_direction(block) -> tuple[float, float]:
-    """Polar angles of the direction along which a 2-spinor has helicity +1."""
-    b = np.asarray(block, dtype=complex)
-    theta, phi = bloch_direction_batch(b[0], b[1])
-    return (float(theta), float(phi))
+    A block whose squared entries leave the float64 range gets a nan
+    direction without a warning, for the caller's guard to report.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        nx = 2.0 * (b0.real * b1.real + b0.imag * b1.imag)
+        ny = 2.0 * (b0.real * b1.imag - b0.imag * b1.real)
+        nz = (b0.real ** 2 + b0.imag ** 2) - (b1.real ** 2 + b1.imag ** 2)
+        return np.arctan2(np.hypot(nx, ny), nz), np.arctan2(ny, nx) % math.tau
 
 
 def angles_match(t1: float, p1: float, t2: float, p2: float, tol: float = 1e-12) -> bool:

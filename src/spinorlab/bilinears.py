@@ -1,4 +1,4 @@
-"""Dirac adjoint, bilinear covariants and the scalar constraint residuals.
+"""Bilinear covariants and the scalar constraint residuals.
 
 Sign and ordering conventions (chosen so every stored quantity is real):
 
@@ -11,10 +11,9 @@ Sign and ordering conventions (chosen so every stored quantity is real):
 
 Any alternative sign or ordering choice relabels components without changing
 which quantities vanish, so the class assignment is convention-independent.
-The production path evaluates closed-form component expressions (real by
-construction); :func:`bilinear_set_via_gammas` computes the same quantities
-as explicit matrix sandwiches and verifies their reality, providing an
-in-artifact cross-check of the conventions.
+Every quantity comes from the closed-form component expressions of
+:func:`kernels.bilinears`, which are real by construction; the tests compare
+them with explicit gamma-matrix sandwiches built from matrix literals.
 """
 from __future__ import annotations
 
@@ -24,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .algebra import gamma, gamma5
-from .errors import ConventionError, ScaleError, ZeroSpinorError
+from .errors import ScaleError, ZeroSpinorError
 from .factory import BiSpinor
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,13 +44,6 @@ class BilinearSet:
     @property
     def norm(self) -> float:
         return float(self.j[0])
-
-
-def dirac_adjoint(psi: BiSpinor) -> np.ndarray:
-    """Row form conj(psi)^T gamma0; swaps the chiral blocks."""
-    return np.array(
-        [np.conj(psi.c), np.conj(psi.d), np.conj(psi.a), np.conj(psi.b)]
-    )
 
 
 def _require_nonzero(psi: BiSpinor):
@@ -76,46 +66,6 @@ def bilinear_set(psi: BiSpinor) -> BilinearSet:
         raise ScaleError(f"(psi^dag psi)^2 leaves the float64 range "
                          f"(psi^dag psi = {j0:.3e})")
     return BilinearSet(float(sigma[0]), float(omega[0]), j[0], k[0], s[0])
-
-
-_S_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def bilinear_set_via_gammas(psi: BiSpinor,
-                            tol: Tolerances = DEFAULT_TOLERANCES) -> BilinearSet:
-    """Bilinears as explicit gamma-matrix sandwiches, with reality checks.
-
-    Each quantity is computed as a complex sandwich and must be real to
-    within ``tol.exact`` relative to psi^dag psi; a violation signals an
-    internal convention bug and raises :class:`ConventionError`.
-    """
-    _require_nonzero(psi)
-    arr = psi.array
-    bar = dirac_adjoint(psi)
-    g5 = gamma5()
-    norm = float(np.real(np.conj(arr) @ arr))
-    budget = tol.exact * norm
-
-    def _real(value: complex, name: str) -> float:
-        if abs(value.imag) > budget:
-            raise ConventionError(
-                f"{name} has imaginary part {value.imag:.3e} beyond tolerance"
-            )
-        return float(value.real)
-
-    sigma = _real(complex(bar @ arr), "sigma")
-    omega = _real(complex(1j * (bar @ (g5 @ arr))), "omega")
-    j = np.array([_real(complex(bar @ (gamma(mu) @ arr)), f"J^{mu}") for mu in range(4)])
-    k = np.array(
-        [_real(complex(bar @ (gamma(mu) @ (g5 @ arr))), f"K^{mu}") for mu in range(4)]
-    )
-    s = np.array(
-        [
-            _real(complex(1j * (bar @ (gamma(mu) @ (gamma(nu) @ arr)))), f"S^{mu}{nu}")
-            for mu, nu in _S_INDEX
-        ]
-    )
-    return BilinearSet(sigma, omega, j, k, s)
 
 
 def fpk_residuals_batch(sigma, omega, j, k) -> np.ndarray:

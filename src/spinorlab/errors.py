@@ -29,9 +29,5 @@ class ScaleError(SpinorError):
     """A derived quantity overflows or underflows float64 at the input's scale."""
 
 
-class ConventionError(SpinorError):
-    """A bilinear came out non-real beyond tolerance: internal convention bug."""
-
-
 class JobError(Exception):
     """Malformed or inconsistent job document (CLI input layer)."""

@@ -31,7 +31,6 @@ from .algebra import (
     angles_match,
     bloch_direction_batch,
     boost_block_batch,
-    boost_factor,
     boost_factor_batch,
 )
 from .errors import (
@@ -182,23 +181,6 @@ def rest_spinor(spec: RestSpinorSpec) -> np.ndarray:
                                     spec.resolved_phase))[0]
 
 
-def boosted_block(spec: RestSpinorSpec, handedness: str, p: FourMomentum) -> np.ndarray:
-    """Rest spinor taken to momentum p by the chiral boost.
-
-    The boost axis must coincide with the spinor's direction, so the boost
-    acts as the scalar eigenfactor; this equals the matrix form
-    ``boost_block(handedness, p) @ rest_spinor(spec)`` but stays accurate
-    at large pmag/m.
-    """
-    if not angles_match(spec.theta, spec.phi, p.theta, p.phi):
-        raise DirectionMismatchError(
-            "momentum direction must equal the rest spinor direction"
-        )
-    if not math.isclose(spec.m, p.m, rel_tol=1e-12, abs_tol=0.0):
-        raise DirectionMismatchError("mass of spec and momentum differ")
-    return boost_factor(handedness, p, spec.helicity) * rest_spinor(spec)
-
-
 def _helicity_fraction(sign, theta, phi):
     # (re, im) of the b/a ratio of a helicity eigenblock:
     # +: sin t e^{i phi}/(1+cos t), -: -sin t e^{i phi}/(1-cos t)
@@ -319,9 +301,11 @@ def singular_form_batch(b, c, d):
     the right block, or of the left one where the right block is null.
     """
     b, c, d = (np.asarray(x, dtype=complex) for x in (b, c, d))
-    y = _mul(_mul(-b, c.real, c.imag), d.real, -d.imag)
-    n2 = np.hypot(c.real, c.imag) ** 2
-    a = _complex(y.real / n2, y.imag / n2)
+    # out of range, a and the direction come out inf or nan without a warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = _mul(_mul(-b, c.real, c.imag), d.real, -d.imag)
+        n2 = np.hypot(c.real, c.imag) ** 2
+        a = _complex(y.real / n2, y.imag / n2)
     right = (a != 0) | (b != 0)
     tr, pr = bloch_direction_batch(a, b)
     tl, pl = bloch_direction_batch(c, d)

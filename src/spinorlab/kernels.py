@@ -139,6 +139,16 @@ def helicity_residuals(psi, ct, sre, sim):
     return tuple(out)
 
 
+def _e_plus_minus_pz(e, m, px, py, pz):
+    """(E + pz, E - pz), each through (m^2 + px^2 + py^2)/(E -+ pz) where
+    the direct form would cancel.  The branch np.where discards may divide
+    by zero at a pole; it is silenced, never used."""
+    mt2 = m * m + (px * px + py * py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.where(pz >= 0.0, e + pz, mt2 / (e - pz)),
+                np.where(pz <= 0.0, e - pz, mt2 / (e + pz)))
+
+
 def dirac_apply_shift(psi, e, m, px, py, pz, shift):
     """gamma_mu p^mu psi - shift psi, one momentum per row.
 
@@ -155,9 +165,7 @@ def dirac_apply_shift(psi, e, m, px, py, pz, shift):
     pz = np.asarray(pz, dtype=np.float64)
     shift = np.asarray(shift, dtype=np.float64)
 
-    mt2 = m * m + (px * px + py * py)
-    ezp = np.where(pz >= 0.0, e + pz, mt2 / (e - pz))
-    ezm = np.where(pz <= 0.0, e - pz, mt2 / (e + pz))
+    ezp, ezm = _e_plus_minus_pz(e, m, px, py, pz)
 
     p0r, p0i = psi[:, 0].real.copy(), psi[:, 0].imag.copy()
     p1r, p1i = psi[:, 1].real.copy(), psi[:, 1].imag.copy()

@@ -142,19 +142,19 @@ def _phase_alignment(x: complex, y: complex) -> float:
 
 def c_eigen_check(psi: BiSpinor,
                   tol: Tolerances = DEFAULT_TOLERANCES) -> CEigenCheck:
-    """Test whether psi is a charge-conjugation eigenspinor.
+    """N=1 form of :func:`c_eigen_residuals`, with the eigenvalue verdict.
 
     On top of the eigen-residuals, the component constraints behind the
     eigenspinor structure are measured individually so a failure can name
-    which condition broke.
+    which condition broke.  Raises :class:`ScaleError` when psi^dag psi or a
+    residual leaves the float64 range.
     """
     if psi.is_zero():
         raise ZeroSpinorError("conjugacy of the zero spinor is undefined")
-    arr = psi.array
-    carr = charge_conjugate(psi).array
-    nrm = float(np.linalg.norm(arr))
-    res_plus = _ratio(float(np.linalg.norm(carr - arr)), nrm, "C residual")
-    res_minus = _ratio(float(np.linalg.norm(carr + arr)), nrm, "C residual")
+    # psi^dag psi of 0 or inf leaves a residual nan or inf, which _finite reports
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        res_plus, res_minus = (_finite(float(res[0]), "C residual")
+                               for res in c_eigen_residuals(psi.array[None, :]))
     eigenvalue: Optional[int] = None
     if res_plus <= tol.exact:
         eigenvalue = 1
@@ -231,10 +231,7 @@ def dirac_matrix_batch(m, pmag, theta, phi) -> np.ndarray:
     """(N, 4, 4) matrices gamma_mu p^mu, with the Dirac kernel's
     cancellation-free E +- pz entries."""
     e, px, py, pz = momentum_components(m, pmag, theta, phi)
-    mt2 = m * m + (px * px + py * py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ezp = np.where(pz >= 0.0, e + pz, mt2 / (e - pz))
-        ezm = np.where(pz <= 0.0, e - pz, mt2 / (e + pz))
+    ezp, ezm = kernels._e_plus_minus_pz(e, m, px, py, pz)
     pm = px - 1j * py
     out = np.zeros(np.shape(e) + (4, 4), dtype=complex)
     out[..., 0, 2], out[..., 0, 3] = ezp, pm
@@ -247,13 +244,6 @@ def dirac_matrix_batch(m, pmag, theta, phi) -> np.ndarray:
 def dirac_matrix(p: FourMomentum) -> np.ndarray:
     """gamma_mu p^mu as an explicit 4x4 matrix."""
     return dirac_matrix_batch(p.m, p.pmag, p.theta, p.phi)
-
-
-def dirac_apply(psi: BiSpinor, p: FourMomentum,
-                shift: float = 0.0) -> np.ndarray:
-    """gamma_mu p^mu psi - shift psi via the compensated kernel."""
-    e, px, py, pz = momentum_components(p.m, p.pmag, p.theta, p.phi)
-    return kernels.dirac_apply_shift(psi.array[None, :], e, p.m, px, py, pz, shift)[0]
 
 
 def _pow2_scaled(x, dtype=complex) -> np.ndarray:

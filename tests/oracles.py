@@ -30,6 +30,9 @@ GAMMA5 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 GAMMAS = (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
 
 THETA_MATRIX = np.array([[0, -1], [1, 0]], dtype=complex)
+PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
+         np.array([[0, -1j], [1j, 0]], dtype=complex),
+         np.array([[1, 0], [0, -1]], dtype=complex))
 
 _S_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -40,10 +43,25 @@ def sigma_dot(theta, phi):
          [np.sin(theta) * np.exp(1j * phi), -np.cos(theta)]])
 
 
+def rotation_block(angle, axis):
+    """Spin-1/2 rotation cos(angle/2) I + i sin(angle/2) sigma.axis about a
+    unit 3-vector."""
+    n = np.asarray(axis, dtype=float)
+    if n.shape != (3,) or abs(float(n @ n) - 1.0) > 1e-9:
+        raise ValueError("axis must be a unit 3-vector")
+    ns = n[0] * PAULI[0] + n[1] * PAULI[1] + n[2] * PAULI[2]
+    return np.cos(angle / 2) * np.eye(2) + 1j * np.sin(angle / 2) * ns
+
+
+def dirac_adjoint(psi):
+    """Row form conj(psi)^T gamma0."""
+    return np.asarray(psi, dtype=complex).conj() @ GAMMA0
+
+
 def sandwich_bilinears(psi):
     """All bilinears as raw complex sandwiches (caller checks reality)."""
     psi = np.asarray(psi, dtype=complex)
-    bar = psi.conj() @ GAMMA0
+    bar = dirac_adjoint(psi)
     return {
         "sigma": bar @ psi,
         "omega": 1j * (bar @ GAMMA5 @ psi),

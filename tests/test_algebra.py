@@ -1,4 +1,4 @@
-"""Constant operators, boosts and rotations."""
+"""Constant operators, boosts and Bloch directions."""
 import math
 
 import numpy as np
@@ -10,16 +10,12 @@ import oracles
 from spinorlab import (
     FourMomentum,
     MasslessError,
-    bloch_direction,
     boost_block,
-    boost_factor,
     gamma,
     gamma5,
-    pauli_dot,
-    rotation_block,
     theta_conjugate,
-    wigner_theta,
 )
+from spinorlab.algebra import SIGMA, bloch_direction_batch, boost_factor_batch
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -58,50 +54,57 @@ class TestGammas:
             gamma(4)
 
 
+def _sigma_n(theta, phi):
+    # sigma.n from the package's Pauli matrices
+    n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+         math.cos(theta))
+    return n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2]
+
+
 class TestPauliDot:
     def test_z_axis_reduces_to_sigma3(self):
-        np.testing.assert_array_equal(pauli_dot(0.0, 0.0), np.diag([1.0, -1.0]))
+        np.testing.assert_array_equal(_sigma_n(0.0, 0.0), np.diag([1.0, -1.0]))
 
     def test_x_axis(self):
         np.testing.assert_allclose(
-            pauli_dot(math.pi / 2, 0.0), [[0, 1], [1, 0]], atol=1e-16
+            _sigma_n(math.pi / 2, 0.0), [[0, 1], [1, 0]], atol=1e-16
         )
 
     def test_squares_to_identity_at_example_angles(self):
-        m = pauli_dot(math.pi / 3, math.pi / 5)
+        m = _sigma_n(math.pi / 3, math.pi / 5)
         np.testing.assert_allclose(m @ m, np.eye(2), atol=1e-15)
 
     def test_squares_to_identity_random_directions(self, rng):
         for _ in range(100):
             t = math.acos(rng.uniform(-1, 1))
             f = rng.uniform(0, 2 * math.pi)
-            m = pauli_dot(t, f)
+            m = _sigma_n(t, f)
             np.testing.assert_allclose(m @ m, np.eye(2), atol=1e-15)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-16)
-
-    def test_rejects_bad_polar_angle(self):
-        with pytest.raises(ValueError):
-            pauli_dot(-0.1, 0.0)
+            np.testing.assert_allclose(m, oracles.sigma_dot(t, f), atol=1e-15)
 
 
 class TestWignerTheta:
     def test_explicit_entries(self):
-        np.testing.assert_array_equal(wigner_theta(), [[0, -1], [1, 0]])
+        # Theta conj(b) on the basis vectors gives the columns of Theta
+        columns = np.stack([theta_conjugate([1, 0]), theta_conjugate([0, 1])], axis=1)
+        np.testing.assert_array_equal(columns, oracles.THETA_MATRIX)
+        np.testing.assert_array_equal(columns, [[0, -1], [1, 0]])
 
     def test_squares_to_minus_identity(self):
-        th = wigner_theta()
+        th = oracles.THETA_MATRIX
         np.testing.assert_array_equal(th @ th, -np.eye(2))
 
     def test_conjugation_flips_pauli_matrices(self):
-        th = wigner_theta()
+        th = oracles.THETA_MATRIX
         inv = np.linalg.inv(th)
-        from spinorlab.algebra import SIGMA
-
         for sk in SIGMA:
             np.testing.assert_array_equal(th @ sk.conj() @ inv, -sk)
 
-    def test_action_on_basis_vector(self):
-        np.testing.assert_array_equal(wigner_theta() @ [1, 0], [0, 1])
+    def test_action_on_basis_vector(self, rng):
+        block = rng.normal(size=2) + 1j * rng.normal(size=2)
+        np.testing.assert_array_equal(theta_conjugate(block),
+                                      oracles.THETA_MATRIX @ block.conj())
 
 
 class TestThetaConjugate:
@@ -139,7 +142,7 @@ class TestBoost:
         out = boost_block("right", p) @ np.array([1.0, 0.0])
         np.testing.assert_allclose(out, [expected, 0.0], rtol=1e-15)
         assert math.isclose(
-            boost_factor("right", p, 1), expected, rel_tol=1e-15
+            float(boost_factor_batch(1, 1, p.m, p.pmag)), expected, rel_tol=1e-15
         )
 
     def test_right_left_are_inverses(self, rng):
@@ -188,37 +191,39 @@ class TestBoost:
         plus = np.array([math.cos(0.5) * np.exp(-0.35j),
                          math.sin(0.5) * np.exp(0.35j)])
         out = boost_block("left", p) @ plus
-        np.testing.assert_allclose(out, boost_factor("left", p, 1) * plus,
+        np.testing.assert_allclose(out, boost_factor_batch(-1, 1, p.m, p.pmag) * plus,
                                    rtol=1e-12)
 
 
 class TestRotation:
+    """The rotation reference that pins the rest-spinor phases."""
+
     def test_zero_angle(self):
-        np.testing.assert_array_equal(rotation_block(0.0, [0, 0, 1]), np.eye(2))
+        np.testing.assert_array_equal(oracles.rotation_block(0.0, [0, 0, 1]), np.eye(2))
 
     @pytest.mark.parametrize("axis", [(0, 0, 1), (1, 0, 0),
                                       (0.6, 0.0, 0.8), (0, 1, 0)])
     def test_full_turn_is_minus_identity(self, axis):
         np.testing.assert_allclose(
-            rotation_block(2 * math.pi, axis), -np.eye(2), atol=1e-15
+            oracles.rotation_block(2 * math.pi, axis), -np.eye(2), atol=1e-15
         )
 
     def test_half_turn_about_z(self):
         np.testing.assert_allclose(
-            rotation_block(math.pi, [0, 0, 1]), np.diag([1j, -1j]), atol=1e-16
+            oracles.rotation_block(math.pi, [0, 0, 1]), np.diag([1j, -1j]), atol=1e-16
         )
 
     @given(st.floats(-10, 10), st.floats(0, math.pi), st.floats(0, 2 * math.pi))
     @settings(max_examples=50, deadline=None)
     def test_unitary_with_unit_determinant(self, angle, t, f):
         axis = [math.sin(t) * math.cos(f), math.sin(t) * math.sin(f), math.cos(t)]
-        r = rotation_block(angle, axis)
+        r = oracles.rotation_block(angle, axis)
         np.testing.assert_allclose(r @ r.conj().T, np.eye(2), atol=1e-14)
         assert abs(np.linalg.det(r) - 1.0) < 1e-14
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError):
-            rotation_block(1.0, [1, 1, 0])
+            oracles.rotation_block(1.0, [1, 1, 0])
 
 
 class TestFourMomentum:
@@ -254,10 +259,10 @@ class TestBlochDirection:
             f = rng.uniform(0, 2 * math.pi)
             block = np.array([math.cos(t / 2) * np.exp(-0.5j * f),
                               math.sin(t / 2) * np.exp(0.5j * f)])
-            tb, fb = bloch_direction(block)
+            tb, fb = bloch_direction_batch(block[0], block[1])
             assert abs(tb - t) < 1e-12
             assert abs(math.remainder(fb - f, 2 * math.pi)) < 1e-9
 
     def test_poles(self):
-        assert bloch_direction([1, 0])[0] == 0.0
-        assert bloch_direction([0, 1])[0] == math.pi
+        assert bloch_direction_batch(1 + 0j, 0j)[0] == 0.0
+        assert bloch_direction_batch(0j, 1 + 0j)[0] == math.pi

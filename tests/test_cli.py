@@ -311,6 +311,24 @@ def _extreme_scale_jobs():
         yield f"raw-m{m:g}-p{pmag:g}", {
             "mode": "symmetries", "momentum": momentum,
             "spinor": {"components": [[1, 0], [0.5, 0.25], [0, 0], [0, 0]]}}
+    # the momentum takes its direction from a constructor that cannot form it
+    for name, spinor in (
+            ("self-conjugate-1e300", {"family": "self_conjugate", "sign": 1,
+                                      "c": [1e300, 0], "d": [1e300, 0]}),
+            ("weyl-1e300", {"family": "weyl", "side": "right",
+                            "block": [[1e300, 0], [1e300, 0]]}),
+            ("singular-c1e-170", {"family": "singular_form", "b": [1, 0],
+                                  "c": [1e-170, 0], "d": [1, 0]}),
+            ("singular-bd1e300", {"family": "singular_form", "b": [1e300, 0],
+                                  "c": [1, 0], "d": [1e300, 0]})):
+        yield f"direction-{name}", {"mode": "symmetries", "spinor": spinor,
+                                    "momentum": {"m": 1.0, "pmag": 1.0}}
+    # at the poles one branch of the Dirac kernel's E -+ pz divides by zero
+    for theta in (0.0, math.pi):
+        yield f"pole-theta{theta:.4g}-p1e+10", {
+            "mode": "symmetries",
+            "momentum": {"m": 1.0, "pmag": 1e10, "theta": theta, "phi": 0.0},
+            "spinor": {"components": [[1, 0], [0.5, 0.25], [0, 0], [0, 0]]}}
 
 
 EXTREME_SCALE_JOBS = dict(_extreme_scale_jobs())

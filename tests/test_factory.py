@@ -14,7 +14,6 @@ from spinorlab import (
     ZeroSpinorError,
     boost_bispinor,
     boost_block,
-    boosted_block,
     build_dual_helicity,
     build_parity_linked,
     build_self_conjugate,
@@ -72,12 +71,28 @@ class TestRestSpinor:
         with pytest.raises(MasslessError):
             rest_spinor(RestSpinorSpec(1, 0.0, 0.0, 0.0))
 
+    def test_default_phases_rotate_the_z_basis(self, rng):
+        # with the default phases (0, pi) both helicity states are one SU(2)
+        # rotation, R_z(phi) R_y(theta), of spin up and spin down
+        for _ in range(25):
+            t = math.acos(rng.uniform(-1, 1))
+            f = rng.uniform(0, 2 * math.pi)
+            m = rng.uniform(0.1, 10.0)
+            rot = (oracles.rotation_block(-f, [0, 0, 1])
+                   @ oracles.rotation_block(-t, [0, 1, 0]))
+            for hel, column in ((1, 0), (-1, 1)):
+                out = rest_spinor(RestSpinorSpec(hel, t, f, m))
+                np.testing.assert_allclose(out, math.sqrt(m) * rot[:, column],
+                                           atol=1e-15 * math.sqrt(m))
+
 
 class TestBoostedBlock:
+    """A rest spinor boosted along its own direction."""
+
     def test_rest_limit(self):
         spec = RestSpinorSpec(1, 0.9, 0.2, 1.5)
         p = FourMomentum(1.5, 0.0, 0.9, 0.2)
-        np.testing.assert_array_equal(boosted_block(spec, "right", p),
+        np.testing.assert_array_equal(boost_block("right", p) @ rest_spinor(spec),
                                       rest_spinor(spec))
 
     def test_z_axis_scale_factor(self):
@@ -86,27 +101,28 @@ class TestBoostedBlock:
         e = math.sqrt(2.0)
         factor = (e + 2.0) / math.sqrt(2.0 * (e + 1.0))
         np.testing.assert_allclose(
-            boosted_block(spec, "right", p), [factor, 0.0], rtol=1e-15
+            boost_block("right", p) @ rest_spinor(spec), [factor, 0.0], rtol=1e-15
         )
 
     def test_agrees_with_matrix_route(self):
+        # parity-linked blocks take the boost as the scalar eigenfactor
         spec = RestSpinorSpec(-1, 1.2, 4.0, 2.0, phase=0.7)
         p = FourMomentum(2.0, 9.0, 1.2, 4.0)
-        via_matrix = boost_block("left", p) @ rest_spinor(spec)
-        np.testing.assert_allclose(
-            boosted_block(spec, "left", p), via_matrix, rtol=1e-12
-        )
+        psi = build_parity_linked(-1, p, phase=0.7)
+        for handedness, block in (("right", psi.right), ("left", psi.left)):
+            via_matrix = boost_block(handedness, p) @ rest_spinor(spec)
+            np.testing.assert_allclose(block, via_matrix, rtol=1e-12)
 
     def test_eigenvalue_preserved_under_boost(self):
         spec = RestSpinorSpec(1, 0.8, 1.9, 1.0)
         p = FourMomentum(1.0, 5.0, 0.8, 1.9)
-        out = boosted_block(spec, "right", p)
+        out = boost_block("right", p) @ rest_spinor(spec)
         assert oracles.eigen_sign(out, 0.8, 1.9) == 1
 
     def test_direction_mismatch_rejected(self):
-        spec = RestSpinorSpec(1, 0.8, 1.9, 1.0)
+        psi = build_single_helicity("++", 1.0, 1.0, 0.8, 1.9)
         with pytest.raises(DirectionMismatchError):
-            boosted_block(spec, "right", FourMomentum(1.0, 5.0, 0.9, 1.9))
+            boost_bispinor(psi, FourMomentum(1.0, 5.0, 0.9, 1.9))
 
 
 class TestSingleHelicity:
