@@ -435,6 +435,25 @@ def test_sample_bytes_pinned(family, tmp_path, capsys):
     assert digest == SAMPLE_BYTES_SHA256[family]
 
 
+# sha256 of the structured `sample` stdout at seed 7 and count 2 * DRAW_ROWS + 5:
+# three draw chunks, the last one partial, so the bytes cover the chunk
+# boundaries that the count-20000 pins never reach.
+MULTI_CHUNK_SAMPLE_BYTES_SHA256 = {
+    "random_raw": "a00be9e5ab72c3b4a06d7b2116126d42f6d69ce16bfb11fc0a585f19a91c7764",
+    "dual_helicity": "d42f48d3b3240358b0d2b6951b1eebc19203e34da33a98b01ef010fa4b1b0087",
+}
+
+
+@pytest.mark.parametrize("family", MULTI_CHUNK_SAMPLE_BYTES_SHA256)
+def test_multi_chunk_sample_bytes_pinned(family, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"mode": "sample", "family": family, "seed": 7,
+                                "count": 2 * DRAW_ROWS + 5}), encoding="utf-8")
+    assert main(["--job", str(path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == MULTI_CHUNK_SAMPLE_BYTES_SHA256[family]
+
+
 def _whole_array_sample(job):
     """The `sample` section computed in one pass: one analyze over every row
     and the charge-conjugation residuals of the whole array."""
