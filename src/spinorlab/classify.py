@@ -63,8 +63,8 @@ def lounesto_classes(sigma, omega, j, k, s,
     scale = tol.eps_class * j[:, 0]
     sig0 = _zero_scalar(sigma, scale)
     om0 = _zero_scalar(omega, scale)
-    k0 = np.max(np.abs(k), axis=1) <= scale
-    s0 = np.max(np.abs(s), axis=1) <= scale
+    k0 = kernels._row_max_abs(k) <= scale
+    s0 = kernels._row_max_abs(s) <= scale
     out = np.zeros(len(sigma), dtype=np.int8)
     out[~sig0 & ~om0] = 1
     out[~sig0 & om0] = 2
@@ -208,8 +208,10 @@ def analyze(psis: np.ndarray, theta=None, phi=None,
     helicity pass."""
     sigma, omega, j, k, s = kernels.bilinears(psis)
     classes = lounesto_classes(sigma, omega, j, k, s, tol)
-    fpk_max = np.max(fpk_residuals_batch(sigma, omega, j, k), axis=0)
-    del sigma, omega, j, k, s
+    fpk = fpk_residuals_batch(sigma, omega, j, k)
+    # column by column, as in kernels._row_max_abs
+    fpk_max = np.array([fpk[:, i].max() for i in range(fpk.shape[1])])
+    del sigma, omega, j, k, s, fpk
     categories = None
     if theta is not None:
         rstate, lstate, _, _ = helicity_profiles(psis, theta, phi, tol)

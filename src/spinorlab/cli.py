@@ -20,11 +20,12 @@ import numpy as np
 from . import sampling
 from .algebra import FourMomentum
 from .classify import CATEGORY_NAMES, analyze, classify_report
-from .errors import JobError, ScaleError, SpinorError
+from .errors import JobError, SpinorError
 from .factory import (
     DEFAULT_PHASE_MINUS,
     DEFAULT_PHASE_PLUS,
     BiSpinor,
+    _require_finite_direction,
     boost_bispinor,
     build_dual_helicity,
     build_parity_linked,
@@ -328,9 +329,7 @@ def _parse_momentum(doc, spinor_spec: Optional[dict]) -> dict:
                   "theta/phi required: the spinor carries no direction to "
                   "default to")
         theta, phi = direction
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise ScaleError("the spinor's direction is not representable in "
-                             "float64 at its magnitudes")
+        _require_finite_direction(theta, phi)
     return {"m": m, "pmag": pmag, "theta": theta, "phi": phi}
 
 

@@ -36,6 +36,7 @@ from .algebra import (
 from .errors import (
     DirectionMismatchError,
     MasslessError,
+    ScaleError,
     SingularAngleError,
     ZeroSpinorError,
 )
@@ -421,12 +422,20 @@ def boost_bispinor_batch(psis, m, pmag, theta, phi) -> np.ndarray:
     return np.concatenate([right, left], axis=1)[:, :, 0]
 
 
+def _require_finite_direction(theta, phi):
+    # a constructor's direction is nan when its magnitudes leave float64
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ScaleError("the spinor's direction is not representable in "
+                         "float64 at its magnitudes")
+
+
 def boost_bispinor(psi: BiSpinor, p: FourMomentum) -> BiSpinor:
     """N=1 form of :func:`boost_bispinor_batch`.
 
     If the spinor records a construction direction it must match the boost
     direction (helicity structure is only preserved along the spinor's own
-    axis); already-boosted spinors are rejected.
+    axis); already-boosted spinors are rejected, and a recorded direction
+    that is not finite raises :class:`ScaleError`.
     """
     if psi.is_zero():
         raise ZeroSpinorError("cannot boost the zero spinor")
@@ -434,6 +443,7 @@ def boost_bispinor(psi: BiSpinor, p: FourMomentum) -> BiSpinor:
     if prov is not None and prov.momentum is not None:
         raise DirectionMismatchError("spinor already carries a momentum")
     if prov is not None and prov.theta is not None:
+        _require_finite_direction(prov.theta, prov.phi)
         if not angles_match(prov.theta, prov.phi, p.theta, p.phi):
             raise DirectionMismatchError(
                 "boost direction must match the construction direction"

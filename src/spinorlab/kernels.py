@@ -139,6 +139,17 @@ def helicity_residuals(psi, ct, sre, sim):
     return tuple(out)
 
 
+def _row_max_abs(x):
+    """max |x| over the last axis, NaN where a row holds NaN (as np.max)."""
+    # one pass per column: numpy's reduce over a short last axis costs about
+    # 15 times as much
+    out = np.abs(x[..., 0], out=np.empty(x.shape[:-1]))
+    col = np.empty_like(out)
+    for i in range(1, x.shape[-1]):
+        np.maximum(out, np.abs(x[..., i], out=col), out=out)
+    return out
+
+
 def _e_plus_minus_pz(e, m, px, py, pz):
     """(E + pz, E - pz), each through (m^2 + px^2 + py^2)/(E -+ pz) where
     the direct form would cancel.  The branch np.where discards may divide

@@ -83,7 +83,13 @@ def random_raw_spinors(rng, count: int) -> np.ndarray:
         norm_sq = np.empty(len(psi))
         for start in range(0, len(psi), SAMPLE_BLOCK_ROWS):
             rows = slice(start, start + SAMPLE_BLOCK_ROWS)
-            norm_sq[rows] = np.sum(np.abs(psi[rows]) ** 2, axis=1)
+            # summed column by column (see kernels._row_max_abs) in np.sum's
+            # left-to-right order, so the bits are np.sum's
+            sq = np.abs(psi[rows]) ** 2
+            block = norm_sq[rows]
+            np.add(sq[:, 0], sq[:, 1], out=block)
+            block += sq[:, 2]
+            block += sq[:, 3]
         return norm_sq >= MIN_RAW_NORM_SQ
 
     return _rejection_fill(rng, count, draw, keep)

@@ -146,22 +146,26 @@ def c_eigen_check(psi: BiSpinor,
 
     On top of the eigen-residuals, the component constraints behind the
     eigenspinor structure are measured individually so a failure can name
-    which condition broke.  Raises :class:`ScaleError` when psi^dag psi or a
-    residual leaves the float64 range.
+    which condition broke.  Both are homogeneous of degree 0, so they are
+    evaluated on psi scaled near 1 by a power of two and do not depend on
+    its magnitude.  Raises :class:`ScaleError` when a component is not
+    finite.
     """
     if psi.is_zero():
         raise ZeroSpinorError("conjugacy of the zero spinor is undefined")
-    # psi^dag psi of 0 or inf leaves a residual nan or inf, which _finite reports
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    arr = _pow2_scaled(psi.array[None, :])
+    # a component of inf or nan leaves a residual nan, which _finite reports
+    with np.errstate(invalid="ignore"):
         res_plus, res_minus = (_finite(float(res[0]), "C residual")
-                               for res in c_eigen_residuals(psi.array[None, :]))
+                               for res in c_eigen_residuals(arr))
     eigenvalue: Optional[int] = None
     if res_plus <= tol.exact:
         eigenvalue = 1
     elif res_minus <= tol.exact:
         eigenvalue = -1
-    a, b, c, d = psi.a, psi.b, psi.c, psi.d
-    n2 = psi.norm_sq
+    scaled = BiSpinor.from_array(arr[0])
+    a, b, c, d = scaled.a, scaled.b, scaled.c, scaled.d
+    n2 = scaled.norm_sq
     constraints = {
         "norm_ad": abs(abs(a) ** 2 - abs(d) ** 2) / n2,
         "norm_bc": abs(abs(b) ** 2 - abs(c) ** 2) / n2,
@@ -250,7 +254,7 @@ def _pow2_scaled(x, dtype=complex) -> np.ndarray:
     """Each row of x, as ``dtype``, times the power of two that puts its
     largest real or imaginary part in [0.5, 1); exact for normal entries."""
     flat = np.ascontiguousarray(x, dtype=dtype).view(np.float64)
-    exp = np.frexp(np.max(np.abs(flat), axis=-1, keepdims=True))[1]
+    exp = np.frexp(kernels._row_max_abs(flat)[..., None])[1]
     return np.ldexp(flat, -exp).view(dtype)
 
 

@@ -18,7 +18,8 @@ from spinorlab import (
     helicity_profile,
     lounesto_class,
 )
-from spinorlab.bilinears import BilinearSet
+from spinorlab import kernels
+from spinorlab.bilinears import BilinearSet, fpk_residuals_batch
 from spinorlab.classify import (
     ANNOTATION_CLASS6,
     ANNOTATION_DUAL,
@@ -28,8 +29,12 @@ from spinorlab.classify import (
     CATEGORY_NOT_WELL_DEFINED,
     CATEGORY_SINGLE,
     HelicityProfile,
+    analyze,
     helicity_categories,
+    lounesto_classes,
 )
+from spinorlab.sampling import random_raw_spinors
+from spinorlab.tolerances import DEFAULT_TOLERANCES
 
 
 class TestLounestoClass:
@@ -188,3 +193,98 @@ class TestClassifyReport:
         rep = classify_report(psi)
         assert rep.direction == (0.9, 2.2)
         assert rep.helicity.category == CATEGORY_DUAL
+
+
+def _reference_classes(sigma, omega, j, k, s, tol=DEFAULT_TOLERANCES):
+    # the decision tree with the K and S zero tests as numpy row reductions
+    scale = tol.eps_class * j[:, 0]
+    sig0 = np.abs(sigma) <= scale
+    om0 = np.abs(omega) <= scale
+    k0 = np.max(np.abs(k), axis=1) <= scale
+    s0 = np.max(np.abs(s), axis=1) <= scale
+    out = np.zeros(len(sigma), dtype=np.int8)
+    out[~sig0 & ~om0] = 1
+    out[~sig0 & om0] = 2
+    out[sig0 & ~om0] = 3
+    singular = sig0 & om0
+    out[singular & ~k0 & ~s0] = 4
+    out[singular & k0 & ~s0] = 5
+    out[singular & ~k0 & s0] = 6
+    return out
+
+
+class TestColumnPasses:
+    """The K and S zero tests and the fpk maxima run as passes over the
+    columns; they must agree bit for bit with numpy's row reductions."""
+
+    SCALE = DEFAULT_TOLERANCES.eps_class
+    SPECIALS = np.array([
+        np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0,
+        SCALE, -SCALE,
+        np.nextafter(SCALE, 0.0), -np.nextafter(SCALE, 0.0),
+        np.nextafter(SCALE, np.inf), -np.nextafter(SCALE, np.inf),
+    ])
+
+    def _singular_rows(self):
+        # sigma = omega = 0 and J^0 = 1, so each row's class rests on K and S
+        k_rows, s_rows = [], []
+        for v in self.SPECIALS:
+            for col in range(4):
+                k = np.zeros(4)
+                k[col] = v
+                k_rows.append(k)
+                s_rows.append(np.eye(6)[col])
+            for col in range(6):
+                s = np.zeros(6)
+                s[col] = v
+                k_rows.append(np.eye(4)[col % 4])
+                s_rows.append(s)
+                k_rows.append(np.zeros(4))
+                s_rows.append(s)
+        return np.array(k_rows), np.array(s_rows)
+
+    def _check(self, sigma, omega, j, k, s):
+        got = lounesto_classes(sigma, omega, j, k, s)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, _reference_classes(sigma, omega, j, k, s))
+
+    def test_special_values_in_every_column(self):
+        k, s = self._singular_rows()
+        n = len(k)
+        j = np.zeros((n, 4))
+        j[:, 0] = 1.0
+        self._check(np.zeros(n), np.zeros(n), j, k, s)
+        # every class and the unclassifiable pattern occur among these rows
+        assert set(lounesto_classes(np.zeros(n), np.zeros(n), j, k, s)) == {0, 4, 5, 6}
+
+    def test_random_mixtures_of_special_values(self, rng):
+        n = 2000
+
+        def pick(*shape):
+            return rng.choice(self.SPECIALS, size=shape)
+
+        j = pick(n, 4)
+        j[:, 0] = rng.choice([1.0, 2.0, 1e-300, 1e300, np.nan, np.inf], size=n)
+        sigma = np.where(rng.random(n) < 0.7, 0.0, pick(n))
+        omega = np.where(rng.random(n) < 0.7, -0.0, pick(n))
+        self._check(sigma, omega, j, pick(n, 4), pick(n, 6))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_zero_and_one_row(self, n):
+        j = np.ones((n, 4))
+        k = np.full((n, 4), np.nextafter(self.SCALE, np.inf))
+        s = np.full((n, 6), -0.0)
+        got = lounesto_classes(np.zeros(n), np.zeros(n), j, k, s)
+        assert got.shape == (n,)
+        self._check(np.zeros(n), np.zeros(n), j, k, s)
+
+    @pytest.mark.filterwarnings("error")
+    def test_fpk_max_matches_the_row_reduction(self, rng):
+        psis = random_raw_spinors(rng, 5000)
+        psis[1234, 2] = complex(np.nan, 0.0)
+        for rows in (psis[:1234], psis):
+            want = np.max(fpk_residuals_batch(*kernels.bilinears(rows)[:4]), axis=0)
+            got = analyze(rows).fpk_max
+            assert got.shape == (3,)
+            assert got.tobytes() == want.tobytes()
+        assert np.isnan(analyze(psis).fpk_max).all()

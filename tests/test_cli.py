@@ -323,6 +323,13 @@ def _extreme_scale_jobs():
                                   "c": [1, 0], "d": [1e300, 0]})):
         yield f"direction-{name}", {"mode": "symmetries", "spinor": spinor,
                                     "momentum": {"m": 1.0, "pmag": 1.0}}
+    # ... and one boosted along an explicit direction: the nan direction is
+    # the cause, not a mismatch with the boost
+    yield "boost-direction-self-conjugate-1e300", {
+        "mode": "symmetries", "boost": True,
+        "spinor": {"family": "self_conjugate", "sign": 1, "c": [1e300, 0],
+                   "d": [1e300, 0]},
+        "momentum": {"m": 1.0, "pmag": 1.0, **direction}}
     # at the poles one branch of the Dirac kernel's E -+ pz divides by zero
     for theta in (0.0, math.pi):
         yield f"pole-theta{theta:.4g}-p1e+10", {
@@ -332,6 +339,11 @@ def _extreme_scale_jobs():
 
 
 EXTREME_SCALE_JOBS = dict(_extreme_scale_jobs())
+# domain errors whose message must name the out-of-range magnitudes
+EXTREME_SCALE_MESSAGES = {
+    "boost-direction-self-conjugate-1e300":
+        "the spinor's direction is not representable in float64 at its magnitudes",
+}
 
 
 # the overflow that precedes a domain error is expected and must stay silent:
@@ -347,7 +359,10 @@ def test_extreme_scales_end_in_report_or_domain_error(name, tmp_path, capsys):
     if code == 0:
         assert "lounesto" in json.loads(captured.out)
     else:
-        assert json.loads(captured.err)["error"]["type"] == "domain"
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "domain"
+        if name in EXTREME_SCALE_MESSAGES:
+            assert EXTREME_SCALE_MESSAGES[name] in error["message"]
 
 
 @pytest.mark.parametrize("name", [f"class{i}" for i in range(1, 7)])

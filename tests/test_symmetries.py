@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_bispinor
@@ -34,7 +36,12 @@ from spinorlab import (
 from spinorlab import kernels
 from spinorlab.algebra import momentum_components
 from spinorlab.sampling import draw_self_conjugate, random_raw_spinors
-from spinorlab.symmetries import c_eigen_residuals, charge_conjugate_batch
+from spinorlab.symmetries import (
+    _pow2_mass,
+    _pow2_scaled,
+    c_eigen_residuals,
+    charge_conjugate_batch,
+)
 from spinorlab.tolerances import DEFAULT_TOLERANCES
 
 
@@ -122,6 +129,79 @@ class TestChargeConjugation:
         for got, want in ((res_plus, want_plus), (res_minus, want_minus)):
             assert np.count_nonzero(got <= exact) == np.count_nonzero(want <= exact)
         assert np.count_nonzero(res_plus <= exact) == np.count_nonzero(sign == 1)
+
+
+# eight real parts on a 2**-20 grid in [-1, 1]: 2**k psi is exact for every
+# |k| <= 1000, subnormal or not
+_GRID_PARTS = st.lists(st.integers(-2**20, 2**20), min_size=8, max_size=8).filter(any)
+
+
+class TestCEigenScale:
+    @given(_GRID_PARTS, st.integers(-1000, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling_leaves_the_check_unchanged(self, parts, k):
+        vals = [math.ldexp(p, -20) for p in parts]
+        psi = BiSpinor(*(complex(re, im) for re, im in zip(vals[0::2], vals[1::2])))
+        scaled = BiSpinor(*(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+                            for z in psi.array))
+        want = c_eigen_check(psi)
+        got = c_eigen_check(scaled)
+        assert (got.eigenvalue, got.residual_plus, got.residual_minus) == (
+            want.eigenvalue, want.residual_plus, want.residual_minus)
+        assert got.constraints == want.constraints
+
+    @pytest.mark.parametrize("s", [1e-160, 1e200])
+    def test_extreme_magnitudes_match_the_unit_scale(self, s):
+        # tiny components once lost digits to subnormal squares, and large
+        # ones overflowed into a ScaleError
+        unit = c_eigen_check(BiSpinor(1.0, 0.5, 0.25, 1j))
+        far = c_eigen_check(BiSpinor(s, 0.5 * s, 0.25 * s, 1j * s))
+        assert far.residual_plus == pytest.approx(unit.residual_plus, rel=1e-15)
+        assert far.residual_minus == pytest.approx(unit.residual_minus, rel=1e-15)
+
+    def test_zero_spinor_rejected(self):
+        with pytest.raises(ZeroSpinorError):
+            c_eigen_check(BiSpinor(0, 0, 0, 0))
+
+
+def _reference_pow2_scaled(x, dtype=complex):
+    # the row scaling with the maximum as a numpy row reduction
+    flat = np.ascontiguousarray(x, dtype=dtype).view(np.float64)
+    exp = np.frexp(np.max(np.abs(flat), axis=-1, keepdims=True))[1]
+    return np.ldexp(flat, -exp).view(dtype)
+
+
+class TestPow2Scaling:
+    SPECIALS = np.array([0.0, -0.0, 1.0, -3.0, 5e-324, -1e-310, 2.2e-308,
+                         1e300, -1.7e308, np.inf, -np.inf, np.nan])
+
+    def _same(self, got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_complex_rows(self, rng):
+        parts = rng.choice(self.SPECIALS, size=(3000, 8))
+        parts *= np.where(rng.random((3000, 8)) < 0.5, 1.0,
+                          rng.uniform(0.5, 1.0, size=(3000, 8)))
+        # each column in turn holds the only nonzero part of a row
+        parts = np.concatenate([parts, np.diag(np.linspace(0.1, 0.8, 8))])
+        psis = parts.view(complex)
+        with np.errstate(invalid="ignore"):
+            self._same(_pow2_scaled(psis), _reference_pow2_scaled(psis))
+
+    def test_real_rows(self, rng):
+        mp = rng.choice(self.SPECIALS, size=(3000, 2))
+        mp = np.concatenate([mp, [[0.0, 3.0], [3.0, 0.0], [1e-300, 1e300]]])
+        with np.errstate(invalid="ignore"):
+            self._same(_pow2_scaled(mp, float), _reference_pow2_scaled(mp, float))
+
+    @pytest.mark.parametrize("m,pmag", [(1.0, 2.0), (1e-300, 1e300), (3.0, 0.0),
+                                        (0.0, 5e-324)])
+    def test_scalar_mass(self, m, pmag):
+        want = _reference_pow2_scaled(np.stack([m, pmag], axis=-1), float)
+        got_m, got_p = _pow2_mass(m, pmag)
+        self._same(np.asarray(got_m), want[..., 0])
+        self._same(np.asarray(got_p), want[..., 1])
 
 
 class TestParity:
