@@ -1,6 +1,9 @@
 """Lounesto class assignment and per-block helicity profiling.
 
-The six classes are decided by which of sigma, omega, K, S vanish:
+The six classes are decided by which of sigma, omega, K, S vanish.  The
+annotation column is ``CLASS_ANNOTATIONS`` and the helicity category each
+class predicts is ``CLASS_CATEGORIES``, both indexed by class (0 =
+unclassifiable):
 
 ====== ======== ======== ====== ====== =====================
 class  sigma    omega    K      S      annotation
@@ -30,10 +33,28 @@ from .errors import ZeroSpinorError
 from .factory import BiSpinor
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-ANNOTATION_SINGLE = "single-helicity"
-ANNOTATION_DUAL = "dual-helicity"
-ANNOTATION_CLASS6 = "Not well defined"
-ANNOTATION_NONE = "unclassifiable"
+CATEGORY_SINGLE = "single"
+CATEGORY_DUAL = "dual"
+CATEGORY_NOT_WELL_DEFINED = "not-well-defined"
+CATEGORY_NON_EIGEN = "non-eigen"
+
+#: integer category codes used by the batch helpers
+CAT_SINGLE, CAT_DUAL, CAT_NOT_WELL_DEFINED, CAT_NON_EIGEN = 0, 1, 2, 3
+CATEGORY_NAMES = {
+    CAT_SINGLE: CATEGORY_SINGLE,
+    CAT_DUAL: CATEGORY_DUAL,
+    CAT_NOT_WELL_DEFINED: CATEGORY_NOT_WELL_DEFINED,
+    CAT_NON_EIGEN: CATEGORY_NON_EIGEN,
+}
+
+#: annotation of each class index; 0 = unclassifiable
+CLASS_ANNOTATIONS = ("unclassifiable", "single-helicity", "single-helicity",
+                     "single-helicity", "dual-helicity", "dual-helicity",
+                     "Not well defined")
+#: CAT_* code each class index predicts; -1 for 0, which predicts none
+CLASS_CATEGORIES = np.array([-1, CAT_SINGLE, CAT_SINGLE, CAT_SINGLE, CAT_DUAL,
+                             CAT_DUAL, CAT_NOT_WELL_DEFINED], dtype=np.int8)
+CLASS_CATEGORIES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -44,13 +65,7 @@ class LounestoClass:
 
     @property
     def annotation(self) -> str:
-        if self.index in (1, 2, 3):
-            return ANNOTATION_SINGLE
-        if self.index in (4, 5):
-            return ANNOTATION_DUAL
-        if self.index == 6:
-            return ANNOTATION_CLASS6
-        return ANNOTATION_NONE
+        return CLASS_ANNOTATIONS[self.index or 0]
 
 
 def _zero_scalar(x, scale):
@@ -90,17 +105,6 @@ def lounesto_class(bset: BilinearSet,
     return LounestoClass(int(idx) if idx != 0 else None)
 
 
-RIGHT_PLUS = "plus"
-RIGHT_MINUS = "minus"
-NULL_BLOCK = "null-block"
-NOT_EIGEN = "not-eigen"
-
-CATEGORY_SINGLE = "single"
-CATEGORY_DUAL = "dual"
-CATEGORY_NOT_WELL_DEFINED = "not-well-defined"
-CATEGORY_NON_EIGEN = "non-eigen"
-
-
 @dataclass(frozen=True)
 class HelicityProfile:
     """Helicity verdict of each chiral block along a supplied direction.
@@ -108,24 +112,17 @@ class HelicityProfile:
     A block is a null block when its squared norm is below
     eps_class * psi^dag psi; otherwise it is plus/minus when the relative
     eigen-residual against sigma.n is below eps_helicity, else not-eigen.
-    Residuals are NaN for null blocks.  For a class-6 spinor the nonzero
-    block's helicity is still reported per block even though the category
-    stays not-well-defined.
+    Residuals are NaN for null blocks.  ``category`` is the name of the
+    :func:`helicity_categories` code of the two blocks.  For a class-6
+    spinor the nonzero block's helicity is still reported per block even
+    though the category stays not-well-defined.
     """
 
     right: str
     left: str
     right_residual: float
     left_residual: float
-
-    @property
-    def category(self) -> str:
-        if (self.right == NULL_BLOCK) != (self.left == NULL_BLOCK):
-            return CATEGORY_NOT_WELL_DEFINED
-        eigen = {RIGHT_PLUS, RIGHT_MINUS}
-        if self.right in eigen and self.left in eigen:
-            return CATEGORY_SINGLE if self.right == self.left else CATEGORY_DUAL
-        return CATEGORY_NON_EIGEN
+    category: str
 
 
 def helicity_profiles(psis: np.ndarray, theta, phi,
@@ -169,19 +166,10 @@ def helicity_profiles(psis: np.ndarray, theta, phi,
     return rstate, lstate, rres, lres
 
 
-#: integer category codes used by the batch helpers
-CAT_SINGLE, CAT_DUAL, CAT_NOT_WELL_DEFINED, CAT_NON_EIGEN = 0, 1, 2, 3
-CATEGORY_NAMES = {
-    CAT_SINGLE: CATEGORY_SINGLE,
-    CAT_DUAL: CATEGORY_DUAL,
-    CAT_NOT_WELL_DEFINED: CATEGORY_NOT_WELL_DEFINED,
-    CAT_NON_EIGEN: CATEGORY_NON_EIGEN,
-}
-
-
 def helicity_categories(rstate, lstate) -> np.ndarray:
-    """Category codes from batch block states (same rules as the scalar
-    :class:`HelicityProfile`.category)."""
+    """Category codes from block states: single or dual when both blocks
+    are eigen with equal or opposite helicity, not-well-defined when
+    exactly one block is null, else non-eigen."""
     rstate = np.asarray(rstate)
     lstate = np.asarray(lstate)
     out = np.full(len(rstate), CAT_NON_EIGEN, dtype=np.int8)
@@ -219,7 +207,7 @@ def analyze(psis: np.ndarray, theta=None, phi=None,
     return Analysis(classes, categories, fpk_max)
 
 
-_STATE_NAME = {0: NULL_BLOCK, 1: RIGHT_PLUS, -1: RIGHT_MINUS, 2: NOT_EIGEN}
+_STATE_NAME = {0: "null-block", 1: "plus", -1: "minus", 2: "not-eigen"}
 
 
 def helicity_profile(psi: BiSpinor, theta: float, phi: float,
@@ -231,15 +219,9 @@ def helicity_profile(psi: BiSpinor, theta: float, phi: float,
         psi.array[None, :], np.array([theta]), np.array([phi]), tol
     )
     return HelicityProfile(
-        _STATE_NAME[int(rs[0])], _STATE_NAME[int(ls[0])], float(rr[0]), float(lr[0])
+        _STATE_NAME[int(rs[0])], _STATE_NAME[int(ls[0])], float(rr[0]), float(lr[0]),
+        CATEGORY_NAMES[int(helicity_categories(rs, ls)[0])],
     )
-
-
-_CATEGORY_FOR_ANNOTATION = {
-    ANNOTATION_SINGLE: CATEGORY_SINGLE,
-    ANNOTATION_DUAL: CATEGORY_DUAL,
-    ANNOTATION_CLASS6: CATEGORY_NOT_WELL_DEFINED,
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,10 +261,10 @@ def classify_report(psi: BiSpinor,
         findings.append("no direction supplied; helicity profile skipped")
     else:
         profile = helicity_profile(psi, direction[0], direction[1], tol)
-        expected = _CATEGORY_FOR_ANNOTATION.get(cls.annotation)
+        expected = int(CLASS_CATEGORIES[cls.index or 0])
         if profile.category == CATEGORY_NON_EIGEN:
             findings.append("helicity not aligned with supplied direction")
-        elif expected is not None and profile.category != expected:
+        elif expected >= 0 and profile.category != CATEGORY_NAMES[expected]:
             findings.append(
                 f"class annotation '{cls.annotation}' does not match measured "
                 f"helicity category '{profile.category}'"

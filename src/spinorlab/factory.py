@@ -59,7 +59,6 @@ class Provenance:
     momentum: Optional[FourMomentum] = None
     rest_right: Optional[tuple[complex, complex]] = None
     rest_left: Optional[tuple[complex, complex]] = None
-    helicities: Optional[tuple[Optional[int], Optional[int]]] = None
 
     @property
     def direction(self) -> Optional[tuple[float, float]]:
@@ -244,7 +243,7 @@ def build_single_helicity(pair: str, a: complex, c: complex,
     arr, _, _ = single_helicity_batch(*_rows(h, a, c, theta, phi))
     return _spinor(
         arr, family="single_helicity", params={"pair": pair, "a": a, "c": c},
-        theta=theta, phi=phi, helicities=(h, h))
+        theta=theta, phi=phi)
 
 
 def build_dual_helicity(pair: str, a: complex, c: complex,
@@ -266,7 +265,7 @@ def build_dual_helicity(pair: str, a: complex, c: complex,
     arr, _, _ = dual_helicity_batch(*_rows(hr, a, c, theta, phi))
     return _spinor(
         arr, family="dual_helicity", params={"pair": pair, "a": a, "c": c},
-        theta=theta, phi=phi, helicities=(hr, hl))
+        theta=theta, phi=phi)
 
 
 def dual_helicity_partner_batch(sign, a, c, theta, phi, m, pmag):
@@ -350,8 +349,7 @@ def build_self_conjugate(sign: int, c: complex, d: complex) -> BiSpinor:
     arr, theta, phi = self_conjugate_batch(*_rows(sign, c, d))
     return _spinor(
         arr, family="self_conjugate", params={"sign": sign, "c": c, "d": d},
-        theta=float(theta[0]), phi=float(phi[0]),
-        helicities=(-1, 1))  # left block sets the axis; Theta-conjugation flips it
+        theta=float(theta[0]), phi=float(phi[0]))
 
 
 def weyl_batch(right, b0, b1):
@@ -382,8 +380,7 @@ def build_weyl(which: str, block) -> BiSpinor:
     arr, theta, phi = weyl_batch(*_rows(which == "right", b0, b1))
     return _spinor(
         arr, family="weyl", params={"which": which, "block": (b0, b1)},
-        theta=float(theta[0]), phi=float(phi[0]),
-        helicities=(1, None) if which == "right" else (None, 1))
+        theta=float(theta[0]), phi=float(phi[0]))
 
 
 def parity_linked_batch(helicity, m, pmag, theta, phi, phase=None):
@@ -409,7 +406,7 @@ def build_parity_linked(helicity: int, p: FourMomentum,
                                            spec.resolved_phase))
     return BiSpinor.from_array(arr[0], Provenance(
         "parity_linked", {"helicity": helicity, "phase": spec.resolved_phase},
-        p.theta, p.phi, p, rest, rest, (helicity, helicity)))
+        p.theta, p.phi, p, rest, rest))
 
 
 def boost_bispinor_batch(psis, m, pmag, theta, phi) -> np.ndarray:

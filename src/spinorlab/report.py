@@ -173,7 +173,9 @@ def _human_lines(obj, prefix: str) -> list:
         for key in sorted(obj, key=str):
             value = obj[key]
             label = f"{prefix}{key}"
-            if isinstance(value, dict):
+            if isinstance(value, dict) or (
+                    isinstance(value, (list, tuple))
+                    and any(isinstance(v, dict) for v in value)):
                 lines.extend(_human_lines(value, label + "."))
             else:
                 lines.append(f"  {label}: {_human_value(value)}")

@@ -132,11 +132,14 @@ def charge_conjugate(psi: BiSpinor) -> BiSpinor:
 
 def _phase_alignment(x: complex, y: complex) -> float:
     # 0 when x and y share a phase (magnitudes ignored); in [0, 2]
-    ax, ay = abs(x), abs(y)
-    if ax == 0.0 and ay == 0.0:
+    if x == 0 and y == 0:
         return 0.0
-    if ax == 0.0 or ay == 0.0:
+    if x == 0 or y == 0:
         return 1.0
+    # each scaled near 1 by its own power of two, so that ax * ay cannot
+    # underflow; exact, so an in-range ratio keeps its bits
+    x, y = (complex(z) for z in _pow2_scaled([[x], [y]])[:, 0])
+    ax, ay = abs(x), abs(y)
     return _ratio(abs(x * ay - y * ax), ax * ay, "C phase alignment")
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels, sampling
 from .algebra import boost_block_batch, gamma, gamma5
 from .bilinears import fpk_residuals_batch
-from .classify import CAT_DUAL, CAT_NOT_WELL_DEFINED, CAT_SINGLE, analyze
+from .classify import CLASS_CATEGORIES, analyze
 from .factory import (
     BiSpinor,
     boost_bispinor_batch,
@@ -113,11 +113,8 @@ def check_constructor_class_table(seed: int = 1, count: int = 10_000,
 def check_helicity_dichotomy(seed: int = 2, count: int = 10_000,
                              tol: Tolerances = DEFAULT_TOLERANCES) -> PropertyResult:
     """Measured helicity category matches the class annotation for every
-    constructor-generated spinor, at its own construction direction."""
-    # expected category by class index; unclassifiable (0) matches none
-    expected_cat = np.array([-1, CAT_SINGLE, CAT_SINGLE, CAT_SINGLE,
-                             CAT_DUAL, CAT_DUAL, CAT_NOT_WELL_DEFINED])
-
+    constructor-generated spinor, at its own construction direction;
+    unclassifiable rows match no category."""
     def run():
         rng = sampling.rng_for(seed)
         bad = 0
@@ -125,7 +122,7 @@ def check_helicity_dichotomy(seed: int = 2, count: int = 10_000,
         for family, draw in sampling.FAMILY_DRAWS.items():
             arr, theta, phi, _ = draw(rng, count)
             res = analyze(arr, theta, phi, tol)
-            miss = int(np.sum(res.categories != expected_cat[res.classes]))
+            miss = int(np.sum(res.categories != CLASS_CATEGORIES[res.classes]))
             bad += miss
             details.append(f"{family}: {miss}/{count} off")
         return bad, "; ".join(details)

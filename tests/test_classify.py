@@ -21,14 +21,12 @@ from spinorlab import (
 from spinorlab import kernels
 from spinorlab.bilinears import BilinearSet, fpk_residuals_batch
 from spinorlab.classify import (
-    ANNOTATION_CLASS6,
-    ANNOTATION_DUAL,
-    ANNOTATION_SINGLE,
     CATEGORY_DUAL,
+    CATEGORY_NAMES,
     CATEGORY_NON_EIGEN,
     CATEGORY_NOT_WELL_DEFINED,
     CATEGORY_SINGLE,
-    HelicityProfile,
+    CLASS_CATEGORIES,
     analyze,
     helicity_categories,
     lounesto_classes,
@@ -57,13 +55,25 @@ class TestLounestoClass:
             assert got == oracles.brute_force_class(psi.array)
 
     def test_annotations(self):
+        # Lounesto's table: regular classes carry a single helicity, the
+        # singular classes 4 and 5 a dual one, class 6 none that is defined;
+        # an unclassifiable pattern predicts no category
         from spinorlab import LounestoClass
 
-        for idx, note in [(1, ANNOTATION_SINGLE), (2, ANNOTATION_SINGLE),
-                          (3, ANNOTATION_SINGLE), (4, ANNOTATION_DUAL),
-                          (5, ANNOTATION_DUAL), (6, ANNOTATION_CLASS6)]:
+        table = {
+            None: ("unclassifiable", None),
+            1: ("single-helicity", "single"),
+            2: ("single-helicity", "single"),
+            3: ("single-helicity", "single"),
+            4: ("dual-helicity", "dual"),
+            5: ("dual-helicity", "dual"),
+            6: ("Not well defined", "not-well-defined"),
+        }
+        for idx, (note, category) in table.items():
             assert LounestoClass(idx).annotation == note
-        assert LounestoClass(None).annotation == "unclassifiable"
+            code = int(CLASS_CATEGORIES[idx or 0])
+            assert CATEGORY_NAMES.get(code) == category
+        assert len(CLASS_CATEGORIES) == len(table)
 
     def test_unclassifiable_pattern_returns_none(self):
         degenerate = BilinearSet(
@@ -143,20 +153,22 @@ class TestHelicityProfile:
         with pytest.raises(ZeroSpinorError):
             helicity_profile(BiSpinor(0, 0, 0, 0), 0.0, 0.0)
 
-    def test_batch_categories_agree_with_scalar_rule(self, rng):
-        states = rng.choice(np.array([0, 1, -1, 2], dtype=np.int8), size=(300, 2))
-        names = {0: "null-block", 1: "plus", -1: "minus", 2: "not-eigen"}
-        cats = helicity_categories(states[:, 0], states[:, 1])
-        lookup = {
-            CATEGORY_SINGLE: "single", CATEGORY_DUAL: "dual",
-            CATEGORY_NOT_WELL_DEFINED: "not-well-defined",
-            CATEGORY_NON_EIGEN: "non-eigen",
+    def test_category_of_every_block_state_pair(self):
+        # block states: 0 null, +1 plus, -1 minus, 2 not-eigen
+        table = {
+            (1, 1): "single", (-1, -1): "single",
+            (1, -1): "dual", (-1, 1): "dual",
+            (0, 1): "not-well-defined", (0, -1): "not-well-defined",
+            (0, 2): "not-well-defined", (1, 0): "not-well-defined",
+            (-1, 0): "not-well-defined", (2, 0): "not-well-defined",
+            (0, 0): "non-eigen", (2, 2): "non-eigen",
+            (1, 2): "non-eigen", (2, 1): "non-eigen",
+            (-1, 2): "non-eigen", (2, -1): "non-eigen",
         }
-        from spinorlab.classify import CATEGORY_NAMES
-
-        for (r, l), code in zip(states, cats):
-            prof = HelicityProfile(names[int(r)], names[int(l)], 0.0, 0.0)
-            assert prof.category == CATEGORY_NAMES[int(code)]
+        assert len(table) == 16
+        pairs = np.array(list(table), dtype=np.int8)
+        codes = helicity_categories(pairs[:, 0], pairs[:, 1])
+        assert [CATEGORY_NAMES[int(c)] for c in codes] == list(table.values())
 
 
 class TestClassifyReport:

@@ -60,3 +60,14 @@ def test_human_format_contains_annotation_strings():
     text = emit_human(report)
     assert "Not well defined" in text
     assert "[lounesto]" in text
+
+
+def test_human_format_recurses_into_lists_of_records():
+    report = {"verify": {"all_passed": True,
+                         "properties": [{"name": "klein-gordon", "worst": 0.5}],
+                         "seeds": [1, 2]}}
+    text = emit_human(report)
+    assert "  properties.0.name: klein-gordon\n" in text
+    assert "  properties.0.worst: 0.5\n" in text
+    assert "  seeds: [1, 2]\n" in text
+    assert "{'" not in text
