@@ -15,11 +15,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import sampling
 from .algebra import FourMomentum
-from .classify import CATEGORY_NAMES, analyze, classify_report
+from .classify import CATEGORY_NAMES, classify_report
 from .errors import JobError, SpinorError
 from .factory import (
     DEFAULT_PHASE_MINUS,
@@ -41,8 +39,7 @@ from .report import (
     emit_structured,
     symmetry_to_dict,
 )
-from .sampling import DRAW_ROWS, SAMPLE_BLOCK_ROWS
-from .symmetries import c_eigen_residuals, charge_conjugate_batch, symmetry_report
+from .symmetries import symmetry_report
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verification import run_verification_suite
 
@@ -398,80 +395,28 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
     return report, 0
 
 
-def _sample_blocks(family: str, rng, count: int):
-    """(block, theta, phi) for consecutive blocks of up to SAMPLE_BLOCK_ROWS
-    rows of the sample, theta and phi being None for random_raw.
-
-    The rows are drawn from ``rng`` DRAW_ROWS at a time and a constructor
-    family is built one block at a time, so memory does not grow with
-    ``count``.  random_raw rows do not depend on the chunk size; a
-    constructor family's do once ``count`` exceeds DRAW_ROWS, because each
-    chunk draws all of its parameters in turn.
-    """
-    for offset in range(0, count, DRAW_ROWS):
-        rows = min(DRAW_ROWS, count - offset)
-        if family == "random_raw":
-            arr = sampling.random_raw_spinors(rng, rows)
-            for start in range(0, rows, SAMPLE_BLOCK_ROWS):
-                yield arr[start:start + SAMPLE_BLOCK_ROWS], None, None
-        else:
-            params = sampling.FAMILY_PARAMS[family](rng, rows)
-            construct = sampling.FAMILY_CONSTRUCTORS[family]
-            for start in range(0, rows, SAMPLE_BLOCK_ROWS):
-                block = slice(start, start + SAMPLE_BLOCK_ROWS)
-                yield construct(**{key: value[block] for key, value in params.items()})
-        # release the chunk before the next one is drawn; a raw block is a
-        # view of it, so the caller drops its block too
-        arr = params = None
-
-
 def _run_sample(job: JobSpec) -> dict:
-    """Draw, construct and analyse the sample block by block; counts add up
-    and maxima combine in any order, so the report does not depend on the
-    analysis block size."""
-    rng = sampling.rng_for(job.seed)
-    n = job.count
-    tol = job.tolerances
-    raw = job.family == "random_raw"
-
-    class_counts = np.zeros(7, dtype=np.int64)
-    category_counts = np.zeros(len(CATEGORY_NAMES), dtype=np.int64)
-    fpk_max = np.full(3, -np.inf)
-    involution_max = 0.0
-    eigen_plus = eigen_minus = not_eigen = 0
-    for block, theta, phi in _sample_blocks(job.family, rng, n):
-        res = analyze(block, theta, phi, tol)
-        if not raw:
-            category_counts += np.bincount(res.categories,
-                                           minlength=len(CATEGORY_NAMES))
-        class_counts += np.bincount(res.classes, minlength=7)
-        fpk_max = np.maximum(fpk_max, res.fpk_max)
-
-        res_plus, res_minus = c_eigen_residuals(block)
-        involution_max = np.maximum(
-            involution_max,
-            np.max(np.abs(charge_conjugate_batch(charge_conjugate_batch(block)) - block)),
-        )
-        eigen_plus += int(np.count_nonzero(res_plus <= tol.exact))
-        eigen_minus += int(np.count_nonzero(res_minus <= tol.exact))
-        not_eigen += int(np.count_nonzero((res_plus > tol.exact) & (res_minus > tol.exact)))
-        del block  # see _sample_blocks
-
+    """The `sample` section of the job's campaign."""
+    result = sampling.campaign(job.family, sampling.rng_for(job.seed), job.count,
+                               job.tolerances)
+    class_counts = result.joint.sum(axis=1)
     classes = {str(idx): int(class_counts[idx]) for idx in range(1, 7)}
     classes["unclassifiable"] = int(class_counts[0])
     out: dict = {
         "family": job.family,
         "seed": job.seed,
-        "count": n,
+        "count": job.count,
         "class_counts": classes,
-        "fpk_max": [float(x) for x in fpk_max],
+        "fpk_max": [float(x) for x in result.fpk_max],
     }
-    if not raw:
+    if job.family != "random_raw":
+        category_counts = result.joint.sum(axis=0)
         out["helicity_category_counts"] = {
             name: int(category_counts[code]) for code, name in CATEGORY_NAMES.items()
         }
+    eigen_plus, eigen_minus, not_eigen = result.c_eigen
     out["charge_conjugation"] = {
-        "involution_max": float(involution_max),
+        "involution_max": result.involution_max,
         "eigen_plus": eigen_plus,
         "eigen_minus": eigen_minus,
         "not_eigen": not_eigen,

@@ -146,8 +146,11 @@ def _complex(re, im) -> np.ndarray:
 
 
 def _mul(z, wr, wi) -> np.ndarray:
-    # z * (wr + i wi) without fused multiply-add, as CPython rounds it
-    return _complex(z.real * wr - z.imag * wi, z.real * wi + z.imag * wr)
+    # z * (wr + i wi) without fused multiply-add, as CPython rounds it; out
+    # of range, a product comes out inf or nan without a warning, and the
+    # callers' finiteness guards name it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _complex(z.real * wr - z.imag * wi, z.real * wi + z.imag * wr)
 
 
 def _rows(*values):

@@ -16,33 +16,39 @@ documented in one place and a (seed, count) pair reproduces a run exactly:
 Each constructor family has a parameter draw, ``<family>_params``, which
 returns its batch constructor's per-row arguments as (N,) arrays keyed by
 argument name, and ``FAMILY_CONSTRUCTORS`` maps the family to that
-constructor.  Sample mode draws ``DRAW_ROWS`` rows of parameters at a time
-and constructs one ``SAMPLE_BLOCK_ROWS`` block at a time; a constructed row
-does not depend on the rows built with it.  The composed family draws,
-``draw_<family>``, return the constructor's ``(components, theta, phi)`` plus ``params``, the
-drawn arguments other than the direction.
+constructor.  :func:`campaign` is the one engine over them, behind sample
+mode and the verify class checks: it draws ``DRAW_ROWS`` rows at a time,
+constructs and analyses one ``SAMPLE_BLOCK_ROWS`` block at a time, and adds
+up a class x helicity-category table, the constraint maxima and the
+charge-conjugation counts.  A constructed row does not depend on the rows
+built with it.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
+from .classify import CATEGORY_NAMES, analyze
 from .factory import (
     dual_helicity_batch,
     self_conjugate_batch,
     single_helicity_batch,
     weyl_batch,
 )
+from .symmetries import c_eigen_residuals, charge_conjugate_batch
+from .tolerances import Tolerances
 
 MIN_RAW_NORM_SQ = 1e-6
 MIN_AMPLITUDE = 1e-3
 MIN_SIN_THETA = 1e-6
 STEER_MARGIN = 0.05
 
-# Rows handled at a time in sample mode: the batch constructors, the raw
+# Rows handled at a time in a campaign: the batch constructors, the raw
 # norm test and the analysis run one block at a time, which keeps their
 # per-row temporaries in cache and bounds their memory, whatever the count.
 SAMPLE_BLOCK_ROWS = 8192
-# Rows drawn at a time in sample mode, from the job's one generator, so that
+# Rows drawn at a time in a campaign, from its one generator, so that
 # memory does not grow with the count.  Chunks much larger than a block keep
 # glibc from returning the blocks' freed memory to the OS after every block:
 # drawing one block at a time took 116k minor page faults for 1e6 random_raw
@@ -199,29 +205,6 @@ def weyl_params(rng, count: int) -> dict:
     return {"right": right, "b0": b0, "b1": b1}
 
 
-def _construct(family: str, params: dict):
-    arr, theta, phi = FAMILY_CONSTRUCTORS[family](**params)
-    return (arr, theta, phi,
-            {key: value for key, value in params.items() if key not in ("theta", "phi")})
-
-
-def draw_single_helicity(rng, count: int, steer: int | None = None):
-    """Single-helicity draws; steer picks the targeted regular subclass."""
-    return _construct("single_helicity", single_helicity_params(rng, count, steer))
-
-
-def draw_dual_helicity(rng, count: int):
-    return _construct("dual_helicity", dual_helicity_params(rng, count))
-
-
-def draw_self_conjugate(rng, count: int):
-    return _construct("self_conjugate", self_conjugate_params(rng, count))
-
-
-def draw_weyl(rng, count: int):
-    return _construct("weyl", weyl_params(rng, count))
-
-
 # Plain dicts whose values are functions: callers look an entry up at call
 # time, so a function swapped into a dict (as a tracer does) is the one run.
 FAMILY_PARAMS = {
@@ -236,9 +219,65 @@ FAMILY_CONSTRUCTORS = {
     "self_conjugate": self_conjugate_batch,
     "weyl": weyl_batch,
 }
-FAMILY_DRAWS = {
-    "single_helicity": draw_single_helicity,
-    "dual_helicity": draw_dual_helicity,
-    "self_conjugate": draw_self_conjugate,
-    "weyl": draw_weyl,
-}
+
+
+class Campaign(NamedTuple):
+    """Aggregates of :func:`campaign`."""
+    joint: np.ndarray      # (7, ncat) int64 rows by class (0 = unclassifiable)
+                           # and CAT_* code; one column for random_raw
+    fpk_max: np.ndarray    # (3,) worst constraint residuals
+    involution_max: float  # worst |C(C psi) - psi| component
+    c_eigen: tuple         # rows with C = +1, C = -1 and neither, at tol.exact
+
+
+def campaign(family: str, rng, count: int, tol: Tolerances,
+             steer: int | None = None) -> Campaign:
+    """Draw, construct and analyse ``count`` rows of ``family`` from ``rng``.
+
+    Rows are drawn DRAW_ROWS at a time and built and analysed one
+    SAMPLE_BLOCK_ROWS block at a time, so memory does not grow with
+    ``count``; counts add up and maxima combine in any order, so no aggregate
+    depends on the block size.  random_raw rows do not depend on the chunk
+    size; a constructor family's do once ``count`` exceeds DRAW_ROWS, because
+    each chunk draws all of its parameters in turn.  ``steer`` is passed on
+    to :func:`single_helicity_params`.
+    """
+    raw = family == "random_raw"
+    extra = {} if steer is None else {"steer": steer}
+    joint = np.zeros((7, 1 if raw else len(CATEGORY_NAMES)), dtype=np.int64)
+    fpk_max = np.full(3, -np.inf)
+    involution_max = 0.0
+    eigen_plus = eigen_minus = not_eigen = 0
+    for offset in range(0, count, DRAW_ROWS):
+        rows = min(DRAW_ROWS, count - offset)
+        if raw:
+            chunk = random_raw_spinors(rng, rows)
+        else:
+            params = FAMILY_PARAMS[family](rng, rows, **extra)
+            construct = FAMILY_CONSTRUCTORS[family]
+        for start in range(0, rows, SAMPLE_BLOCK_ROWS):
+            if raw:
+                block, theta, phi = chunk[start:start + SAMPLE_BLOCK_ROWS], None, None
+            else:
+                block, theta, phi = construct(**{
+                    key: value[start:start + SAMPLE_BLOCK_ROWS]
+                    for key, value in params.items()})
+            res = analyze(block, theta, phi, tol)
+            cells = res.classes if raw else res.classes * joint.shape[1] + res.categories
+            joint += np.bincount(cells, minlength=joint.size).reshape(joint.shape)
+            fpk_max = np.maximum(fpk_max, res.fpk_max)
+
+            res_plus, res_minus = c_eigen_residuals(block)
+            involution_max = np.maximum(
+                involution_max,
+                np.max(np.abs(charge_conjugate_batch(charge_conjugate_batch(block)) - block)),
+            )
+            eigen_plus += int(np.count_nonzero(res_plus <= tol.exact))
+            eigen_minus += int(np.count_nonzero(res_minus <= tol.exact))
+            not_eigen += int(np.count_nonzero((res_plus > tol.exact) & (res_minus > tol.exact)))
+            del block
+        # release the chunk before the next one is drawn; a raw block is a
+        # view of it, so the block above goes first
+        chunk = params = None
+    return Campaign(joint, fpk_max, float(involution_max),
+                    (eigen_plus, eigen_minus, not_eigen))

@@ -279,7 +279,7 @@ def dirac_residuals(psis, m, pmag, theta, phi, sign=1) -> np.ndarray:
     m, pmag = _pow2_mass(m, pmag)
     e, px, py, pz = momentum_components(m, pmag, theta, phi)
     out = kernels.dirac_apply_shift(arr, e, m, px, py, pz, sign * m)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return np.linalg.norm(out, axis=1) / (m * np.linalg.norm(arr, axis=1))
 
 

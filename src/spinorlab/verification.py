@@ -23,13 +23,15 @@ import numpy as np
 from . import kernels, sampling
 from .algebra import boost_block_batch, gamma, gamma5
 from .bilinears import fpk_residuals_batch
-from .classify import CLASS_CATEGORIES, analyze
+from .classify import CLASS_CATEGORIES
 from .factory import (
     BiSpinor,
     boost_bispinor_batch,
     dual_helicity_batch,
     dual_helicity_partner_batch,
     parity_linked_batch,
+    self_conjugate_batch,
+    single_helicity_batch,
 )
 from .symmetries import (
     c_eigen_check,
@@ -75,9 +77,9 @@ def check_fpk_identities(seed: int = 0, count: int = 100_000,
 
 
 _FAMILY_EXPECTED_CLASSES = {
-    "dual_helicity": {4, 5},
-    "self_conjugate": {5},
-    "weyl": {6},
+    "dual_helicity": [4, 5],
+    "self_conjugate": [5],
+    "weyl": [6],
 }
 
 
@@ -91,15 +93,13 @@ def check_constructor_class_table(seed: int = 1, count: int = 10_000,
         details = []
         slices = [count - 2 * (count // 3), count // 3, count // 3]
         for target, n in zip((1, 2, 3), slices):
-            arr, _, _, _ = sampling.draw_single_helicity(rng, n, steer=target)
-            got = analyze(arr, tol=tol).classes
-            miss = int(np.sum(got != target))
+            joint = sampling.campaign("single_helicity", rng, n, tol, steer=target).joint
+            miss = n - int(joint[target].sum())
             bad += miss
             details.append(f"single->{target}: {miss}/{n} off")
         for family, expected in _FAMILY_EXPECTED_CLASSES.items():
-            arr, _, _, _ = sampling.FAMILY_DRAWS[family](rng, count)
-            got = analyze(arr, tol=tol).classes
-            miss = int(np.sum(~np.isin(got, list(expected))))
+            joint = sampling.campaign(family, rng, count, tol).joint
+            miss = count - int(joint[expected].sum())
             bad += miss
             details.append(f"{family}: {miss}/{count} off")
         return bad, "; ".join(details)
@@ -119,17 +119,16 @@ def check_helicity_dichotomy(seed: int = 2, count: int = 10_000,
         rng = sampling.rng_for(seed)
         bad = 0
         details = []
-        for family, draw in sampling.FAMILY_DRAWS.items():
-            arr, theta, phi, _ = draw(rng, count)
-            res = analyze(arr, theta, phi, tol)
-            miss = int(np.sum(res.categories != CLASS_CATEGORIES[res.classes]))
+        for family in sampling.FAMILY_PARAMS:
+            joint = sampling.campaign(family, rng, count, tol).joint
+            miss = count - sum(int(joint[c, CLASS_CATEGORIES[c]]) for c in range(1, 7))
             bad += miss
             details.append(f"{family}: {miss}/{count} off")
         return bad, "; ".join(details)
 
     (bad, details), dt = _timed(run)
     return PropertyResult("helicity-dichotomy", bad == 0, float(bad), 0.0,
-                          count * len(sampling.FAMILY_DRAWS), dt, details)
+                          count * len(sampling.FAMILY_PARAMS), dt, details)
 
 
 def check_parity_dirac_link(seed: int = 3, count: int = 10_000,
@@ -200,11 +199,11 @@ def check_charge_conjugation(seed: int = 5, count: int = 10_000,
             np.max(np.abs(charge_conjugate_batch(charge_conjugate_batch(raw)) - raw))
         )
 
-        arr, _, _, params = sampling.draw_self_conjugate(rng, count)
-        res_plus, res_minus = c_eigen_residuals(arr)
+        params = sampling.self_conjugate_params(rng, count)
+        res_plus, res_minus = c_eigen_residuals(self_conjugate_batch(**params)[0])
         eigen_worst = float(np.max(np.where(params["sign"] == 1, res_plus, res_minus)))
 
-        sarr, _, _, _ = sampling.draw_single_helicity(rng, count)
+        sarr, _, _ = single_helicity_batch(**sampling.single_helicity_params(rng, count))
         single_min = float(np.min(np.minimum(*c_eigen_residuals(sarr))))
 
         fixture = BiSpinor(-2j, 1j, 1.0, 1.0)

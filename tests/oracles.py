@@ -2,9 +2,13 @@
 
 Everything here is written from hard-coded matrix literals, on purpose: the
 production code derives its operators from Pauli blocks, so agreement
-between the two routes checks the conventions end to end.
+between the two routes checks the conventions end to end.  The one
+exception is :func:`family_draw`, a whole-array reference draw that the
+block-wise campaign engine and the constructors are checked against.
 """
 import numpy as np
+
+from spinorlab import sampling
 
 GAMMA0 = np.array(
     [[0, 0, 1, 0],
@@ -114,3 +118,13 @@ def dirac_operator(m, pmag, theta, phi):
     pvec = pmag * np.array(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     return e * GAMMA0 - (pvec[0] * GAMMA1 + pvec[1] * GAMMA2 + pvec[2] * GAMMA3)
+
+
+def family_draw(family, rng, count, **extra):
+    """(components, theta, phi, params) of ``count`` rows of a constructor
+    family: its parameter draw then its batch constructor over every row at
+    once; ``params`` holds the drawn arguments other than the direction."""
+    params = sampling.FAMILY_PARAMS[family](rng, count, **extra)
+    arr, theta, phi = sampling.FAMILY_CONSTRUCTORS[family](**params)
+    return arr, theta, phi, {key: value for key, value in params.items()
+                             if key not in ("theta", "phi")}

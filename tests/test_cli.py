@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from spinorlab import sampling
 from spinorlab.classify import CATEGORY_NAMES, analyze
-from spinorlab.cli import DRAW_ROWS, SAMPLE_BLOCK_ROWS, _run_sample, main, parse_job, run_job
+from spinorlab.cli import _run_sample, main, parse_job, run_job
 from spinorlab.errors import JobError
 from spinorlab.report import emit_structured
+from spinorlab.sampling import DRAW_ROWS, SAMPLE_BLOCK_ROWS
 from spinorlab.symmetries import charge_conjugate_batch
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -422,6 +424,30 @@ def test_extreme_scales_end_in_report_or_domain_error(name, tmp_path, capsys):
             assert EXTREME_SCALE_MESSAGES[name] in error["message"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflow_before_a_domain_error_stays_silent(tmp_path, capsys):
+    # the Dirac residual's norm over m |psi| overflows at pmag = 1.7e308, and
+    # c times a helicity fraction above 1 overflows in the constructor; in
+    # both a finiteness guard follows and names the failure
+    docs = [
+        {"mode": "symmetries",
+         "spinor": {"family": "self_conjugate", "sign": 1, "c": [1, 0], "d": [0.5, 0.2]},
+         "momentum": {"m": 1, "pmag": 1.7e308}},
+        {"mode": "symmetries",
+         "spinor": {"family": "dual_helicity", "pair": "+-", "a": [1, 0],
+                    "c": [1.7e308, 1.7e308], "theta": 0.7, "phi": 2.3},
+         "momentum": {"m": 1, "pmag": 1}},
+    ]
+    path = tmp_path / "job.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--job", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert (error["type"], error["exit_code"]) == ("domain", 3)
+
+
 @pytest.mark.parametrize("name", [f"class{i}" for i in range(1, 7)])
 def test_golden_reports(name):
     job_path = GOLDEN_DIR / f"{name}.job.json"
@@ -534,7 +560,7 @@ def _whole_array_sample(job):
     if job.family == "random_raw":
         arr = sampling.random_raw_spinors(rng, job.count)
     else:
-        arr, theta, phi, _ = sampling.FAMILY_DRAWS[job.family](rng, job.count)
+        arr, theta, phi, _ = oracles.family_draw(job.family, rng, job.count)
     return _one_pass_sample(job, arr, theta, phi)
 
 
@@ -548,7 +574,7 @@ def _chunkwise_draw_sample(job):
         if job.family == "random_raw":
             parts.append((sampling.random_raw_spinors(rng, rows), None, None))
         else:
-            parts.append(sampling.FAMILY_DRAWS[job.family](rng, rows)[:3])
+            parts.append(oracles.family_draw(job.family, rng, rows)[:3])
     arr, theta, phi = (None if part[0] is None else np.concatenate(part)
                        for part in zip(*parts))
     return _one_pass_sample(job, arr, theta, phi)

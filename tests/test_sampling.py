@@ -23,6 +23,7 @@ from spinorlab.factory import (
     dual_helicity_partner_batch,
     parity_linked_batch,
 )
+from spinorlab.tolerances import DEFAULT_TOLERANCES
 
 
 def test_raw_spinors_are_the_drawn_pairs_bit_for_bit():
@@ -49,7 +50,7 @@ DRAW_PARAMS_SHA256 = {
 
 @pytest.mark.parametrize("family", DRAW_PARAMS_SHA256)
 def test_draw_params_pinned(family):
-    *_, params = sampling.FAMILY_DRAWS[family](sampling.rng_for(7), 2000)
+    *_, params = oracles.family_draw(family, sampling.rng_for(7), 2000)
     digest = hashlib.sha256()
     for key in sorted(params):
         digest.update(key.encode())
@@ -62,13 +63,12 @@ def test_draw_params_pinned(family):
     ("single_helicity", 3), ("dual_helicity", None), ("self_conjugate", None),
     ("weyl", None)])
 def test_draws_are_param_draws_then_blockwise_construction(family, steer):
-    # sample mode draws the parameters whole and constructs them one block
-    # at a time; the composed whole-array draw must give the same bits
+    # a campaign draws the parameters whole and constructs them one block
+    # at a time; the whole-array reference draw must give the same bits
     block_rows = sampling.SAMPLE_BLOCK_ROWS
     n = 2 * block_rows + 3
     extra = {} if steer is None else {"steer": steer}
-    arr, theta, phi, params = sampling.FAMILY_DRAWS[family](
-        sampling.rng_for(31), n, **extra)
+    arr, theta, phi, params = oracles.family_draw(family, sampling.rng_for(31), n, **extra)
     drawn = sampling.FAMILY_PARAMS[family](sampling.rng_for(31), n, **extra)
     construct = sampling.FAMILY_CONSTRUCTORS[family]
     blocks = [construct(**{key: value[start:start + block_rows]
@@ -148,8 +148,8 @@ def test_steered_amplitudes_patterns():
 
 def test_family_draws_carry_directions():
     # each nonzero block is a sigma.n eigenvector along its row's direction
-    for name, draw in sampling.FAMILY_DRAWS.items():
-        arr, theta, phi, params = draw(sampling.rng_for(11), 50)
+    for name in sampling.FAMILY_PARAMS:
+        arr, theta, phi, params = oracles.family_draw(name, sampling.rng_for(11), 50)
         assert arr.shape == (50, 4) and arr.dtype == complex
         assert theta.shape == phi.shape == (50,)
         assert all(np.shape(v) == (50,) for v in params.values())
@@ -195,8 +195,8 @@ def _python_components(family, p, theta, phi):
 
 
 def test_batch_rows_match_python_complex_formulas():
-    for family, draw in sampling.FAMILY_DRAWS.items():
-        arr, theta, phi, params = draw(sampling.rng_for(23), 200)
+    for family in sampling.FAMILY_PARAMS:
+        arr, theta, phi, params = oracles.family_draw(family, sampling.rng_for(23), 200)
         for i in range(200):
             row = {key: value[i].item() for key, value in params.items()}
             want = _python_components(family, row, float(theta[i]), float(phi[i]))
@@ -211,8 +211,8 @@ def test_scalar_constructors_are_the_batch_rows():
     # the scalar build_* on a row's inputs gives that row bit for bit,
     # signed zeros included, and so do the boost and the partner
     n = 200
-    for family, draw in sampling.FAMILY_DRAWS.items():
-        arr, theta, phi, params = draw(sampling.rng_for(21), n)
+    for family in sampling.FAMILY_PARAMS:
+        arr, theta, phi, params = oracles.family_draw(family, sampling.rng_for(21), n)
         for i in range(n):
             row = {key: value[i] for key, value in params.items()}
             psi = _scalar_build(family, row, float(theta[i]), float(phi[i]))
@@ -220,7 +220,7 @@ def test_scalar_constructors_are_the_batch_rows():
             assert (psi.provenance.theta, psi.provenance.phi) == (theta[i], phi[i])
 
     rng = sampling.rng_for(22)
-    arr, theta, phi, params = sampling.draw_dual_helicity(rng, n)
+    arr, theta, phi, params = oracles.family_draw("dual_helicity", rng, n)
     m, pmag, _, _ = sampling.random_momenta(rng, n)
     boosted = boost_bispinor_batch(arr, m, pmag, theta, phi)
     partners, _, _ = dual_helicity_partner_batch(params["sign"], params["a"],
@@ -241,3 +241,13 @@ def test_scalar_constructors_are_the_batch_rows():
 def test_unit_phases():
     z = sampling.random_unit_phases(sampling.rng_for(12), 1000)
     np.testing.assert_allclose(np.abs(z), 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("steer", [1, 2, 3])
+def test_campaign_steers_every_row_across_draw_chunks(steer):
+    # two draw chunks, the second of 5 rows: each draws its steered
+    # amplitudes anew, and every row lands in the targeted class
+    count = sampling.DRAW_ROWS + 5
+    joint = sampling.campaign("single_helicity", sampling.rng_for(41), count,
+                              DEFAULT_TOLERANCES, steer=steer).joint
+    assert joint[steer].sum() == joint.sum() == count

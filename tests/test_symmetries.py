@@ -35,7 +35,7 @@ from spinorlab import (
 )
 from spinorlab import kernels
 from spinorlab.algebra import momentum_components
-from spinorlab.sampling import draw_self_conjugate, random_raw_spinors
+from spinorlab.sampling import random_raw_spinors
 from spinorlab.symmetries import (
     _pow2_mass,
     _pow2_scaled,
@@ -108,7 +108,7 @@ class TestChargeConjugation:
 
     def test_fused_eigen_residuals_match_the_norm_form(self, rng):
         raw = random_raw_spinors(rng, 4096)
-        conj, _, _, params = draw_self_conjugate(rng, 4096)
+        conj, _, _, params = oracles.family_draw("self_conjugate", rng, 4096)
         rows = np.concatenate([raw, conj])
         res_plus, res_minus = c_eigen_residuals(rows)
 
