@@ -448,6 +448,115 @@ def test_overflow_before_a_domain_error_stays_silent(tmp_path, capsys):
         assert (error["type"], error["exit_code"]) == ("domain", 3)
 
 
+_RAW = {"components": [[1, 0], [0, 0], [1, 0], [0, 0]]}
+_AXIS = {"m": 1, "pmag": 2, "theta": 0.5, "phi": 0.0}
+_SINGLE = {"family": "single_helicity", "pair": "++", "a": [1, 0], "c": [1, 0],
+           "theta": 1.0, "phi": 0.0}
+_PARITY = {"family": "parity_linked", "helicity": 1}
+_SELF_CONJUGATE = {"family": "self_conjugate", "sign": 1, "c": [1, 0], "d": [0.5, 0.5]}
+_WEYL = {"family": "weyl", "side": "right", "block": [[1, 0], [0, 0]]}
+
+
+def _spinor_job(spinor, **rest):
+    return {"mode": "classify", "spinor": spinor, **rest}
+
+
+# one document per input check of the job parser, with the message it gives
+JOB_INPUT_ERRORS = {
+    "format": ({"mode": "verify", "format": "xml"},
+               "format: must be 'structured' or 'human', got 'xml'"),
+    "seed-negative": ({"mode": "verify", "seed": -1}, "seed: must be nonnegative"),
+    "seed-float": ({"mode": "verify", "seed": 1.5},
+                   "seed: expected an integer, got 1.5"),
+    "tolerances-list": ({"mode": "verify", "tolerances": [1]},
+                        "tolerances: expected an object, got list"),
+    "tolerances-zero": ({"mode": "verify", "tolerances": {"epsilon_class": 0}},
+                        "tolerances: thresholds must be positive"),
+    "tolerances-string": ({"mode": "verify", "tolerances": {"epsilon_helicity": "small"}},
+                          "tolerances.epsilon_helicity: expected a number, got 'small'"),
+    "zeta1-not-unit": ({"mode": "verify", "phases": {"zeta1": [2, 0]}},
+                       "phases.zeta1: must be a unit phase"),
+    "zeta1-not-pair": ({"mode": "verify", "phases": {"zeta1": [1]}},
+                       "phases.zeta1: expected a complex number as [re, im]"),
+    "infinity": ({"mode": "verify", "phases": {"theta1": math.inf}},
+                 "phases.theta1: number must be finite"),
+    "array-document": ([{"mode": "verify"}], "job document must be a JSON object"),
+    "spinor-missing": ({"mode": "classify"}, "spinor: required in classify mode"),
+    "boost-not-bool": (_spinor_job(_RAW, boost=1), "boost: must be true or false"),
+    "boost-without-momentum": (_spinor_job(_RAW, boost=True),
+                               "momentum: required to build a boosted spinor"),
+    "boosted-parity-linked": (_spinor_job(_PARITY, boost=True, momentum=_AXIS),
+                              "boost: parity_linked spinors are built boosted already"),
+    "sample-count-zero": ({"mode": "sample", "family": "weyl", "count": 0},
+                          "count: must be at least 1 in sample mode"),
+    "three-components": (_spinor_job({"components": [[1, 0], [0, 0], [1, 0]]}),
+                         "spinor.components: expected four [re, im] pairs"),
+    "unknown-family": (_spinor_job({"family": "majorana"}),
+                       "spinor.family: unknown family 'majorana' (known: single_helicity, "
+                       "dual_helicity, self_conjugate, weyl, singular_form, parity_linked)"),
+    "single-helicity-missing-phi": (
+        _spinor_job({k: v for k, v in _SINGLE.items() if k != "phi"}),
+        "spinor: single_helicity requires 'phi'"),
+    "self-conjugate-missing-d": (
+        _spinor_job({"family": "self_conjugate", "sign": 1, "c": [1, 0]}),
+        "spinor: self_conjugate requires 'd'"),
+    "singular-form-missing-d": (
+        _spinor_job({"family": "singular_form", "b": [1, 0], "c": [0, 0]}),
+        "spinor: singular_form requires 'd'"),
+    "dual-helicity-pair": (_spinor_job({**_SINGLE, "family": "dual_helicity"}),
+                           "spinor.pair: must be one of ('+-', '-+'), got '++'"),
+    "sign-two": (_spinor_job({**_SELF_CONJUGATE, "sign": 2}),
+                 "spinor.sign: must be 1 or -1, got 2"),
+    "sign-bool": ({"mode": "symmetries", "spinor": {**_SELF_CONJUGATE, "sign": True},
+                   "momentum": {"m": 1, "pmag": 2}},
+                  "spinor.sign: must be 1 or -1, got True"),
+    "side": (_spinor_job({**_WEYL, "side": "up"}),
+             "spinor.side: must be 'right' or 'left', got 'up'"),
+    "one-pair-block": (_spinor_job({**_WEYL, "block": [[1, 0]]}),
+                       "spinor.block: expected two [re, im] pairs"),
+    "helicity-zero": (_spinor_job({**_PARITY, "helicity": 0}, momentum=_AXIS),
+                      "spinor.helicity: must be 1 or -1, got 0"),
+    "helicity-bool": (_spinor_job({**_PARITY, "helicity": True}, momentum=_AXIS),
+                      "spinor.helicity: must be 1 or -1, got True"),
+    "phase-string": (_spinor_job({**_PARITY, "phase": "pi"}, momentum=_AXIS),
+                     "spinor.phase: expected a number, got 'pi'"),
+    "amplitude-part-string": (_spinor_job({**_SINGLE, "a": [1, "x"]}),
+                              "spinor.a[1]: expected a number, got 'x'"),
+    "momentum-list": (_spinor_job(_RAW, momentum=[1]),
+                      "momentum: expected an object, got list"),
+    "mass-missing": (_spinor_job(_RAW, momentum={"pmag": 1, "theta": 0, "phi": 0}),
+                     "momentum.m: mass is required"),
+    "mass-negative": (_spinor_job(_RAW, momentum={**_AXIS, "m": -1}),
+                      "momentum: m and pmag must be nonnegative"),
+    "theta-without-phi": (_spinor_job(_SINGLE, momentum={"m": 1, "theta": 0.5}),
+                          "momentum: theta and phi must be given together"),
+    "no-default-direction": (_spinor_job(_RAW, momentum={"m": 1}),
+                             "momentum: theta/phi required: the spinor carries no "
+                             "direction to default to"),
+}
+
+
+@pytest.mark.parametrize("name", JOB_INPUT_ERRORS)
+def test_job_input_errors_exit_2_with_their_message(name, tmp_path, capsys):
+    doc, message = JOB_INPUT_ERRORS[name]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--job", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"type": "input", "message": message, "exit_code": 2}}
+
+
+def test_unreadable_job_file_and_non_object_document_are_input_errors(tmp_path, capsys):
+    assert main(["--job", str(tmp_path / "missing.json")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "input"
+    assert error["message"].startswith("cannot read job file: ")
+    with pytest.raises(JobError, match="^expected an object, got list$"):
+        parse_job([])
+
+
 @pytest.mark.parametrize("name", [f"class{i}" for i in range(1, 7)])
 def test_golden_reports(name):
     job_path = GOLDEN_DIR / f"{name}.job.json"
