@@ -129,8 +129,10 @@ def helicity_profiles(psis: np.ndarray, theta, phi,
                       tol: Tolerances = DEFAULT_TOLERANCES):
     """Vectorized block verdicts.
 
-    Returns (right_state, left_state, right_res, left_res) where states are
-    int8 codes: 0 null, +1 plus, -1 minus, 2 not-eigen.
+    Returns (right_state, left_state, right_rel, left_rel).  States are int8
+    codes: 0 null, +1 plus, -1 minus, 2 not-eigen.  Each ``*_rel`` is the
+    block's (rel_plus, rel_minus) pair of eigen-residuals relative to its
+    norm; they mean nothing for a null block.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -143,27 +145,19 @@ def helicity_profiles(psis: np.ndarray, theta, phi,
     null_scale = np.sqrt(tol.eps_class * total)
 
     def _block(res_p, res_m, nrm):
-        state = np.full(len(nrm), 2, dtype=np.int8)
-        res = np.full(len(nrm), np.nan)
         null = nrm <= null_scale
-        state[null] = 0
-        live = ~null
         with np.errstate(invalid="ignore", divide="ignore"):
-            rel_p = np.where(live, res_p / nrm, np.inf)
-            rel_m = np.where(live, res_m / nrm, np.inf)
-        plus = live & (rel_p < tol.eps_helicity)
-        minus = live & (rel_m < tol.eps_helicity)
-        state[plus] = 1
-        state[minus] = -1
-        res[plus] = rel_p[plus]
-        res[minus] = rel_m[minus]
-        nearest = live & ~plus & ~minus
-        res[nearest] = np.minimum(rel_p, rel_m)[nearest]
-        return state, res
+            rel_p = res_p / nrm
+            rel_m = res_m / nrm
+        state = np.full(len(nrm), 2, dtype=np.int8)
+        state[null] = 0
+        state[(rel_p < tol.eps_helicity) & ~null] = 1
+        state[(rel_m < tol.eps_helicity) & ~null] = -1
+        return state, (rel_p, rel_m)
 
-    rstate, rres = _block(rp, rm, rn)
-    lstate, lres = _block(lp, lm, ln)
-    return rstate, lstate, rres, lres
+    rstate, rrel = _block(rp, rm, rn)
+    lstate, lrel = _block(lp, lm, ln)
+    return rstate, lstate, rrel, lrel
 
 
 def helicity_categories(rstate, lstate) -> np.ndarray:
@@ -210,16 +204,28 @@ def analyze(psis: np.ndarray, theta=None, phi=None,
 _STATE_NAME = {0: "null-block", 1: "plus", -1: "minus", 2: "not-eigen"}
 
 
+def _block_residual(state, rel_plus, rel_minus) -> float:
+    """The residual a profile reports for one block in ``state``."""
+    if state == 0:
+        return float("nan")
+    if state == 1:
+        return float(rel_plus)
+    if state == -1:
+        return float(rel_minus)
+    return float(np.minimum(rel_plus, rel_minus))
+
+
 def helicity_profile(psi: BiSpinor, theta: float, phi: float,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> HelicityProfile:
     """Helicity profile of one spinor along (theta, phi)."""
     if psi.is_zero():
         raise ZeroSpinorError("helicity profile of the zero spinor is undefined")
-    rs, ls, rr, lr = helicity_profiles(
+    rs, ls, (rp, rm), (lp, lm) = helicity_profiles(
         psi.array[None, :], np.array([theta]), np.array([phi]), tol
     )
     return HelicityProfile(
-        _STATE_NAME[int(rs[0])], _STATE_NAME[int(ls[0])], float(rr[0]), float(lr[0]),
+        _STATE_NAME[int(rs[0])], _STATE_NAME[int(ls[0])],
+        _block_residual(rs[0], rp[0], rm[0]), _block_residual(ls[0], lp[0], lm[0]),
         CATEGORY_NAMES[int(helicity_categories(rs, ls)[0])],
     )
 

@@ -43,8 +43,7 @@ from .symmetries import symmetry_report
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verification import run_verification_suite
 
-SAMPLE_FAMILIES = ("random_raw", "single_helicity", "dual_helicity",
-                   "self_conjugate", "weyl")
+SAMPLE_FAMILIES = ("random_raw", *sampling.FAMILY_PARAMS)
 CONSTRUCTOR_FAMILIES = ("single_helicity", "dual_helicity", "self_conjugate",
                         "weyl", "singular_form", "parity_linked")
 
@@ -159,7 +158,7 @@ def _parse_spinor(spec, phases) -> dict:
     elif family == "self_conjugate":
         _check_keys(spec, {"family", "sign", "c", "d"}, "spinor")
         sign = spec.get("sign")
-        if sign not in (1, -1):
+        if isinstance(sign, bool) or sign not in (1, -1):
             _fail("spinor.sign", f"must be 1 or -1, got {sign!r}")
         for key in ("c", "d"):
             if key not in spec:
@@ -189,7 +188,7 @@ def _parse_spinor(spec, phases) -> dict:
     else:  # parity_linked
         _check_keys(spec, {"family", "helicity", "phase"}, "spinor")
         hel = spec.get("helicity")
-        if hel not in (1, -1):
+        if isinstance(hel, bool) or hel not in (1, -1):
             _fail("spinor.helicity", f"must be 1 or -1, got {hel!r}")
         out["helicity"] = hel
         if "phase" in spec:
@@ -399,7 +398,7 @@ def _run_sample(job: JobSpec) -> dict:
     """The `sample` section of the job's campaign."""
     result = sampling.campaign(job.family, sampling.rng_for(job.seed), job.count,
                                job.tolerances)
-    class_counts = result.joint.sum(axis=1)
+    class_counts = result.joint.sum(axis=(1, 2))
     classes = {str(idx): int(class_counts[idx]) for idx in range(1, 7)}
     classes["unclassifiable"] = int(class_counts[0])
     out: dict = {
@@ -410,11 +409,11 @@ def _run_sample(job: JobSpec) -> dict:
         "fpk_max": [float(x) for x in result.fpk_max],
     }
     if job.family != "random_raw":
-        category_counts = result.joint.sum(axis=0)
+        category_counts = result.joint.sum(axis=(0, 2))
         out["helicity_category_counts"] = {
             name: int(category_counts[code]) for code, name in CATEGORY_NAMES.items()
         }
-    eigen_plus, eigen_minus, not_eigen = result.c_eigen
+    eigen_plus, eigen_minus, not_eigen = (int(n) for n in result.joint.sum(axis=(0, 1)))
     out["charge_conjugation"] = {
         "involution_max": result.involution_max,
         "eigen_plus": eigen_plus,

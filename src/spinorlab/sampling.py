@@ -17,11 +17,12 @@ Each constructor family has a parameter draw, ``<family>_params``, which
 returns its batch constructor's per-row arguments as (N,) arrays keyed by
 argument name, and ``FAMILY_CONSTRUCTORS`` maps the family to that
 constructor.  :func:`campaign` is the one engine over them, behind sample
-mode and the verify class checks: it draws ``DRAW_ROWS`` rows at a time,
-constructs and analyses one ``SAMPLE_BLOCK_ROWS`` block at a time, and adds
-up a class x helicity-category table, the constraint maxima and the
-charge-conjugation counts.  A constructed row does not depend on the rows
-built with it.
+mode and every sampled verify campaign of raw or constructed spinors: it
+draws ``DRAW_ROWS`` rows at a time, constructs and analyses one
+``SAMPLE_BLOCK_ROWS`` block at a time, and adds up one class x
+helicity-category x charge-conjugation-state count table, the constraint
+maxima and the involution maximum.  A constructed row does not depend on
+the rows built with it.
 """
 from __future__ import annotations
 
@@ -223,11 +224,11 @@ FAMILY_CONSTRUCTORS = {
 
 class Campaign(NamedTuple):
     """Aggregates of :func:`campaign`."""
-    joint: np.ndarray      # (7, ncat) int64 rows by class (0 = unclassifiable)
-                           # and CAT_* code; one column for random_raw
+    joint: np.ndarray      # (7, ncat, 3) int64 rows by class (0 = unclassifiable),
+                           # CAT_* code (one column for random_raw) and C state:
+                           # C = +1, C = -1 or neither, at tol.exact
     fpk_max: np.ndarray    # (3,) worst constraint residuals
     involution_max: float  # worst |C(C psi) - psi| component
-    c_eigen: tuple         # rows with C = +1, C = -1 and neither, at tol.exact
 
 
 def campaign(family: str, rng, count: int, tol: Tolerances,
@@ -244,10 +245,9 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
     """
     raw = family == "random_raw"
     extra = {} if steer is None else {"steer": steer}
-    joint = np.zeros((7, 1 if raw else len(CATEGORY_NAMES)), dtype=np.int64)
+    joint = np.zeros((7, 1 if raw else len(CATEGORY_NAMES), 3), dtype=np.int64)
     fpk_max = np.full(3, -np.inf)
     involution_max = 0.0
-    eigen_plus = eigen_minus = not_eigen = 0
     for offset in range(0, count, DRAW_ROWS):
         rows = min(DRAW_ROWS, count - offset)
         if raw:
@@ -263,21 +263,19 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
                     key: value[start:start + SAMPLE_BLOCK_ROWS]
                     for key, value in params.items()})
             res = analyze(block, theta, phi, tol)
+            res_plus, res_minus = c_eigen_residuals(block)
+            c_state = np.where(res_plus <= tol.exact, 0,
+                               np.where(res_minus <= tol.exact, 1, 2))
             cells = res.classes if raw else res.classes * joint.shape[1] + res.categories
+            cells = cells * 3 + c_state
             joint += np.bincount(cells, minlength=joint.size).reshape(joint.shape)
             fpk_max = np.maximum(fpk_max, res.fpk_max)
-
-            res_plus, res_minus = c_eigen_residuals(block)
             involution_max = np.maximum(
                 involution_max,
                 np.max(np.abs(charge_conjugate_batch(charge_conjugate_batch(block)) - block)),
             )
-            eigen_plus += int(np.count_nonzero(res_plus <= tol.exact))
-            eigen_minus += int(np.count_nonzero(res_minus <= tol.exact))
-            not_eigen += int(np.count_nonzero((res_plus > tol.exact) & (res_minus > tol.exact)))
             del block
         # release the chunk before the next one is drawn; a raw block is a
         # view of it, so the block above goes first
         chunk = params = None
-    return Campaign(joint, fpk_max, float(involution_max),
-                    (eigen_plus, eigen_minus, not_eigen))
+    return Campaign(joint, fpk_max, float(involution_max))

@@ -40,9 +40,7 @@ def test_criterion_03_helicity_dichotomy():
 
 
 def test_criterion_04_parity_dirac_dynamics():
-    res = verification.check_parity_dirac_link(
-        seed=SEED + 3, count=10_000, ratio=(1e-3, 1e3)
-    )
+    res = verification.check_parity_dirac_link(seed=SEED + 3, count=10_000)
     _report(4, "Dirac dynamics from parity link",
             res.passed, f"max residual {res.worst:.3e} < 1e-12 at pmag/m up to 1e3")
 
