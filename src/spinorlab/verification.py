@@ -9,7 +9,8 @@ Campaign momentum ranges are chosen so that the thresholds sit well above
 the float64 rounding floor of the quantity under test:
 
 * parity-linked Dirac dynamics and the theta-link run up to pmag/m = 1e3,
-  where the compensated kernels keep residuals a decade under 1e-12;
+  where the compensated Dirac and boost arithmetic keeps residuals a decade
+  under 1e-12;
 * the dual-helicity flip defect divides by the small Dirac image, whose
   relative rounding grows like (pmag/m)^2, so that campaign runs up to
   pmag/m = 1e2 (floor ~1e-11 against a 1e-10 threshold);
