@@ -4,58 +4,21 @@ Run from the repository root after an intentional output-format change:
 
     python scripts/generate_goldens.py
 
-The job documents are the fixtures' inputs; the emitted reports are compared
-byte-for-byte by tests/test_cli.py and the acceptance suite.
+The committed job documents tests/goldens/<name>.job.json are the fixtures'
+inputs and are only read; each report <name>.report.json is rewritten from
+its job.  The reports are compared byte-for-byte by tests/test_cli.py and
+the acceptance suite.
 """
-import json
-import math
 import subprocess
 import sys
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "goldens"
 
-JOBS = {
-    "class1": {
-        "mode": "classify",
-        "spinor": {"family": "single_helicity", "pair": "++", "a": [1.0, 0.0],
-                   "c": [1.0, 1.0], "theta": math.pi / 3, "phi": math.pi / 5},
-    },
-    "class2": {
-        "mode": "classify",
-        "spinor": {"family": "single_helicity", "pair": "++", "a": [1.0, 0.0],
-                   "c": [2.0, 0.0], "theta": math.pi / 3, "phi": math.pi / 5},
-    },
-    "class3": {
-        "mode": "classify",
-        "spinor": {"family": "single_helicity", "pair": "++", "a": [1.0, 0.0],
-                   "c": [0.0, 1.0], "theta": math.pi / 3, "phi": math.pi / 5},
-    },
-    "class4": {
-        "mode": "classify",
-        "spinor": {"family": "dual_helicity", "pair": "+-", "a": [1.0, 0.0],
-                   "c": [2.0, 0.0], "theta": math.pi / 3, "phi": 0.4},
-    },
-    "class5": {
-        "mode": "symmetries",
-        "spinor": {"family": "self_conjugate", "sign": 1, "c": [1.0, 0.0],
-                   "d": [0.5, 0.5]},
-        "momentum": {"m": 1.0, "pmag": 2.0},
-    },
-    "class6": {
-        "mode": "classify",
-        "spinor": {"family": "weyl", "side": "right",
-                   "block": [[1.0, 0.0], [0.0, 0.0]]},
-    },
-}
-
 
 def main() -> int:
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name, job in JOBS.items():
-        job_path = GOLDEN_DIR / f"{name}.job.json"
-        job_path.write_text(json.dumps(job, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+    for job_path in sorted(GOLDEN_DIR.glob("*.job.json")):
+        name = job_path.name.removesuffix(".job.json")
         proc = subprocess.run(
             [sys.executable, "-m", "spinorlab", "--job", str(job_path)],
             capture_output=True, check=True,

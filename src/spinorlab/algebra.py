@@ -106,11 +106,17 @@ class FourMomentum:
                             math.remainder(self.phi + math.pi, math.tau))
 
 
+def unit_vectors(theta, phi):
+    """(nx, ny, nz) = (sin theta cos phi, sin theta sin phi, cos theta) of
+    directions given as (N,) arrays or scalars."""
+    st = np.sin(theta)
+    return st * np.cos(phi), st * np.sin(phi), np.cos(theta)
+
+
 def momentum_components(m, pmag, theta, phi):
     """(E, px, py, pz) of on-shell momenta given as (N,) arrays or scalars."""
-    st = np.sin(theta)
-    return (np.hypot(m, pmag), pmag * (st * np.cos(phi)),
-            pmag * (st * np.sin(phi)), pmag * np.cos(theta))
+    nx, ny, nz = unit_vectors(theta, phi)
+    return np.hypot(m, pmag), pmag * nx, pmag * ny, pmag * nz
 
 
 def _diag_entry(q, e, m, pxy2):
@@ -185,8 +191,9 @@ def bloch_direction_batch(b0, b1):
         return np.arctan2(np.hypot(nx, ny), nz), np.arctan2(ny, nx) % math.tau
 
 
-def angles_match(t1: float, p1: float, t2: float, p2: float, tol: float = 1e-12) -> bool:
-    """Whether two spherical directions coincide (phi compared modulo 2 pi)."""
+def angles_match(t1: float, p1: float, t2: float, p2: float) -> bool:
+    """Whether two directions coincide to 1e-12 (phi compared modulo 2 pi)."""
+    tol = 1e-12
     if abs(t1 - t2) > tol:
         return False
     if min(t1, t2) <= tol or max(t1, t2) >= math.pi - tol:

@@ -28,6 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernels
+from .algebra import unit_vectors
 from .bilinears import BilinearSet, bilinear_set, fpk_residuals, fpk_residuals_batch
 from .errors import ZeroSpinorError
 from .factory import BiSpinor
@@ -134,13 +135,8 @@ def helicity_profiles(psis: np.ndarray, theta, phi,
     block's (rel_plus, rel_minus) pair of eigen-residuals relative to its
     norm; they mean nothing for a null block.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    sre = st * np.cos(phi)
-    sim = st * np.sin(phi)
-    rp, rm, rn, lp, lm, ln = kernels.helicity_residuals(psis, ct, sre, sim)
+    nx, ny, nz = unit_vectors(theta, phi)
+    rp, rm, rn, lp, lm, ln = kernels.helicity_residuals(psis, nz, nx, ny)
     total = rn**2 + ln**2
     null_scale = np.sqrt(tol.eps_class * total)
 

@@ -32,6 +32,7 @@ from .algebra import (
     bloch_direction_batch,
     boost_block_batch,
     boost_factor_batch,
+    unit_vectors,
 )
 from .errors import (
     DirectionMismatchError,
@@ -184,12 +185,12 @@ def rest_spinor(spec: RestSpinorSpec) -> np.ndarray:
                                     spec.resolved_phase))[0]
 
 
-def _helicity_fraction(sign, theta, phi):
-    # (re, im) of the b/a ratio of a helicity eigenblock:
-    # +: sin t e^{i phi}/(1+cos t), -: -sin t e^{i phi}/(1-cos t)
-    num = sign * np.sin(theta)
-    den = 1.0 + sign * np.cos(theta)
-    return num * np.cos(phi) / den, num * np.sin(phi) / den
+def _helicity_fraction(sign, n):
+    # (re, im) of the b/a ratio of a helicity eigenblock along the unit
+    # vectors n = (nx, ny, nz): sign (nx + i ny)/(1 + sign nz)
+    nx, ny, nz = n
+    den = 1.0 + sign * nz
+    return sign * nx / den, sign * ny / den
 
 
 def _check_pole(sign: int, theta: float):
@@ -207,7 +208,7 @@ def single_helicity_batch(sign, a, c, theta, phi):
     pole of their form (theta = pi for +1, theta = 0 for -1).
     """
     a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
-    tr, ti = _helicity_fraction(sign, theta, phi)
+    tr, ti = _helicity_fraction(sign, unit_vectors(theta, phi))
     return np.stack([a, _mul(a, tr, ti), c, _mul(c, tr, ti)], axis=1), theta, phi
 
 
@@ -217,8 +218,9 @@ def dual_helicity_batch(sign, a, c, theta, phi):
     Rows must avoid both poles and have a, c nonzero.
     """
     a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
-    rr, ri = _helicity_fraction(sign, theta, phi)
-    lr, li = _helicity_fraction(-sign, theta, phi)
+    n = unit_vectors(theta, phi)
+    rr, ri = _helicity_fraction(sign, n)
+    lr, li = _helicity_fraction(-sign, n)
     return np.stack([a, _mul(a, rr, ri), c, _mul(c, lr, li)], axis=1), theta, phi
 
 
@@ -395,8 +397,11 @@ def parity_linked_batch(helicity, m, pmag, theta, phi, phase=None):
     ``phase=None`` takes the default phase of each row's helicity.
     """
     rest = rest_spinor_batch(helicity, theta, phi, m, phase)
-    right = boost_factor_batch(1, helicity, m, pmag)[:, None] * rest
-    left = boost_factor_batch(-1, helicity, m, pmag)[:, None] * rest
+    # an out-of-range boost factor times an exact zero component gives nan
+    # without a warning; bilinear_set's guard names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        right = boost_factor_batch(1, helicity, m, pmag)[:, None] * rest
+        left = boost_factor_batch(-1, helicity, m, pmag)[:, None] * rest
     return np.concatenate([right, left], axis=1), theta, phi
 
 

@@ -8,9 +8,10 @@ sample bytes depend on it.
 Kernel contracts
 ----------------
 bilinears(psi)                 -> sigma, omega (N,), j, k (N,4), s (N,6)
-helicity_residuals(psi, ct, sre, sim)
+helicity_residuals(psi, nz, nx, ny)
                                -> ||M b - b||, ||M b + b||, ||b|| for the
-                                  right then the left block, M = sigma.n
+                                  right then the left block, M = sigma.n,
+                                  with (nx, ny, nz) from algebra.unit_vectors
 dirac_apply_shift(psi, e, m, px, py, pz, shift)
                                -> (N,4) gamma_mu p^mu psi - shift psi
 
@@ -66,12 +67,15 @@ def _sum_diff(a, b):
     return a + b, a - b
 
 
+def _columns(psi):
+    """The eight columns (re0, im0, ..., re3, im3) of the (N, 8) float view
+    of an (N, 4) complex array, each one contiguous."""
+    x = np.ascontiguousarray(psi, dtype=np.complex128).view(np.float64)
+    return tuple(np.ascontiguousarray(x.T))
+
+
 def bilinears(psi):
-    psi = np.ascontiguousarray(psi, dtype=np.complex128)
-    ar, ai = psi[:, 0].real.copy(), psi[:, 0].imag.copy()
-    br, bi = psi[:, 1].real.copy(), psi[:, 1].imag.copy()
-    cr, ci = psi[:, 2].real.copy(), psi[:, 2].imag.copy()
-    dr, di = psi[:, 3].real.copy(), psi[:, 3].imag.copy()
+    ar, ai, br, bi, cr, ci, dr, di = _columns(psi)
 
     # A product sum shared by two outputs is computed once and dropped as
     # soon as both are formed.  Only identical expressions are shared
@@ -110,22 +114,21 @@ def bilinears(psi):
     return sigma, omega, j, k, s
 
 
-def helicity_residuals(psi, ct, sre, sim):
+def helicity_residuals(psi, nz, nx, ny):
     """Eigen-residual numerators of sigma.n on each chiral block.
 
-    ct = cos(theta), sre = sin(theta) cos(phi), sim = sin(theta) sin(phi).
+    (nx, ny, nz) are the unit vectors n of :func:`algebra.unit_vectors`.
     Returns ||M b - b||, ||M b + b|| and ||b|| for the right block, then the
     same three for the left block (all 2-norms).
     """
-    psi = np.ascontiguousarray(psi, dtype=np.complex128)
+    cols = _columns(psi)
     out = []
-    for lo in (0, 2):
-        x0r, x0i = psi[:, lo].real.copy(), psi[:, lo].imag.copy()
-        x1r, x1i = psi[:, lo + 1].real.copy(), psi[:, lo + 1].imag.copy()
-        m0r = ct * x0r + (sre * x1r + sim * x1i)
-        m0i = ct * x0i + (sre * x1i - sim * x1r)
-        m1r = (sre * x0r - sim * x0i) - ct * x1r
-        m1i = (sre * x0i + sim * x0r) - ct * x1i
+    for lo in (0, 4):
+        x0r, x0i, x1r, x1i = cols[lo:lo + 4]
+        m0r = nz * x0r + (nx * x1r + ny * x1i)
+        m0i = nz * x0i + (nx * x1i - ny * x1r)
+        m1r = (nx * x0r - ny * x0i) - nz * x1r
+        m1i = (nx * x0i + ny * x0r) - nz * x1i
         res_p = np.sqrt(
             ((m0r - x0r) ** 2 + (m0i - x0i) ** 2)
             + ((m1r - x1r) ** 2 + (m1i - x1i) ** 2)
@@ -168,7 +171,6 @@ def dirac_apply_shift(psi, e, m, px, py, pz, shift):
     compensated four-term dot product, so the result stays accurate at
     pmag/m ratios of order 1e3.
     """
-    psi = np.ascontiguousarray(psi, dtype=np.complex128)
     e = np.asarray(e, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     px = np.asarray(px, dtype=np.float64)
@@ -178,12 +180,9 @@ def dirac_apply_shift(psi, e, m, px, py, pz, shift):
 
     ezp, ezm = _e_plus_minus_pz(e, m, px, py, pz)
 
-    p0r, p0i = psi[:, 0].real.copy(), psi[:, 0].imag.copy()
-    p1r, p1i = psi[:, 1].real.copy(), psi[:, 1].imag.copy()
-    p2r, p2i = psi[:, 2].real.copy(), psi[:, 2].imag.copy()
-    p3r, p3i = psi[:, 3].real.copy(), psi[:, 3].imag.copy()
+    p0r, p0i, p1r, p1i, p2r, p2i, p3r, p3i = _columns(psi)
 
-    out = np.empty_like(psi)
+    out = np.empty((len(p0r), 4), dtype=np.complex128)
     # top block: (E + sigma.p) acting on (psi2, psi3)
     out[:, 0] = _dot4(ezp, p2r, px, p3r, py, p3i, -shift, p0r) + 1j * _dot4(
         ezp, p2i, px, p3i, -py, p3r, -shift, p0i

@@ -37,7 +37,7 @@ from .factory import (
     single_helicity_batch,
     weyl_batch,
 )
-from .symmetries import c_eigen_residuals, charge_conjugate_batch
+from .symmetries import c_eigen_residuals, charge_conjugate_batch, eigen_states
 from .tolerances import Tolerances
 
 MIN_RAW_NORM_SQ = 1e-6
@@ -83,21 +83,13 @@ def random_raw_spinors(rng, count: int) -> np.ndarray:
         return r.uniform(-1.0, 1.0, size=(n, 8)).view(np.complex128)
 
     def keep(psi):
-        # |psi|^2 per block keeps the (n, 4) temporaries block-sized.  The
-        # (n,) sums stay whole on purpose: with only a bool mask freed here,
-        # glibc's malloc returned the analysis blocks' memory to the OS
-        # after every block (82k page faults instead of 7k at 1e6 rows).
-        norm_sq = np.empty(len(psi))
-        for start in range(0, len(psi), SAMPLE_BLOCK_ROWS):
-            rows = slice(start, start + SAMPLE_BLOCK_ROWS)
-            # summed column by column (see kernels._row_max_abs) in np.sum's
-            # left-to-right order, so the bits are np.sum's
-            sq = np.abs(psi[rows]) ** 2
-            block = norm_sq[rows]
-            np.add(sq[:, 0], sq[:, 1], out=block)
-            block += sq[:, 2]
-            block += sq[:, 3]
-        return norm_sq >= MIN_RAW_NORM_SQ
+        # |psi|^2 as c_eigen_residuals forms it, on the (n, 8) float view,
+        # with no (n, 4) temporaries.  The (n,) array stays whole on
+        # purpose: with only a bool mask freed here, glibc's malloc returned
+        # the analysis blocks' memory to the OS after every block (82k page
+        # faults instead of 7k at 1e6 rows).
+        x = psi.view(np.float64)
+        return np.einsum("ij,ij->i", x, x) >= MIN_RAW_NORM_SQ
 
     return _rejection_fill(rng, count, draw, keep)
 
@@ -114,12 +106,12 @@ def random_directions(rng, count: int):
     return pairs[:, 0], pairs[:, 1]
 
 
-def random_amplitudes(rng, count: int, min_mod: float = MIN_AMPLITUDE) -> np.ndarray:
+def random_amplitudes(rng, count: int) -> np.ndarray:
     def draw(r, n):
         # bit for bit re + 1j * im, as in random_raw_spinors
         return r.uniform(-1.0, 1.0, size=(n, 2)).view(np.complex128)[:, 0]
 
-    return _rejection_fill(rng, count, draw, lambda z: np.abs(z) >= min_mod)
+    return _rejection_fill(rng, count, draw, lambda z: np.abs(z) >= MIN_AMPLITUDE)
 
 
 def random_unit_phases(rng, count: int) -> np.ndarray:
@@ -263,9 +255,7 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
                     key: value[start:start + SAMPLE_BLOCK_ROWS]
                     for key, value in params.items()})
             res = analyze(block, theta, phi, tol)
-            res_plus, res_minus = c_eigen_residuals(block)
-            c_state = np.where(res_plus <= tol.exact, 0,
-                               np.where(res_minus <= tol.exact, 1, 2))
+            c_state = eigen_states(*c_eigen_residuals(block), tol)
             cells = res.classes if raw else res.classes * joint.shape[1] + res.categories
             cells = cells * 3 + c_state
             joint += np.bincount(cells, minlength=joint.size).reshape(joint.shape)

@@ -136,7 +136,7 @@ def check_parity_dirac_link(seed: int = 3, count: int = 10_000) -> PropertyResul
     def run():
         rng = sampling.rng_for(seed)
         m, pmag, theta, phi = sampling.random_momenta(rng, count)
-        hel = np.where(rng.integers(0, 2, size=count) == 0, 1, -1)
+        hel = sampling._random_signs(rng, count)
         arr, _, _ = parity_linked_batch(hel, m, pmag, theta, phi)
         return float(np.max(dirac_residuals(arr, m, pmag, theta, phi)))
 
@@ -151,7 +151,7 @@ def check_dual_helicity_dirac(seed: int = 4, count: int = 10_000) -> PropertyRes
     def run():
         rng = sampling.rng_for(seed)
         m, pmag, theta, phi = sampling.random_momenta(rng, count, ratio=(1e-3, 1e2))
-        sign = np.where(rng.integers(0, 2, size=count) == 0, 1, -1)
+        sign = sampling._random_signs(rng, count)
         a = sampling.random_amplitudes(rng, count)
         c = sampling.random_amplitudes(rng, count)
         arr = boost_bispinor_batch(dual_helicity_batch(sign, a, c, theta, phi)[0],

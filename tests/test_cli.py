@@ -143,6 +143,21 @@ class TestRunJob:
         assert report["lounesto"] == {"index": 2, "annotation": "single-helicity"}
         assert report["bilinears"]["sigma"] == 2.0
 
+    def test_symmetries_massless_raw_skips_the_dirac_and_theta_link_checks(self):
+        job = parse_job({
+            "mode": "symmetries",
+            "spinor": {"components": [[1, 0], [0.5, 0.25], [0, 1], [0, 0]]},
+            "momentum": {"m": 0, "pmag": 1, "theta": 0.7, "phi": 0.2},
+        })
+        report, code = run_job(job)
+        assert code == 0
+        assert {"massless momentum; Dirac diagnostics skipped",
+                "massless momentum; theta-link check skipped"} <= set(report["findings"])
+        sym = report["symmetries"]
+        assert sym["dirac"] == {"flip_residual": None, "residual_minus": None,
+                                "residual_plus": None}
+        assert sym["theta_link_residual"] is None
+
     def test_symmetries_self_conjugate(self):
         job = parse_job({
             "mode": "symmetries",
@@ -368,6 +383,13 @@ def _extreme_scale_jobs():
         yield f"raw-m{m:g}-p{pmag:g}", {
             "mode": "symmetries", "momentum": momentum,
             "spinor": {"components": [[1, 0], [0.5, 0.25], [0, 0], [0, 0]]}}
+    # at theta = 0 the rest block has an exact zero component, which an
+    # out-of-range boost factor multiplies
+    for m, pmag in ((1e-310, 1.0), (1e-300, 1e300)):
+        yield f"parity-theta0-m{m:g}-p{pmag:g}", {
+            "mode": "classify",
+            "momentum": {"m": m, "pmag": pmag, "theta": 0.0, "phi": 0.1},
+            "spinor": {"family": "parity_linked", "helicity": 1}}
     # the momentum takes its direction from a constructor that cannot form it
     for name, spinor in (
             ("self-conjugate-1e300", {"family": "self_conjugate", "sign": 1,

@@ -41,6 +41,7 @@ from spinorlab.symmetries import (
     _pow2_scaled,
     c_eigen_residuals,
     charge_conjugate_batch,
+    eigen_states,
 )
 from spinorlab.tolerances import DEFAULT_TOLERANCES
 
@@ -129,6 +130,25 @@ class TestChargeConjugation:
         for got, want in ((res_plus, want_plus), (res_minus, want_minus)):
             assert np.count_nonzero(got <= exact) == np.count_nonzero(want <= exact)
         assert np.count_nonzero(res_plus <= exact) == np.count_nonzero(sign == 1)
+
+
+_EXACT = DEFAULT_TOLERANCES.exact
+
+
+@pytest.mark.parametrize("res_plus, res_minus, state", [
+    (0.0, 0.0, 0),                                  # a tie goes to +1
+    (_EXACT, 0.5, 0),
+    (0.5, _EXACT, 1),
+    (np.nextafter(_EXACT, 1.0), 0.5, 2),
+    (np.nextafter(_EXACT, 1.0), _EXACT, 1),
+    (math.nan, 0.0, 1),
+    (math.nan, math.nan, 2),
+    (0.5, math.nan, 2),
+])
+def test_eigen_states(res_plus, res_minus, state):
+    assert eigen_states(res_plus, res_minus, DEFAULT_TOLERANCES) == state
+    got = eigen_states(np.array([res_plus]), np.array([res_minus]), DEFAULT_TOLERANCES)
+    np.testing.assert_array_equal(got, [state])
 
 
 # eight real parts on a 2**-20 grid in [-1, 1]: 2**k psi is exact for every
@@ -235,6 +255,11 @@ class TestParity:
         eig, resid = parity_eigen_check(psi, p)
         assert eig is None
         assert resid > 0.9  # image is orthogonal to the input
+
+    def test_single_helicity_rest_spinor_has_eigenvalue_minus_one(self):
+        # gamma0 swaps the equal blocks (1, t) and (-1, -t)
+        psi = build_single_helicity("++", 1, -1, 0.7, 0.2)
+        assert parity_eigen_check(psi) == (-1, 0.0)
 
     def test_raw_spinor_rejected(self):
         with pytest.raises(ProvenanceError):
