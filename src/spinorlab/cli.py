@@ -11,9 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
+
+# OpenBLAS starts a worker thread per extra CPU when numpy loads, and each
+# spins for about 0.1 s of CPU; spinorlab's only BLAS calls are 2x2 and 4x4
+# products, far below its threading threshold, so a CLI process runs on one
+# BLAS thread.  This must run before numpy loads, so the package __init__
+# imports nothing eagerly; a value the user sets wins.  Library importers of
+# the package keep their own BLAS settings.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import sampling
 from .algebra import FourMomentum

@@ -63,6 +63,12 @@ def charge_conjugate_batch(psis: np.ndarray) -> np.ndarray:
     return (x[:, ::-1] * _C_SIGNS).view(complex)
 
 
+def c_involution_max(psis: np.ndarray) -> float:
+    """Worst |C(C psi) - psi| component over an (N, 4) array, N >= 1; NaN
+    when any row holds a NaN or an infinity."""
+    return float(np.max(np.abs(charge_conjugate_batch(charge_conjugate_batch(psis)) - psis)))
+
+
 def eigen_states(res_plus, res_minus, tol: Tolerances):
     """Codes of the +-1 eigen verdict from the residuals of both branches:
     0 for +1 when ``res_plus <= tol.exact`` (+1 wins a tie), else 1 for -1

@@ -39,7 +39,7 @@ from .factory import (
 from .symmetries import (
     c_eigen_check,
     c_eigen_residuals,
-    charge_conjugate_batch,
+    c_involution_max,
     dirac_flip_residuals,
     dirac_matrix_batch,
     dirac_residuals,
@@ -186,9 +186,7 @@ def check_charge_conjugation(seed: int = 5, count: int = 10_000,
     def run():
         rng = sampling.rng_for(seed)
         raw = sampling.random_raw_spinors(rng, count)
-        invol = float(
-            np.max(np.abs(charge_conjugate_batch(charge_conjugate_batch(raw)) - raw))
-        )
+        invol = c_involution_max(raw)
 
         params = sampling.self_conjugate_params(rng, count)
         res_plus, res_minus = c_eigen_residuals(self_conjugate_batch(**params)[0])

@@ -40,6 +40,7 @@ from spinorlab.symmetries import (
     _pow2_mass,
     _pow2_scaled,
     c_eigen_residuals,
+    c_involution_max,
     charge_conjugate_batch,
     eigen_states,
 )
@@ -130,6 +131,23 @@ class TestChargeConjugation:
         for got, want in ((res_plus, want_plus), (res_minus, want_minus)):
             assert np.count_nonzero(got <= exact) == np.count_nonzero(want <= exact)
         assert np.count_nonzero(res_plus <= exact) == np.count_nonzero(sign == 1)
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[-0.0, 5e-324, complex(0.0, -5e-324), complex(-0.0, -0.0)]], 0.0),
+        ([[complex(0.5, -0.0), complex(-0.0, 5e-324), 2.0, -1j]], 0.0),
+        ([[math.nan, 0, 0, 0]], math.nan),
+        ([[complex(0.25, math.nan), 0, 0, -0.0], [1, 0, 0, 0]], math.nan),
+        ([[math.inf, 1, 1, 1]], math.nan),
+        ([[1, complex(0.0, -math.inf), 0, 5e-324]], math.nan),
+    ])
+    def test_involution_max_is_the_elementwise_form(self, rows, expected, rng):
+        psis = np.concatenate([np.array(rows, dtype=complex), random_raw_spinors(rng, 64)])
+        with np.errstate(invalid="ignore"):  # inf - inf in both forms
+            want = np.max(np.abs(charge_conjugate_batch(charge_conjugate_batch(psis)) - psis))
+            got = c_involution_max(psis)
+        assert type(got) is float
+        np.testing.assert_equal(got, want)
+        np.testing.assert_equal(got, expected)
 
 
 _EXACT = DEFAULT_TOLERANCES.exact
