@@ -605,6 +605,33 @@ def test_verify_bytes_pinned(capsys):
     assert captured.err == ""
 
 
+# sha256 of the stdout of SYMMETRIES_PIN_JOB in each format.  The spinor is an
+# unboosted dual_helicity one, so parity is skipped and the flip residual
+# runs, and the phases are not the defaults.
+SYMMETRIES_PIN_JOB = {
+    "mode": "symmetries",
+    "spinor": {"family": "dual_helicity", "pair": "-+", "a": [0.6, -0.2],
+               "c": [0.1, 0.9], "theta": 2.1, "phi": 5.0},
+    "momentum": {"m": 1.5, "pmag": 40.0},
+    "phases": {"theta1": 0.3, "theta2": 1.1, "zeta1": [0.0, 1.0],
+               "zeta2": [-0.6, 0.8]},
+}
+SYMMETRIES_BYTES_SHA256 = {
+    "structured": "ff574ec547db8ccd6d78d4f3b1b9429d806c0eabe8d0c84fdad356f079c18cc4",
+    "human": "017aa50b4973b5a307af4a9aeb5d0b5041b3cfede8388bc1daf8d4bdac1e9b78",
+}
+
+
+@pytest.mark.parametrize("fmt", SYMMETRIES_BYTES_SHA256)
+def test_symmetries_bytes_pinned(fmt, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(SYMMETRIES_PIN_JOB), encoding="utf-8")
+    assert main(["--job", str(path), "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == SYMMETRIES_BYTES_SHA256[fmt]
+    assert captured.err == ""
+
+
 def test_goldens_round_trip_their_job_echo():
     for i in range(1, 7):
         report = json.loads((GOLDEN_DIR / f"class{i}.report.json").read_text())

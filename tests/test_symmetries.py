@@ -289,6 +289,43 @@ class TestParity:
         with pytest.raises(ProvenanceError):
             parity_apply(psi, FourMomentum(1.0, 3.0, 1.0, 0.5))
 
+    @staticmethod
+    def _reflection_route(psi):
+        # gamma0 of the rest blocks, each boosted at the reflected momentum
+        prov = psi.provenance
+        p = prov.momentum
+        refl = FourMomentum(p.m, p.pmag, math.pi - p.theta, p.phi + math.pi)
+        right = boost_block("right", refl) @ np.asarray(prov.rest_right)
+        left = boost_block("left", refl) @ np.asarray(prov.rest_left)
+        return np.concatenate([left, right])
+
+    @staticmethod
+    def _boosted(family, rng):
+        m = 10.0 ** rng.uniform(-1.0, 1.0)
+        pmag = m * 10.0 ** rng.uniform(-3.0, 3.0)
+        theta, phi = rng.uniform(0.05, math.pi - 0.05), rng.uniform(0.0, 2 * math.pi)
+        a, c, d = (complex(*rng.uniform(-1.0, 1.0, size=2)) for _ in range(3))
+        if family == "parity_linked":
+            return build_parity_linked(int(rng.choice([1, -1])),
+                                       FourMomentum(m, pmag, theta, phi))
+        if family == "single_helicity":
+            psi = build_single_helicity(str(rng.choice(["++", "--"])), a, c, theta, phi)
+        elif family == "dual_helicity":
+            psi = build_dual_helicity(str(rng.choice(["+-", "-+"])), a, c, theta, phi)
+        else:
+            psi = build_self_conjugate(int(rng.choice([1, -1])), c, d)
+        return boost_bispinor(psi, FourMomentum(m, pmag, *psi.provenance.direction))
+
+    @pytest.mark.parametrize("family", ["single_helicity", "dual_helicity",
+                                        "self_conjugate", "parity_linked"])
+    def test_matches_the_reflected_momentum_route(self, family, rng):
+        # pmag/m log-uniform on [1e-3, 1e3]
+        for _ in range(300):
+            psi = self._boosted(family, rng)
+            want = self._reflection_route(psi)
+            got = parity_apply(psi, psi.provenance.momentum).array
+            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
 
 def _dirac_image(psi, p):
     # gamma_mu p^mu psi through the compensated kernel
