@@ -100,11 +100,6 @@ class FourMomentum:
     def four_vector(self) -> np.ndarray:
         return np.concatenate([[self.energy], self.vector])
 
-    def reflected(self) -> "FourMomentum":
-        """Same energy and magnitude, spatial direction reversed."""
-        return FourMomentum(self.m, self.pmag, math.pi - self.theta,
-                            math.remainder(self.phi + math.pi, math.tau))
-
 
 def unit_vectors(theta, phi):
     """(nx, ny, nz) = (sin theta cos phi, sin theta sin phi, cos theta) of

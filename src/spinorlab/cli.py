@@ -84,7 +84,6 @@ class JobSpec:
     theta1: float
     theta2: float
     zeta1: complex
-    zeta2: complex
     normalized: dict = field(default_factory=dict)
 
     def __eq__(self, other):
@@ -310,7 +309,7 @@ def parse_job(doc: dict) -> JobSpec:
     return JobSpec(mode=mode, fmt=fmt, seed=seed, count=count, family=family,
                    spinor_spec=spinor_spec, momentum=momentum, boost=boost,
                    tolerances=tol, theta1=theta1, theta2=theta2, zeta1=zeta1,
-                   zeta2=zeta2, normalized=normalized)
+                   normalized=normalized)
 
 
 def _parse_momentum(doc, spinor_spec: Optional[dict]) -> dict:
@@ -394,10 +393,9 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
     findings = list(section.pop("findings"))
     report.update(section)
     if job.mode == "symmetries":
-        srep = symmetry_report(psi, p, job.tolerances, job.zeta1, job.zeta2,
-                               job.theta1, job.theta2)
-        sym = symmetry_to_dict(srep)
+        sym = symmetry_to_dict(symmetry_report(psi, p, job.tolerances, job.zeta1))
         findings.extend(sym.pop("findings"))
+        sym["phases"] = job.normalized["phases"]
         report["symmetries"] = sym
     report["findings"] = findings
     return report, 0
@@ -446,10 +444,13 @@ def _load_document(args) -> dict:
         try:
             with open(args.job, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise JobError(f"cannot read job file: {exc}") from exc
     elif args.mode != "verify" and not sys.stdin.isatty():
-        text = sys.stdin.read()
+        try:
+            text = sys.stdin.read()
+        except UnicodeDecodeError as exc:
+            raise JobError(f"cannot read standard input: {exc}") from exc
     else:
         text = ""
     if not text.strip():

@@ -7,8 +7,10 @@ Batch constructors do not validate; their rows must meet the preconditions
 that the scalar ``build_*`` N=1 wrappers check.  A wrapper returns a
 :class:`BiSpinor` carrying a :class:`Provenance` record (family name,
 construction parameters, direction, unboosted blocks) so that reports can
-state how a spinor was generated and the parity operation can rebuild it
-at a reflected momentum.
+state how a spinor was generated and the parity operation can rebuild it.
+Boosting at -p swaps the handedness of the block boosts, B_R(-p) = B_L(p),
+so parity is the batch boost at the build momentum of the rest blocks with
+the two blocks exchanged: gamma0 B(-p) psi_rest = B(p) gamma0 psi_rest.
 
 Complex products and quotients are written out in real and imaginary parts
 as Python complex arithmetic evaluates them (numpy's complex loops may fuse
@@ -108,37 +110,6 @@ class BiSpinor:
                         complex(arr[3]), provenance)
 
 
-def bispinor_from_blocks(right, left, provenance: Optional[Provenance] = None) -> BiSpinor:
-    return BiSpinor.from_array(np.concatenate([right, left]), provenance)
-
-
-@dataclass(frozen=True)
-class RestSpinorSpec:
-    """Rest-frame helicity eigenstate: sign, direction, mass and scalar phase.
-
-    ``phase=None`` selects the default for that helicity sign
-    (DEFAULT_PHASE_PLUS / DEFAULT_PHASE_MINUS).
-    """
-
-    helicity: int
-    theta: float
-    phi: float
-    m: float
-    phase: Optional[float] = None
-
-    def __post_init__(self):
-        if self.helicity not in (1, -1):
-            raise ValueError(f"helicity must be +1 or -1, got {self.helicity!r}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-
-    @property
-    def resolved_phase(self) -> float:
-        if self.phase is not None:
-            return self.phase
-        return DEFAULT_PHASE_PLUS if self.helicity > 0 else DEFAULT_PHASE_MINUS
-
-
 def _complex(re, im) -> np.ndarray:
     out = np.empty(np.shape(re), dtype=complex)
     out.real = re
@@ -177,12 +148,22 @@ def rest_spinor_batch(helicity, theta, phi, m, phase=None) -> np.ndarray:
                     axis=-1)
 
 
-def rest_spinor(spec: RestSpinorSpec) -> np.ndarray:
+def _default_phase(helicity: int) -> float:
+    return DEFAULT_PHASE_PLUS if helicity > 0 else DEFAULT_PHASE_MINUS
+
+
+def rest_spinor(helicity: int, theta: float, phi: float, m: float,
+                phase: Optional[float] = None) -> np.ndarray:
     """N=1 form of :func:`rest_spinor_batch`; m = 0 has no rest frame."""
-    if spec.m <= 0.0:
+    if helicity not in (1, -1):
+        raise ValueError(f"helicity must be +1 or -1, got {helicity!r}")
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
+    if m <= 0.0:
         raise MasslessError("rest spinor requires m > 0")
-    return rest_spinor_batch(*_rows(spec.helicity, spec.theta, spec.phi, spec.m,
-                                    spec.resolved_phase))[0]
+    if phase is None:
+        phase = _default_phase(helicity)
+    return rest_spinor_batch(*_rows(helicity, theta, phi, m, phase))[0]
 
 
 def _helicity_fraction(sign, n):
@@ -408,12 +389,12 @@ def parity_linked_batch(helicity, m, pmag, theta, phi, phase=None):
 def build_parity_linked(helicity: int, p: FourMomentum,
                         phase: Optional[float] = None) -> BiSpinor:
     """N=1 form of :func:`parity_linked_batch` at momentum p."""
-    spec = RestSpinorSpec(helicity, p.theta, p.phi, p.m, phase)
-    rest = tuple(complex(z) for z in rest_spinor(spec))
-    arr, _, _ = parity_linked_batch(*_rows(helicity, p.m, p.pmag, p.theta, p.phi,
-                                           spec.resolved_phase))
+    if phase is None:
+        phase = _default_phase(helicity)
+    rest = tuple(complex(z) for z in rest_spinor(helicity, p.theta, p.phi, p.m, phase))
+    arr, _, _ = parity_linked_batch(*_rows(helicity, p.m, p.pmag, p.theta, p.phi, phase))
     return BiSpinor.from_array(arr[0], Provenance(
-        "parity_linked", {"helicity": helicity, "phase": spec.resolved_phase},
+        "parity_linked", {"helicity": helicity, "phase": phase},
         p.theta, p.phi, p, rest, rest))
 
 

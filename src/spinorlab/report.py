@@ -72,10 +72,6 @@ def _emit(obj, depth: int) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
 def classify_to_dict(rep: ClassifyReport) -> dict:
     out = {
         "bilinears": {
@@ -130,12 +126,6 @@ def symmetry_to_dict(rep: SymmetryReport) -> dict:
             "flip_residual": rep.dirac_flip_residual,
         },
         "theta_link_residual": rep.theta_link_residual,
-        "phases": {
-            "theta1": rep.phases[0],
-            "theta2": rep.phases[1],
-            "zeta1": _pair(rep.phases[2]),
-            "zeta2": _pair(rep.phases[3]),
-        },
         "findings": list(rep.findings),
     }
 

@@ -2,13 +2,15 @@
 
 Charge conjugation acts blockwise as (i Theta conj(lower), -i Theta
 conj(upper)) and is an exact involution.  Parity is realized at the spinor
-level as gamma0 composed with momentum reflection (intrinsic phase +1): the
-rest blocks recorded in a spinor's provenance are re-boosted at the
-reflected momentum, which swaps the handedness of the boost factors.  All
-Dirac-operator residuals are normalized by m ||psi|| so that one threshold
-covers every momentum scale.  Being homogeneous of degree 0 in the spinor
-and in (m, pmag), the Dirac, flip and theta-link residuals are evaluated on
-inputs scaled near 1 by exact powers of two, so nothing under- or overflows.
+level as gamma0 composed with momentum reflection (intrinsic phase +1).
+Boosting at -p swaps the handedness of the block boosts, B_R(-p) = B_L(p),
+so gamma0 B(-p) psi_rest = B(p) gamma0 psi_rest: parity is the boost, at
+the build momentum, of the rest blocks recorded in a spinor's provenance
+with the two blocks exchanged.  All Dirac-operator residuals are
+normalized by m ||psi|| so that one threshold covers every momentum scale.
+Being homogeneous of degree 0 in the spinor and in (m, pmag), the Dirac,
+flip and theta-link residuals are evaluated on inputs scaled near 1 by
+exact powers of two, so nothing under- or overflows.
 """
 from __future__ import annotations
 
@@ -22,19 +24,12 @@ from . import kernels
 from .algebra import (
     FourMomentum,
     angles_match,
-    boost_block,
     boost_block_batch,
     momentum_components,
     theta_conjugate,
 )
 from .errors import MasslessError, ProvenanceError, ScaleError, ZeroSpinorError
-from .factory import (
-    DEFAULT_PHASE_MINUS,
-    DEFAULT_PHASE_PLUS,
-    BiSpinor,
-    bispinor_from_blocks,
-    dual_helicity_partner,
-)
+from .factory import BiSpinor, boost_bispinor_batch, dual_helicity_partner
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -193,10 +188,11 @@ def c_eigen_check(psi: BiSpinor,
 def parity_apply(psi: BiSpinor, p: Optional[FourMomentum] = None) -> BiSpinor:
     """gamma0 composed with momentum reflection.
 
-    Uses the rest blocks stored in the spinor's provenance: at the reflected
-    momentum each block picks up the opposite-handed boost, and gamma0 then
-    exchanges the blocks.  Raw spinors without provenance are rejected, and
-    a supplied momentum must be the one the spinor was built at (or rest).
+    Exchanges the rest blocks stored in the spinor's provenance (gamma0) and
+    boosts them at the build momentum, which equals boosting each block with
+    the opposite-handed factor at the reflected momentum.  Raw spinors
+    without provenance are rejected, and a supplied momentum must be the one
+    the spinor was built at (or rest).
     """
     prov = psi.provenance
     if prov is None or prov.rest_right is None or prov.rest_left is None:
@@ -218,13 +214,14 @@ def parity_apply(psi: BiSpinor, p: Optional[FourMomentum] = None) -> BiSpinor:
             and angles_match(built_at.theta, built_at.phi, p.theta, p.phi)
         ):
             raise ProvenanceError("supplied momentum differs from the build momentum")
-    if built_at is None or built_at.pmag == 0.0:
-        # rest frame: reflection leaves the momentum unchanged, gamma0 only
-        return BiSpinor(psi.c, psi.d, psi.a, psi.b, None)
-    refl = built_at.reflected()
-    right_new = boost_block("right", refl) @ np.asarray(prov.rest_right)
-    left_new = boost_block("left", refl) @ np.asarray(prov.rest_left)
-    return bispinor_from_blocks(left_new, right_new, None)  # gamma0 swap
+    swapped = BiSpinor(*prov.rest_left, *prov.rest_right)
+    if built_at is None:
+        return swapped  # unboosted: the rest blocks are the components
+    if built_at.m <= 0.0:
+        raise MasslessError("boost requires m > 0")
+    arr = boost_bispinor_batch(swapped.array[None, :], *(
+        np.array([x]) for x in (built_at.m, built_at.pmag, built_at.theta, built_at.phi)))
+    return BiSpinor.from_array(arr[0])
 
 
 def parity_eigen_check(psi: BiSpinor, p: Optional[FourMomentum] = None,
@@ -392,16 +389,14 @@ class SymmetryReport:
     dirac_residual_minus: Optional[float]
     dirac_flip_residual: Optional[float]
     theta_link_residual: Optional[float]
-    phases: tuple
     findings: tuple = field(default_factory=tuple)
 
 
 def symmetry_report(psi: BiSpinor, p: Optional[FourMomentum] = None,
                     tol: Tolerances = DEFAULT_TOLERANCES,
-                    zeta1: complex = 1.0, zeta2: complex = 1.0,
-                    theta1: float = DEFAULT_PHASE_PLUS,
-                    theta2: float = DEFAULT_PHASE_MINUS) -> SymmetryReport:
-    """Run every applicable symmetry diagnostic on one spinor.
+                    zeta: complex = 1.0) -> SymmetryReport:
+    """Run every applicable symmetry diagnostic on one spinor; ``zeta`` is
+    the unit phase of the theta-link check.
 
     Checks that need information the input does not carry (parity without
     provenance, Dirac residuals without a momentum) are skipped with a
@@ -445,7 +440,7 @@ def symmetry_report(psi: BiSpinor, p: Optional[FourMomentum] = None,
     elif psi.c == 0 and psi.d == 0:
         findings.append("left block is null; theta-link check skipped")
     else:
-        theta_link = theta_link_check(psi.left, p, zeta1)
+        theta_link = theta_link_check(psi.left, p, zeta)
 
     return SymmetryReport(
         parity_eigenvalue=parity_eigenvalue,
@@ -458,6 +453,5 @@ def symmetry_report(psi: BiSpinor, p: Optional[FourMomentum] = None,
         dirac_residual_minus=dminus,
         dirac_flip_residual=flip,
         theta_link_residual=theta_link,
-        phases=(theta1, theta2, complex(zeta1), complex(zeta2)),
         findings=tuple(findings),
     )

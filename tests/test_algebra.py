@@ -236,12 +236,6 @@ class TestFourMomentum:
         np.testing.assert_allclose(p.vector, [2.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(p.four_vector[0], math.hypot(1.0, 2.0))
 
-    def test_reflection_reverses_spatial_part(self):
-        p = FourMomentum(1.0, 3.0, 0.8, 2.4)
-        r = p.reflected()
-        np.testing.assert_allclose(r.vector, -p.vector, atol=1e-14)
-        assert r.energy == p.energy
-
     @pytest.mark.parametrize(
         "kwargs",
         [dict(m=-1.0, pmag=0.0), dict(m=1.0, pmag=-2.0),

@@ -1,5 +1,6 @@
 """Job parsing, report generation, exit codes and golden files."""
 import hashlib
+import io
 import json
 import math
 import os
@@ -577,6 +578,36 @@ def test_unreadable_job_file_and_non_object_document_are_input_errors(tmp_path, 
     assert error["message"].startswith("cannot read job file: ")
     with pytest.raises(JobError, match="^expected an object, got list$"):
         parse_job([])
+
+
+_NOT_UTF8 = b'{"mode": "verify"\xff}'
+
+
+def test_job_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_bytes(_NOT_UTF8)
+    assert main(["--job", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "input"
+    assert error["message"].startswith("cannot read job file: ")
+
+
+class _PipedStdin(io.TextIOWrapper):
+    def isatty(self):
+        return False
+
+
+def test_standard_input_that_is_not_utf8_is_an_input_error(monkeypatch, capsys):
+    stdin = _PipedStdin(io.BytesIO(_NOT_UTF8), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "input"
+    assert error["message"].startswith("cannot read standard input: ")
 
 
 @pytest.mark.parametrize("name", [f"class{i}" for i in range(1, 7)])

@@ -9,7 +9,6 @@ from spinorlab import (
     DirectionMismatchError,
     FourMomentum,
     MasslessError,
-    RestSpinorSpec,
     SingularAngleError,
     ZeroSpinorError,
     boost_bispinor,
@@ -27,12 +26,12 @@ from spinorlab import (
 
 class TestRestSpinor:
     def test_north_pole_plus(self):
-        out = rest_spinor(RestSpinorSpec(1, 0.0, 0.0, 1.0, phase=0.0))
+        out = rest_spinor(1, 0.0, 0.0, 1.0, phase=0.0)
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-16)
 
     def test_matches_component_formula_and_eigenvalue(self):
         t, f, m, ph = 1.1, 2.7, 3.0, 0.4
-        out = rest_spinor(RestSpinorSpec(1, t, f, m, phase=ph))
+        out = rest_spinor(1, t, f, m, phase=ph)
         pref = math.sqrt(m) * np.exp(1j * ph)
         expected = pref * np.array(
             [math.cos(t / 2) * np.exp(-0.5j * f), math.sin(t / 2) * np.exp(0.5j * f)]
@@ -42,7 +41,7 @@ class TestRestSpinor:
 
     def test_minus_helicity_pinned_example(self):
         # h = -, theta = pi/2, phi = pi/2, m = 4, phase = 0
-        out = rest_spinor(RestSpinorSpec(-1, math.pi / 2, math.pi / 2, 4.0, phase=0.0))
+        out = rest_spinor(-1, math.pi / 2, math.pi / 2, 4.0, phase=0.0)
         s = math.sin(math.pi / 4)
         expected = 2.0 * np.array(
             [s * np.exp(-0.25j * math.pi), -s * np.exp(0.25j * math.pi)]
@@ -55,21 +54,21 @@ class TestRestSpinor:
         for _ in range(25):
             t = math.acos(rng.uniform(-1, 1))
             f = rng.uniform(0, 2 * math.pi)
-            up = rest_spinor(RestSpinorSpec(1, t, f, 2.0))
-            dn = rest_spinor(RestSpinorSpec(-1, t, f, 2.0))
+            up = rest_spinor(1, t, f, 2.0)
+            dn = rest_spinor(-1, t, f, 2.0)
             assert abs(np.vdot(up, dn)) < 1e-14
 
     def test_default_phases(self):
-        up = rest_spinor(RestSpinorSpec(1, 0.3, 0.1, 1.0))
-        dn = rest_spinor(RestSpinorSpec(-1, 0.3, 0.1, 1.0))
-        explicit_up = rest_spinor(RestSpinorSpec(1, 0.3, 0.1, 1.0, phase=0.0))
-        explicit_dn = rest_spinor(RestSpinorSpec(-1, 0.3, 0.1, 1.0, phase=math.pi))
+        up = rest_spinor(1, 0.3, 0.1, 1.0)
+        dn = rest_spinor(-1, 0.3, 0.1, 1.0)
+        explicit_up = rest_spinor(1, 0.3, 0.1, 1.0, phase=0.0)
+        explicit_dn = rest_spinor(-1, 0.3, 0.1, 1.0, phase=math.pi)
         np.testing.assert_array_equal(up, explicit_up)
         np.testing.assert_array_equal(dn, explicit_dn)
 
     def test_massless_rejected(self):
         with pytest.raises(MasslessError):
-            rest_spinor(RestSpinorSpec(1, 0.0, 0.0, 0.0))
+            rest_spinor(1, 0.0, 0.0, 0.0)
 
     def test_default_phases_rotate_the_z_basis(self, rng):
         # with the default phases (0, pi) both helicity states are one SU(2)
@@ -81,7 +80,7 @@ class TestRestSpinor:
             rot = (oracles.rotation_block(-f, [0, 0, 1])
                    @ oracles.rotation_block(-t, [0, 1, 0]))
             for hel, column in ((1, 0), (-1, 1)):
-                out = rest_spinor(RestSpinorSpec(hel, t, f, m))
+                out = rest_spinor(hel, t, f, m)
                 np.testing.assert_allclose(out, math.sqrt(m) * rot[:, column],
                                            atol=1e-15 * math.sqrt(m))
 
@@ -90,33 +89,32 @@ class TestBoostedBlock:
     """A rest spinor boosted along its own direction."""
 
     def test_rest_limit(self):
-        spec = RestSpinorSpec(1, 0.9, 0.2, 1.5)
+        rest = rest_spinor(1, 0.9, 0.2, 1.5)
         p = FourMomentum(1.5, 0.0, 0.9, 0.2)
-        np.testing.assert_array_equal(boost_block("right", p) @ rest_spinor(spec),
-                                      rest_spinor(spec))
+        np.testing.assert_array_equal(boost_block("right", p) @ rest, rest)
 
     def test_z_axis_scale_factor(self):
-        spec = RestSpinorSpec(1, 0.0, 0.0, 1.0, phase=0.0)
+        rest = rest_spinor(1, 0.0, 0.0, 1.0, phase=0.0)
         p = FourMomentum(1.0, 1.0, 0.0, 0.0)
         e = math.sqrt(2.0)
         factor = (e + 2.0) / math.sqrt(2.0 * (e + 1.0))
         np.testing.assert_allclose(
-            boost_block("right", p) @ rest_spinor(spec), [factor, 0.0], rtol=1e-15
+            boost_block("right", p) @ rest, [factor, 0.0], rtol=1e-15
         )
 
     def test_agrees_with_matrix_route(self):
         # parity-linked blocks take the boost as the scalar eigenfactor
-        spec = RestSpinorSpec(-1, 1.2, 4.0, 2.0, phase=0.7)
+        rest = rest_spinor(-1, 1.2, 4.0, 2.0, phase=0.7)
         p = FourMomentum(2.0, 9.0, 1.2, 4.0)
         psi = build_parity_linked(-1, p, phase=0.7)
         for handedness, block in (("right", psi.right), ("left", psi.left)):
-            via_matrix = boost_block(handedness, p) @ rest_spinor(spec)
+            via_matrix = boost_block(handedness, p) @ rest
             np.testing.assert_allclose(block, via_matrix, rtol=1e-12)
 
     def test_eigenvalue_preserved_under_boost(self):
-        spec = RestSpinorSpec(1, 0.8, 1.9, 1.0)
+        rest = rest_spinor(1, 0.8, 1.9, 1.0)
         p = FourMomentum(1.0, 5.0, 0.8, 1.9)
-        out = boost_block("right", p) @ rest_spinor(spec)
+        out = boost_block("right", p) @ rest
         assert oracles.eigen_sign(out, 0.8, 1.9) == 1
 
     def test_direction_mismatch_rejected(self):

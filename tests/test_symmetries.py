@@ -31,7 +31,6 @@ from spinorlab import (
     rest_spinor,
     symmetry_report,
     theta_link_check,
-    RestSpinorSpec,
 )
 from spinorlab import kernels
 from spinorlab.algebra import momentum_components
@@ -259,12 +258,12 @@ class TestParity:
 
     def test_boosted_right_block_maps_to_left_block(self):
         # applying the reflected boost to the rest block swaps handedness
-        spec = RestSpinorSpec(1, 0.9, 1.3, 1.0)
+        rest = rest_spinor(1, 0.9, 1.3, 1.0)
         p = FourMomentum(1.0, 4.0, 0.9, 1.3)
-        refl = p.reflected()
-        via_parity = boost_block("right", refl) @ rest_spinor(spec)
+        refl = FourMomentum(p.m, p.pmag, math.pi - p.theta, p.phi + math.pi)
+        via_parity = boost_block("right", refl) @ rest
         np.testing.assert_allclose(
-            via_parity, boost_block("left", p) @ rest_spinor(spec), rtol=1e-12
+            via_parity, boost_block("left", p) @ rest, rtol=1e-12
         )
 
     def test_dual_helicity_not_parity_eigenspinor(self):
