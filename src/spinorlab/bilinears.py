@@ -61,24 +61,27 @@ def bilinear_set(psi: BiSpinor) -> BilinearSet:
     # an overflow here leaves j0 * j0 non-finite, which the guard reports
     with np.errstate(over="ignore", invalid="ignore"):
         sigma, omega, j, k, s = kernels.bilinears(psi.array[None, :])
-    j0 = float(j[0, 0])
+    j0 = float(j[0][0])
     if not math.isfinite(j0 * j0) or j0 * j0 == 0.0:
         raise ScaleError(f"(psi^dag psi)^2 leaves the float64 range "
                          f"(psi^dag psi = {j0:.3e})")
-    return BilinearSet(float(sigma[0]), float(omega[0]), j[0], k[0], s[0])
+    j, k, s = (np.concatenate(cols) for cols in (j, k, s))
+    return BilinearSet(float(sigma[0]), float(omega[0]), j, k, s)
 
 
 def fpk_residuals_batch(sigma, omega, j, k) -> np.ndarray:
-    """Normalized residuals of the three scalar constraints, (N, 3).
+    """Normalized residuals of the three scalar constraints, (N, 3), from the
+    (N,) columns j, k of J and K (as :func:`kernels.bilinears` returns them,
+    or an array's ``.T``).
 
     |J.J - (sigma^2 + omega^2)|, |J.K| and |J.J + K.K|, each divided by
     (J^0)^2; the constraints hold identically for every four-component
     spinor, so these measure numerical noise only.
     """
-    jj = j[:, 0] ** 2 - j[:, 1] ** 2 - j[:, 2] ** 2 - j[:, 3] ** 2
-    jk = j[:, 0] * k[:, 0] - j[:, 1] * k[:, 1] - j[:, 2] * k[:, 2] - j[:, 3] * k[:, 3]
-    kk = k[:, 0] ** 2 - k[:, 1] ** 2 - k[:, 2] ** 2 - k[:, 3] ** 2
-    scale = j[:, 0] ** 2
+    jj = j[0] ** 2 - j[1] ** 2 - j[2] ** 2 - j[3] ** 2
+    jk = j[0] * k[0] - j[1] * k[1] - j[2] * k[2] - j[3] * k[3]
+    kk = k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2
+    scale = j[0] ** 2
     return np.stack(
         [
             np.abs(jj - (sigma**2 + omega**2)) / scale,
@@ -92,4 +95,4 @@ def fpk_residuals_batch(sigma, omega, j, k) -> np.ndarray:
 def fpk_residuals(bset: BilinearSet) -> np.ndarray:
     """N=1 form of :func:`fpk_residuals_batch` for one bilinear set."""
     return fpk_residuals_batch(np.array([bset.sigma]), np.array([bset.omega]),
-                               bset.j[None, :], bset.k[None, :])[0]
+                               bset.j[:, None], bset.k[:, None])[0]

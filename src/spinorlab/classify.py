@@ -75,8 +75,10 @@ def _zero_scalar(x, scale):
 
 def lounesto_classes(sigma, omega, j, k, s,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Vectorized decision tree; returns (N,) int8, 0 = unclassifiable."""
-    scale = tol.eps_class * j[:, 0]
+    """Vectorized decision tree over the (N,) columns j, k, s of J, K, S (as
+    :func:`kernels.bilinears` returns them, or an array's ``.T``); returns
+    (N,) int8, 0 = unclassifiable."""
+    scale = tol.eps_class * j[0]
     sig0 = _zero_scalar(sigma, scale)
     om0 = _zero_scalar(omega, scale)
     k0 = kernels._row_max_abs(k) <= scale
@@ -98,9 +100,9 @@ def lounesto_class(bset: BilinearSet,
     idx = lounesto_classes(
         np.array([bset.sigma]),
         np.array([bset.omega]),
-        bset.j[None, :],
-        bset.k[None, :],
-        bset.s[None, :],
+        bset.j[:, None],
+        bset.k[:, None],
+        bset.s[:, None],
         tol,
     )[0]
     return LounestoClass(int(idx) if idx != 0 else None)
@@ -126,16 +128,16 @@ class HelicityProfile:
     category: str
 
 
-def helicity_profiles(psis: np.ndarray, theta, phi,
-                      tol: Tolerances = DEFAULT_TOLERANCES):
-    """Vectorized block verdicts.
+def helicity_profiles(psis: np.ndarray, n, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Vectorized block verdicts along each row's unit vectors n = (nx, ny,
+    nz), as :func:`algebra.unit_vectors` and the batch constructors give them.
 
     Returns (right_state, left_state, right_rel, left_rel).  States are int8
     codes: 0 null, +1 plus, -1 minus, 2 not-eigen.  Each ``*_rel`` is the
     block's (rel_plus, rel_minus) pair of eigen-residuals relative to its
     norm; they mean nothing for a null block.
     """
-    nx, ny, nz = unit_vectors(theta, phi)
+    nx, ny, nz = n
     rp, rm, rn, lp, lm, ln = kernels.helicity_residuals(psis, nz, nx, ny)
     total = rn**2 + ln**2
     null_scale = np.sqrt(tol.eps_class * total)
@@ -179,11 +181,11 @@ class Analysis(NamedTuple):
     fpk_max: np.ndarray               # (3,) worst constraint residuals
 
 
-def analyze(psis: np.ndarray, theta=None, phi=None,
+def analyze(psis: np.ndarray, n=None,
             tol: Tolerances = DEFAULT_TOLERANCES) -> Analysis:
-    """Bilinears, Lounesto classes and, along (theta, phi), helicity
-    categories of every row; the bilinear arrays are freed before the
-    helicity pass."""
+    """Bilinears, Lounesto classes and, along the unit vectors n of
+    :func:`helicity_profiles`, helicity categories of every row; the
+    bilinear arrays are freed before the helicity pass."""
     sigma, omega, j, k, s = kernels.bilinears(psis)
     classes = lounesto_classes(sigma, omega, j, k, s, tol)
     fpk = fpk_residuals_batch(sigma, omega, j, k)
@@ -191,8 +193,8 @@ def analyze(psis: np.ndarray, theta=None, phi=None,
     fpk_max = np.array([fpk[:, i].max() for i in range(fpk.shape[1])])
     del sigma, omega, j, k, s, fpk
     categories = None
-    if theta is not None:
-        rstate, lstate, _, _ = helicity_profiles(psis, theta, phi, tol)
+    if n is not None:
+        rstate, lstate, _, _ = helicity_profiles(psis, n, tol)
         categories = helicity_categories(rstate, lstate)
     return Analysis(classes, categories, fpk_max)
 
@@ -217,7 +219,7 @@ def helicity_profile(psi: BiSpinor, theta: float, phi: float,
     if psi.is_zero():
         raise ZeroSpinorError("helicity profile of the zero spinor is undefined")
     rs, ls, (rp, rm), (lp, lm) = helicity_profiles(
-        psi.array[None, :], np.array([theta]), np.array([phi]), tol
+        psi.array[None, :], unit_vectors(np.array([theta]), np.array([phi])), tol
     )
     return HelicityProfile(
         _STATE_NAME[int(rs[0])], _STATE_NAME[int(ls[0])],

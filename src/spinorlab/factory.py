@@ -1,8 +1,13 @@
 """Constructors for every bispinor family the workbench analyzes.
 
 Each family has one batch constructor, ``<family>_batch``, taking (N,)
-parameter arrays and returning ``(components, theta, phi)``: an (N, 4)
-complex array, one spinor per row, and each row's construction direction.
+parameter arrays and returning ``(components, theta, phi, n)``: an (N, 4)
+complex array, one spinor per row, each row's construction direction, and
+its unit vectors n = (nx, ny, nz) from :func:`algebra.unit_vectors`, which
+the helicity analysis reads.  Families built along n compute it once and
+hand it on; the others compute it once from the direction they derive.
+:func:`parity_linked_batch` builds from half-angles and returns
+``(components, theta, phi)``.
 Batch constructors do not validate; their rows must meet the preconditions
 that the scalar ``build_*`` N=1 wrappers check.  A wrapper returns a
 :class:`BiSpinor` carrying a :class:`Provenance` record (family name,
@@ -189,8 +194,9 @@ def single_helicity_batch(sign, a, c, theta, phi):
     pole of their form (theta = pi for +1, theta = 0 for -1).
     """
     a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
-    tr, ti = _helicity_fraction(sign, unit_vectors(theta, phi))
-    return np.stack([a, _mul(a, tr, ti), c, _mul(c, tr, ti)], axis=1), theta, phi
+    n = unit_vectors(theta, phi)
+    tr, ti = _helicity_fraction(sign, n)
+    return np.stack([a, _mul(a, tr, ti), c, _mul(c, tr, ti)], axis=1), theta, phi, n
 
 
 def dual_helicity_batch(sign, a, c, theta, phi):
@@ -202,7 +208,7 @@ def dual_helicity_batch(sign, a, c, theta, phi):
     n = unit_vectors(theta, phi)
     rr, ri = _helicity_fraction(sign, n)
     lr, li = _helicity_fraction(-sign, n)
-    return np.stack([a, _mul(a, rr, ri), c, _mul(c, lr, li)], axis=1), theta, phi
+    return np.stack([a, _mul(a, rr, ri), c, _mul(c, lr, li)], axis=1), theta, phi, n
 
 
 def _spinor(arr, **prov) -> BiSpinor:
@@ -226,7 +232,7 @@ def build_single_helicity(pair: str, a: complex, c: complex,
         raise ZeroSpinorError("at least one of a, c must be nonzero")
     h = _PAIRS_SINGLE[pair]
     _check_pole(h, theta)
-    arr, _, _ = single_helicity_batch(*_rows(h, a, c, theta, phi))
+    arr = single_helicity_batch(*_rows(h, a, c, theta, phi))[0]
     return _spinor(
         arr, family="single_helicity", params={"pair": pair, "a": a, "c": c},
         theta=theta, phi=phi)
@@ -248,7 +254,7 @@ def build_dual_helicity(pair: str, a: complex, c: complex,
     hr, hl = _PAIRS_DUAL[pair]
     _check_pole(hr, theta)
     _check_pole(hl, theta)
-    arr, _, _ = dual_helicity_batch(*_rows(hr, a, c, theta, phi))
+    arr = dual_helicity_batch(*_rows(hr, a, c, theta, phi))[0]
     return _spinor(
         arr, family="dual_helicity", params={"pair": pair, "a": a, "c": c},
         theta=theta, phi=phi)
@@ -260,8 +266,8 @@ def dual_helicity_partner_batch(sign, a, c, theta, phi, m, pmag):
 
     Flips the helicity pair and swaps the free amplitudes.
     """
-    arr, _, _ = dual_helicity_batch(-sign, c, a, theta, phi)
-    return boost_bispinor_batch(arr, m, pmag, theta, phi), theta, phi
+    arr, _, _, n = dual_helicity_batch(-sign, c, a, theta, phi)
+    return boost_bispinor_batch(arr, m, pmag, theta, phi), theta, phi, n
 
 
 def dual_helicity_partner(psi: BiSpinor) -> BiSpinor:
@@ -295,8 +301,8 @@ def singular_form_batch(b, c, d):
     right = (a != 0) | (b != 0)
     tr, pr = bloch_direction_batch(a, b)
     tl, pl = bloch_direction_batch(c, d)
-    return (np.stack([a, b, c, d], axis=1), np.where(right, tr, tl),
-            np.where(right, pr, pl))
+    theta, phi = np.where(right, tr, tl), np.where(right, pr, pl)
+    return np.stack([a, b, c, d], axis=1), theta, phi, unit_vectors(theta, phi)
 
 
 def build_singular_form(b: complex, c: complex, d: complex) -> BiSpinor:
@@ -304,7 +310,7 @@ def build_singular_form(b: complex, c: complex, d: complex) -> BiSpinor:
     b, c, d = complex(b), complex(c), complex(d)
     if c == 0:
         raise ZeroSpinorError("singular form requires c != 0")
-    arr, theta, phi = singular_form_batch(*_rows(b, c, d))
+    arr, theta, phi, _ = singular_form_batch(*_rows(b, c, d))
     return _spinor(
         arr, family="singular_form", params={"b": b, "c": c, "d": d},
         theta=float(theta[0]), phi=float(phi[0]))
@@ -322,7 +328,7 @@ def self_conjugate_batch(sign, c, d):
     a = _complex(-sign * d.imag, -sign * d.real)
     b = _complex(sign * c.imag, sign * c.real)
     theta, phi = bloch_direction_batch(c, d)
-    return np.stack([a, b, c, d], axis=1), theta, phi
+    return np.stack([a, b, c, d], axis=1), theta, phi, unit_vectors(theta, phi)
 
 
 def build_self_conjugate(sign: int, c: complex, d: complex) -> BiSpinor:
@@ -332,7 +338,7 @@ def build_self_conjugate(sign: int, c: complex, d: complex) -> BiSpinor:
     c, d = complex(c), complex(d)
     if c == 0 and d == 0:
         raise ZeroSpinorError("left block (c, d) must be nonzero")
-    arr, theta, phi = self_conjugate_batch(*_rows(sign, c, d))
+    arr, theta, phi, _ = self_conjugate_batch(*_rows(sign, c, d))
     return _spinor(
         arr, family="self_conjugate", params={"sign": sign, "c": c, "d": d},
         theta=float(theta[0]), phi=float(phi[0]))
@@ -350,7 +356,7 @@ def weyl_batch(right, b0, b1):
     arr = np.concatenate([np.where(on_right, blk, 0), np.where(on_right, 0, blk)],
                          axis=1)
     theta, phi = bloch_direction_batch(blk[:, 0], blk[:, 1])
-    return arr, theta, phi
+    return arr, theta, phi, unit_vectors(theta, phi)
 
 
 def build_weyl(which: str, block) -> BiSpinor:
@@ -363,7 +369,7 @@ def build_weyl(which: str, block) -> BiSpinor:
     if blk[0] == 0 and blk[1] == 0:
         raise ZeroSpinorError("block must be nonzero")
     b0, b1 = complex(blk[0]), complex(blk[1])
-    arr, theta, phi = weyl_batch(*_rows(which == "right", b0, b1))
+    arr, theta, phi, _ = weyl_batch(*_rows(which == "right", b0, b1))
     return _spinor(
         arr, family="weyl", params={"which": which, "block": (b0, b1)},
         theta=float(theta[0]), phi=float(phi[0]))

@@ -7,7 +7,8 @@ sample bytes depend on it.
 
 Kernel contracts
 ----------------
-bilinears(psi)                 -> sigma, omega (N,), j, k (N,4), s (N,6)
+bilinears(psi)                 -> sigma, omega (N,); j, k, s as tuples of
+                                  4, 4 and 6 (N,) columns
 helicity_residuals(psi, nz, nx, ny)
                                -> ||M b - b||, ||M b + b||, ||b|| for the
                                   right then the left block, M = sigma.n,
@@ -19,9 +20,11 @@ The Dirac products are compensated because for a Dirac-type spinor an image
 of size E ||psi|| cancels against m psi; plain products would leave a
 relative residual of order eps E/m.  Each output component is a four-term
 dot product whose product errors (Veltkamp splitting) and sum errors
-(two-sum) are added back, as accurate as evaluating in twice the working
-precision (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J.
-Sci. Comput. 26, 2005).
+(two-sum) are added back, so the dot product of the rounded matrix entries
+is as accurate as evaluating it in twice the working precision (Ogita, Rump
+and Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005).
+The entries E +- pz are themselves rounded before the dot product, so the
+kernel's own error still grows like eps E/m.
 """
 import numpy as np
 
@@ -93,23 +96,20 @@ def bilinears(psi):
     l1 = 2.0 * (cr * dr + ci * di)
     l2 = 2.0 * (cr * di - ci * dr)
 
-    j = np.stack([r + l, r1 - l1, r2 - l2, r3 - l3], axis=1)
-    k = np.stack([r - l, r1 + l1, r2 + l2, r3 + l3], axis=1)
+    j = (r + l, r1 - l1, r2 - l2, r3 - l3)
+    k = (r - l, r1 + l1, r2 + l2, r3 + l3)
 
     w1_re, q_re = _sum_diff(cr * br + ci * bi, dr * ar + di * ai)
     w1_im, q_im = _sum_diff(cr * bi - ci * br, dr * ai - di * ar)
     w3_im = (cr * ai - ci * ar) - (dr * bi - di * br)
 
-    s = np.stack(
-        [
-            -2.0 * w1_im,  # S^{01}
-            2.0 * q_re,    # S^{02}
-            -2.0 * w3_im,  # S^{03}
-            2.0 * w3_re,   # S^{12}
-            -2.0 * q_im,   # S^{13}
-            2.0 * w1_re,   # S^{23}
-        ],
-        axis=1,
+    s = (
+        -2.0 * w1_im,  # S^{01}
+        2.0 * q_re,    # S^{02}
+        -2.0 * w3_im,  # S^{03}
+        2.0 * w3_re,   # S^{12}
+        -2.0 * q_im,   # S^{13}
+        2.0 * w1_re,   # S^{23}
     )
     return sigma, omega, j, k, s
 
@@ -142,14 +142,16 @@ def helicity_residuals(psi, nz, nx, ny):
     return tuple(out)
 
 
-def _row_max_abs(x):
-    """max |x| over the last axis, NaN where a row holds NaN (as np.max)."""
+def _row_max_abs(cols):
+    """max |c| over the columns ``cols`` (equal-shape arrays, such as the
+    ``.T`` of an (N, k) array), NaN where a row holds NaN (as np.max)."""
     # one pass per column: numpy's reduce over a short last axis costs about
     # 15 times as much
-    out = np.abs(x[..., 0], out=np.empty(x.shape[:-1]))
+    first, *rest = cols
+    out = np.abs(first, out=np.empty(np.shape(first)))
     col = np.empty_like(out)
-    for i in range(1, x.shape[-1]):
-        np.maximum(out, np.abs(x[..., i], out=col), out=out)
+    for c in rest:
+        np.maximum(out, np.abs(c, out=col), out=out)
     return out
 
 

@@ -20,9 +20,8 @@ constructor.  :func:`campaign` is the one engine over them, behind sample
 mode and every sampled verify campaign of raw or constructed spinors: it
 draws ``DRAW_ROWS`` rows at a time, constructs and analyses one
 ``SAMPLE_BLOCK_ROWS`` block at a time, and adds up one class x
-helicity-category x charge-conjugation-state count table, the constraint
-maxima and the involution maximum.  A constructed row does not depend on
-the rows built with it.
+helicity-category x charge-conjugation-state count table and the constraint
+maxima.  A constructed row does not depend on the rows built with it.
 """
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ from .factory import (
     single_helicity_batch,
     weyl_batch,
 )
-from .symmetries import c_eigen_residuals, c_involution_max, eigen_states
+from .symmetries import c_eigen_residuals, eigen_states
 from .tolerances import Tolerances
 
 MIN_RAW_NORM_SQ = 1e-6
@@ -225,7 +224,6 @@ class Campaign(NamedTuple):
                            # CAT_* code (one column for random_raw) and C state:
                            # C = +1, C = -1 or neither, at tol.exact
     fpk_max: np.ndarray    # (3,) worst constraint residuals
-    involution_max: float  # worst |C(C psi) - psi| component
 
 
 def campaign(family: str, rng, count: int, tol: Tolerances,
@@ -244,7 +242,6 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
     extra = {} if steer is None else {"steer": steer}
     joint = np.zeros((7, 1 if raw else len(CATEGORY_NAMES), 3), dtype=np.int64)
     fpk_max = np.full(3, -np.inf)
-    involution_max = 0.0
     for offset in range(0, count, DRAW_ROWS):
         rows = min(DRAW_ROWS, count - offset)
         if raw:
@@ -254,20 +251,19 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
             construct = FAMILY_CONSTRUCTORS[family]
         for start in range(0, rows, SAMPLE_BLOCK_ROWS):
             if raw:
-                block, theta, phi = chunk[start:start + SAMPLE_BLOCK_ROWS], None, None
+                block, n = chunk[start:start + SAMPLE_BLOCK_ROWS], None
             else:
-                block, theta, phi = construct(**{
+                block, _, _, n = construct(**{
                     key: value[start:start + SAMPLE_BLOCK_ROWS]
                     for key, value in params.items()})
-            res = analyze(block, theta, phi, tol)
+            res = analyze(block, n, tol)
             c_state = eigen_states(*c_eigen_residuals(block), tol)
             cells = res.classes if raw else res.classes * joint.shape[1] + res.categories
             cells = cells * 3 + c_state
             joint += np.bincount(cells, minlength=joint.size).reshape(joint.shape)
             fpk_max = np.maximum(fpk_max, res.fpk_max)
-            involution_max = np.maximum(involution_max, c_involution_max(block))
             del block
         # release the chunk before the next one is drawn; a raw block is a
         # view of it, so the block above goes first
         chunk = params = None
-    return Campaign(joint, fpk_max, float(involution_max))
+    return Campaign(joint, fpk_max)

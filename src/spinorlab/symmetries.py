@@ -261,7 +261,7 @@ def _pow2_scaled(x, dtype=complex) -> np.ndarray:
     """Each row of x, as ``dtype``, times the power of two that puts its
     largest real or imaginary part in [0.5, 1); exact for normal entries."""
     flat = np.ascontiguousarray(x, dtype=dtype).view(np.float64)
-    exp = np.frexp(kernels._row_max_abs(flat)[..., None])[1]
+    exp = np.frexp(kernels._row_max_abs(flat.T)[..., None])[1]
     return np.ldexp(flat, -exp).view(dtype)
 
 

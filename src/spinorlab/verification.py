@@ -149,7 +149,7 @@ def check_dual_helicity_dirac(seed: int = 4, count: int = 10_000) -> PropertyRes
     c = sampling.random_amplitudes(rng, count)
     arr = boost_bispinor_batch(dual_helicity_batch(sign, a, c, theta, phi)[0],
                                m, pmag, theta, phi)
-    parr, _, _ = dual_helicity_partner_batch(sign, a, c, theta, phi, m, pmag)
+    parr = dual_helicity_partner_batch(sign, a, c, theta, phi, m, pmag)[0]
     min_plus = float(np.min(dirac_residuals(arr, m, pmag, theta, phi, 1)))
     min_minus = float(np.min(dirac_residuals(arr, m, pmag, theta, phi, -1)))
     max_fwd = float(np.max(dirac_flip_residuals(arr, parr, m, pmag, theta, phi)))
@@ -177,7 +177,7 @@ def check_charge_conjugation(seed: int = 5, count: int = 10_000,
     res_plus, res_minus = c_eigen_residuals(self_conjugate_batch(**params)[0])
     eigen_worst = float(np.max(np.where(params["sign"] == 1, res_plus, res_minus)))
 
-    sarr, _, _ = single_helicity_batch(**sampling.single_helicity_params(rng, count))
+    sarr = single_helicity_batch(**sampling.single_helicity_params(rng, count))[0]
     single_min = float(np.min(np.minimum(*c_eigen_residuals(sarr))))
 
     fixture = BiSpinor(-2j, 1j, 1.0, 1.0)

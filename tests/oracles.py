@@ -125,6 +125,6 @@ def family_draw(family, rng, count, **extra):
     family: its parameter draw then its batch constructor over every row at
     once; ``params`` holds the drawn arguments other than the direction."""
     params = sampling.FAMILY_PARAMS[family](rng, count, **extra)
-    arr, theta, phi = sampling.FAMILY_CONSTRUCTORS[family](**params)
+    arr, theta, phi, _ = sampling.FAMILY_CONSTRUCTORS[family](**params)
     return arr, theta, phi, {key: value for key, value in params.items()
                              if key not in ("theta", "phi")}

@@ -256,7 +256,7 @@ class TestColumnPasses:
         return np.array(k_rows), np.array(s_rows)
 
     def _check(self, sigma, omega, j, k, s):
-        got = lounesto_classes(sigma, omega, j, k, s)
+        got = lounesto_classes(sigma, omega, j.T, k.T, s.T)
         assert got.dtype == np.int8
         np.testing.assert_array_equal(got, _reference_classes(sigma, omega, j, k, s))
         return got

@@ -13,6 +13,7 @@ import pytest
 
 import oracles
 from spinorlab import sampling
+from spinorlab.algebra import unit_vectors
 from spinorlab.classify import CATEGORY_NAMES, analyze
 from spinorlab.cli import _run_sample, main, parse_job, run_job
 from spinorlab.errors import JobError
@@ -128,9 +129,9 @@ class TestParseJob:
         assert job.tolerances.eps_class == 1e-7
 
     def test_phase_defaults(self):
-        job = parse_job({"mode": "verify"})
-        assert job.theta1 == 0.0
-        assert job.theta2 == math.pi
+        phases = parse_job({"mode": "verify"}).normalized["phases"]
+        assert phases["theta1"] == 0.0
+        assert phases["theta2"] == math.pi
 
 
 class TestRunJob:
@@ -770,7 +771,8 @@ def _chunkwise_draw_sample(job):
 
 
 def _one_pass_sample(job, arr, theta, phi):
-    res = analyze(arr, theta, phi, job.tolerances)
+    res = analyze(arr, None if theta is None else unit_vectors(theta, phi),
+                  job.tolerances)
     counts = np.bincount(res.classes, minlength=7)
     classes = {str(idx): int(counts[idx]) for idx in range(1, 7)}
     classes["unclassifiable"] = int(counts[0])

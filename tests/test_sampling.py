@@ -17,7 +17,7 @@ from spinorlab import (
     dual_helicity_partner,
     sampling,
 )
-from spinorlab.algebra import momentum_components
+from spinorlab.algebra import momentum_components, unit_vectors
 from spinorlab.factory import (
     boost_bispinor_batch,
     dual_helicity_partner_batch,
@@ -77,6 +77,11 @@ def test_draws_are_param_draws_then_blockwise_construction(family, steer):
     for got, parts in zip((arr, theta, phi), zip(*blocks)):
         want = np.concatenate(parts)
         assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the unit vectors a constructor hands on, whether it built along them or
+    # derived its direction, are those of its direction bit for bit
+    for got, want in zip(unit_vectors(theta, phi),
+                         (np.concatenate(parts) for parts in zip(*(b[3] for b in blocks)))):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     assert set(params) == set(drawn) - {"theta", "phi"}
     for key, value in params.items():
@@ -223,8 +228,8 @@ def test_scalar_constructors_are_the_batch_rows():
     arr, theta, phi, params = oracles.family_draw("dual_helicity", rng, n)
     m, pmag, _, _ = sampling.random_momenta(rng, n)
     boosted = boost_bispinor_batch(arr, m, pmag, theta, phi)
-    partners, _, _ = dual_helicity_partner_batch(params["sign"], params["a"],
-                                                 params["c"], theta, phi, m, pmag)
+    partners = dual_helicity_partner_batch(params["sign"], params["a"],
+                                           params["c"], theta, phi, m, pmag)[0]
     linked, _, _ = parity_linked_batch(params["sign"], m, pmag, theta, phi)
     for i in range(n):
         p = FourMomentum(float(m[i]), float(pmag[i]), float(theta[i]), float(phi[i]))

@@ -52,6 +52,13 @@ class TestChargeConjugation:
             psi = random_bispinor(rng)
             twice = charge_conjugate(charge_conjugate(psi))
             assert np.array_equal(twice.array, psi.array)
+        # the batch form bit for bit: signs of zeros, subnormals and entries
+        # near the float64 maximum included
+        specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308])
+        psis = np.concatenate([rng.choice(specials, size=(3000, 8)).view(complex),
+                               random_raw_spinors(rng, 64)])
+        twice = charge_conjugate_batch(charge_conjugate_batch(psis))
+        np.testing.assert_array_equal(twice.view(np.uint64), psis.view(np.uint64))
 
     def test_self_conjugate_fixture(self):
         psi = BiSpinor(-1j, 0, 0, 1)
