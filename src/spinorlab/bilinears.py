@@ -12,8 +12,9 @@ Sign and ordering conventions (chosen so every stored quantity is real):
 Any alternative sign or ordering choice relabels components without changing
 which quantities vanish, so the class assignment is convention-independent.
 Every quantity comes from the closed-form component expressions of
-:func:`kernels.bilinears`, which are real by construction; the tests compare
-them with explicit gamma-matrix sandwiches built from matrix literals.
+:func:`kernels.bilinears` and :func:`kernels.tensor`, which are real by
+construction; the tests compare them with explicit gamma-matrix sandwiches
+built from matrix literals.
 """
 from __future__ import annotations
 
@@ -60,19 +61,22 @@ def bilinear_set(psi: BiSpinor) -> BilinearSet:
     _require_nonzero(psi)
     # an overflow here leaves j0 * j0 non-finite, which the guard reports
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma, omega, j, k, s = kernels.bilinears(psi.array[None, :])
+        row = psi.array[None, :]
+        cols = kernels.columns(row)
+        sigma, omega, j, k = kernels.bilinears(row, cols)
+        s = kernels.tensor(cols)
     j0 = float(j[0][0])
     if not math.isfinite(j0 * j0) or j0 * j0 == 0.0:
         raise ScaleError(f"(psi^dag psi)^2 leaves the float64 range "
                          f"(psi^dag psi = {j0:.3e})")
-    j, k, s = (np.concatenate(cols) for cols in (j, k, s))
+    j, k, s = (np.concatenate(parts) for parts in (j, k, s))
     return BilinearSet(float(sigma[0]), float(omega[0]), j, k, s)
 
 
-def fpk_residuals_batch(sigma, omega, j, k) -> np.ndarray:
-    """Normalized residuals of the three scalar constraints, (N, 3), from the
-    (N,) columns j, k of J and K (as :func:`kernels.bilinears` returns them,
-    or an array's ``.T``).
+def fpk_columns(sigma, omega, j, k) -> tuple:
+    """Normalized residuals of the three scalar constraints, as three (N,)
+    columns, from the (N,) columns j, k of J and K (as
+    :func:`kernels.bilinears` returns them, or an array's ``.T``).
 
     |J.J - (sigma^2 + omega^2)|, |J.K| and |J.J + K.K|, each divided by
     (J^0)^2; the constraints hold identically for every four-component
@@ -82,14 +86,16 @@ def fpk_residuals_batch(sigma, omega, j, k) -> np.ndarray:
     jk = j[0] * k[0] - j[1] * k[1] - j[2] * k[2] - j[3] * k[3]
     kk = k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2
     scale = j[0] ** 2
-    return np.stack(
-        [
-            np.abs(jj - (sigma**2 + omega**2)) / scale,
-            np.abs(jk) / scale,
-            np.abs(jj + kk) / scale,
-        ],
-        axis=1,
+    return (
+        np.abs(jj - (sigma**2 + omega**2)) / scale,
+        np.abs(jk) / scale,
+        np.abs(jj + kk) / scale,
     )
+
+
+def fpk_residuals_batch(sigma, omega, j, k) -> np.ndarray:
+    """The :func:`fpk_columns` stacked into an (N, 3) array."""
+    return np.stack(fpk_columns(sigma, omega, j, k), axis=1)
 
 
 def fpk_residuals(bset: BilinearSet) -> np.ndarray:

@@ -16,6 +16,10 @@ class  sigma    omega    K      S      annotation
 6      0        0        != 0   0      Not well defined
 ====== ======== ======== ====== ====== =====================
 
+sigma and omega alone decide a regular row (classes 1-3), so the batch path
+evaluates K's and S's zero tests, and S itself, only for the rows where both
+vanish (see :func:`lounesto_classes` and :func:`analyze`).
+
 sigma = omega = K = S = 0 with J != 0 is algebraically impossible for a true
 spinor, so that pattern is reported as unclassifiable together with the
 measured bilinears for diagnosis rather than raised as an error.
@@ -29,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .algebra import unit_vectors
-from .bilinears import BilinearSet, bilinear_set, fpk_residuals, fpk_residuals_batch
+from .bilinears import BilinearSet, bilinear_set, fpk_columns, fpk_residuals
 from .errors import ZeroSpinorError
 from .factory import BiSpinor
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -75,22 +79,37 @@ def _zero_scalar(x, scale):
 
 def lounesto_classes(sigma, omega, j, k, s,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Vectorized decision tree over the (N,) columns j, k, s of J, K, S (as
+    """Vectorized decision tree over the (N,) columns j, k of J and K (as
     :func:`kernels.bilinears` returns them, or an array's ``.T``); returns
-    (N,) int8, 0 = unclassifiable."""
+    (N,) int8, 0 = unclassifiable.
+
+    sigma and omega decide every regular row, so K and S are read only for
+    the rows where both test zero: all rows when every row is singular,
+    those gathered by index when some are.  ``s`` is S's six columns, or a
+    function that returns them for such a row selection.
+    """
     scale = tol.eps_class * j[0]
     sig0 = _zero_scalar(sigma, scale)
     om0 = _zero_scalar(omega, scale)
-    k0 = kernels._row_max_abs(k) <= scale
-    s0 = kernels._row_max_abs(s) <= scale
     out = np.zeros(len(sigma), dtype=np.int8)
     out[~sig0 & ~om0] = 1
     out[~sig0 & om0] = 2
     out[sig0 & ~om0] = 3
     singular = sig0 & om0
-    out[singular & ~k0 & ~s0] = 4
-    out[singular & k0 & ~s0] = 5
-    out[singular & ~k0 & s0] = 6
+    if singular.all():
+        rows = slice(None)
+    elif singular.any():
+        rows = np.flatnonzero(singular)
+    else:
+        return out
+    scale = scale[rows]
+    k0 = kernels._row_max_abs([c[rows] for c in k]) <= scale
+    s0 = kernels._row_max_abs(s(rows) if callable(s) else [c[rows] for c in s]) <= scale
+    verdict = np.zeros(len(scale), dtype=np.int8)
+    verdict[~k0 & ~s0] = 4
+    verdict[k0 & ~s0] = 5
+    verdict[~k0 & s0] = 6
+    out[rows] = verdict
     return out
 
 
@@ -128,9 +147,11 @@ class HelicityProfile:
     category: str
 
 
-def helicity_profiles(psis: np.ndarray, n, tol: Tolerances = DEFAULT_TOLERANCES):
+def helicity_profiles(psis: np.ndarray, n, tol: Tolerances = DEFAULT_TOLERANCES,
+                      cols=None):
     """Vectorized block verdicts along each row's unit vectors n = (nx, ny,
-    nz), as :func:`algebra.unit_vectors` and the batch constructors give them.
+    nz), as :func:`algebra.unit_vectors` and the batch constructors give them;
+    ``cols`` are the :func:`kernels.columns` of psis, when held already.
 
     Returns (right_state, left_state, right_rel, left_rel).  States are int8
     codes: 0 null, +1 plus, -1 minus, 2 not-eigen.  Each ``*_rel`` is the
@@ -138,7 +159,7 @@ def helicity_profiles(psis: np.ndarray, n, tol: Tolerances = DEFAULT_TOLERANCES)
     norm; they mean nothing for a null block.
     """
     nx, ny, nz = n
-    rp, rm, rn, lp, lm, ln = kernels.helicity_residuals(psis, nz, nx, ny)
+    rp, rm, rn, lp, lm, ln = kernels.helicity_residuals(psis, nz, nx, ny, cols)
     total = rn**2 + ln**2
     null_scale = np.sqrt(tol.eps_class * total)
 
@@ -182,19 +203,27 @@ class Analysis(NamedTuple):
 
 
 def analyze(psis: np.ndarray, n=None,
-            tol: Tolerances = DEFAULT_TOLERANCES) -> Analysis:
+            tol: Tolerances = DEFAULT_TOLERANCES, cols=None) -> Analysis:
     """Bilinears, Lounesto classes and, along the unit vectors n of
-    :func:`helicity_profiles`, helicity categories of every row; the
-    bilinear arrays are freed before the helicity pass."""
-    sigma, omega, j, k, s = kernels.bilinears(psis)
-    classes = lounesto_classes(sigma, omega, j, k, s, tol)
-    fpk = fpk_residuals_batch(sigma, omega, j, k)
-    # column by column, as in kernels._row_max_abs
-    fpk_max = np.array([fpk[:, i].max() for i in range(fpk.shape[1])])
-    del sigma, omega, j, k, s, fpk
+    :func:`helicity_profiles`, helicity categories of every row.
+
+    sigma, omega, J and K are evaluated for every row from the block's
+    :func:`kernels.columns` (``cols``, when the caller holds them already);
+    S only for the rows whose sigma and omega both test zero (see
+    :func:`lounesto_classes`).  The bilinear arrays are freed before the
+    helicity pass, which reads the same columns.
+    """
+    if cols is None:
+        cols = kernels.columns(psis)
+    sigma, omega, j, k = kernels.bilinears(psis, cols)
+    classes = lounesto_classes(
+        sigma, omega, j, k, lambda rows: kernels.tensor([c[rows] for c in cols]), tol)
+    # one column at a time, as in kernels._row_max_abs
+    fpk_max = np.array([c.max() for c in fpk_columns(sigma, omega, j, k)])
+    del sigma, omega, j, k
     categories = None
     if n is not None:
-        rstate, lstate, _, _ = helicity_profiles(psis, n, tol)
+        rstate, lstate, _, _ = helicity_profiles(psis, n, tol, cols)
         categories = helicity_categories(rstate, lstate)
     return Analysis(classes, categories, fpk_max)
 

@@ -2,19 +2,21 @@
 
 Reads a JSON job document from --job or, unless the flags alone form the
 job, from standard input; applies flag overrides, runs the requested
-analysis and writes a deterministic report to standard output.  Exit codes: 0 success, 2 input error, 3 domain
-precondition error, 4 property-suite failure.  The document schema with
-worked examples lives in docs/cli_schema.md.
+analysis and writes a deterministic report to standard output.  Exit codes:
+0 success, 1 standard output closed (process entry :func:`run` only), 2
+input error, 3 domain precondition error, 4 property-suite failure.  The
+document schema with worked examples lives in docs/cli_schema.md.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NoReturn, Optional
 
 # OpenBLAS starts a worker thread per extra CPU when numpy loads, and each
 # spins for about 0.1 s of CPU; spinorlab's only BLAS calls are 2x2 and 4x4
@@ -50,7 +52,6 @@ from .report import (
 )
 from .symmetries import symmetry_report
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-from .verification import run_verification_suite
 
 SAMPLE_FAMILIES = ("random_raw", *sampling.FAMILY_PARAMS)
 CONSTRUCTOR_FAMILIES = ("single_helicity", "dual_helicity", "self_conjugate",
@@ -366,6 +367,9 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
     """Execute a validated job; returns (report, exit_code)."""
     report: dict = {"job": job.normalized, "conventions": dict(CONVENTIONS)}
     if job.mode == "verify":
+        # imported here, so that only verify jobs load and compile the suite
+        from .verification import run_verification_suite
+
         results = run_verification_suite(job.seed, job.tolerances)
         keys = ("name", "passed", "worst", "threshold", "count", "details")
         report["verify"] = {
@@ -526,5 +530,28 @@ def main(argv=None) -> int:
     return code
 
 
+def run(argv=None) -> NoReturn:
+    """Process entry point of ``python -m spinorlab`` and the ``spinorlab``
+    script: :func:`main`, then exit with its code.
+
+    A closed standard output (a reader that has gone away) ends in exit 1
+    with nothing on stderr: stdout is pointed at os.devnull, so that the
+    interpreter's own flush at exit cannot fail again (the SIGPIPE recipe of
+    the ``signal`` module's documentation).  Once the report is written,
+    ``gc.freeze()`` moves every object the process holds out of reach of the
+    collector, so the interpreter's last collection at exit skips what
+    numpy and spinorlab loaded.
+    """
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

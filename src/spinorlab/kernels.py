@@ -7,9 +7,13 @@ sample bytes depend on it.
 
 Kernel contracts
 ----------------
-bilinears(psi)                 -> sigma, omega (N,); j, k, s as tuples of
-                                  4, 4 and 6 (N,) columns
-helicity_residuals(psi, nz, nx, ny)
+columns(psi)                   -> the 8 contiguous float columns of psi
+bilinears(psi, cols=None)      -> sigma, omega (N,); j, k as tuples of 4
+                                  (N,) columns
+tensor(cols)                   -> the 6 (N,) columns of S, from any rows'
+                                  columns; callers evaluate it only for the
+                                  rows whose sigma and omega both test zero
+helicity_residuals(psi, nz, nx, ny, cols=None)
                                -> ||M b - b||, ||M b + b||, ||b|| for the
                                   right then the left block, M = sigma.n,
                                   with (nx, ny, nz) from algebra.unit_vectors
@@ -70,24 +74,24 @@ def _sum_diff(a, b):
     return a + b, a - b
 
 
-def _columns(psi):
+def columns(psi):
     """The eight columns (re0, im0, ..., re3, im3) of the (N, 8) float view
     of an (N, 4) complex array, each one contiguous."""
     x = np.ascontiguousarray(psi, dtype=np.complex128).view(np.float64)
     return tuple(np.ascontiguousarray(x.T))
 
 
-def bilinears(psi):
-    ar, ai, br, bi, cr, ci, dr, di = _columns(psi)
+def bilinears(psi, cols=None):
+    """sigma, omega, J and K of every row of psi; ``cols`` are its
+    :func:`columns` when the caller holds them already."""
+    ar, ai, br, bi, cr, ci, dr, di = columns(psi) if cols is None else cols
 
     # A product sum shared by two outputs is computed once and dropped as
     # soon as both are formed.  Only identical expressions are shared
     # (products commute exactly); a negated one would flip the sign of an
     # exact zero.
-    z_re, w3_re = _sum_diff(ar * cr + ai * ci, br * dr + bi * di)
-    z_im = (ar * ci - ai * cr) + (br * di - bi * dr)
-    sigma = 2.0 * z_re
-    omega = 2.0 * z_im
+    sigma = 2.0 * ((ar * cr + ai * ci) + (br * dr + bi * di))
+    omega = 2.0 * ((ar * ci - ai * cr) + (br * di - bi * dr))
 
     r, r3 = _sum_diff(ar * ar + ai * ai, br * br + bi * bi)
     l, l3 = _sum_diff(cr * cr + ci * ci, dr * dr + di * di)
@@ -98,12 +102,19 @@ def bilinears(psi):
 
     j = (r + l, r1 - l1, r2 - l2, r3 - l3)
     k = (r - l, r1 + l1, r2 + l2, r3 + l3)
+    return sigma, omega, j, k
 
+
+def tensor(cols):
+    """The six columns of S, in the order of :mod:`bilinears`, from the
+    :func:`columns` of some rows (whole or gathered)."""
+    ar, ai, br, bi, cr, ci, dr, di = cols
+    # product sums shared as in bilinears; S^{12} repeats sigma's two sums
+    w3_re = (ar * cr + ai * ci) - (br * dr + bi * di)
     w1_re, q_re = _sum_diff(cr * br + ci * bi, dr * ar + di * ai)
     w1_im, q_im = _sum_diff(cr * bi - ci * br, dr * ai - di * ar)
     w3_im = (cr * ai - ci * ar) - (dr * bi - di * br)
-
-    s = (
+    return (
         -2.0 * w1_im,  # S^{01}
         2.0 * q_re,    # S^{02}
         -2.0 * w3_im,  # S^{03}
@@ -111,17 +122,18 @@ def bilinears(psi):
         -2.0 * q_im,   # S^{13}
         2.0 * w1_re,   # S^{23}
     )
-    return sigma, omega, j, k, s
 
 
-def helicity_residuals(psi, nz, nx, ny):
+def helicity_residuals(psi, nz, nx, ny, cols=None):
     """Eigen-residual numerators of sigma.n on each chiral block.
 
-    (nx, ny, nz) are the unit vectors n of :func:`algebra.unit_vectors`.
+    (nx, ny, nz) are the unit vectors n of :func:`algebra.unit_vectors`, and
+    ``cols`` the :func:`columns` of psi when the caller holds them already.
     Returns ||M b - b||, ||M b + b|| and ||b|| for the right block, then the
     same three for the left block (all 2-norms).
     """
-    cols = _columns(psi)
+    if cols is None:
+        cols = columns(psi)
     out = []
     for lo in (0, 4):
         x0r, x0i, x1r, x1i = cols[lo:lo + 4]
@@ -182,7 +194,7 @@ def dirac_apply_shift(psi, e, m, px, py, pz, shift):
 
     ezp, ezm = _e_plus_minus_pz(e, m, px, py, pz)
 
-    p0r, p0i, p1r, p1i, p2r, p2i, p3r, p3i = _columns(psi)
+    p0r, p0i, p1r, p1i, p2r, p2i, p3r, p3i = columns(psi)
 
     out = np.empty((len(p0r), 4), dtype=np.complex128)
     # top block: (E + sigma.p) acting on (psi2, psi3)

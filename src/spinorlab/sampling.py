@@ -22,6 +22,10 @@ draws ``DRAW_ROWS`` rows at a time, constructs and analyses one
 ``SAMPLE_BLOCK_ROWS`` block at a time, and adds up one class x
 helicity-category x charge-conjugation-state count table and the constraint
 maxima.  A constructed row does not depend on the rows built with it.
+Each block is transposed once into its :func:`kernels.columns`, which the
+analysis and the charge-conjugation residuals both read.  S is evaluated
+only for a block's singular rows, where sigma and omega both test zero: a
+random_raw or single_helicity block, all regular, skips it.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .classify import CATEGORY_NAMES, analyze
 from .factory import (
     dual_helicity_batch,
@@ -82,9 +87,15 @@ def _rejection_fill(rng, count, draw, keep):
 
 def random_raw_spinors(rng, count: int) -> np.ndarray:
     def draw(r, n):
-        # (re, im) pairs are complex128 in memory; uniform(-1, 1) never
-        # returns -0.0, so this equals re + 1j * im bit for bit
-        return r.uniform(-1.0, 1.0, size=(n, 8)).view(np.complex128)
+        # the bits of uniform(-1.0, 1.0, size=(n, 8)), which forms -1 + 2u
+        # from the same doubles u one call at a time; the bulk fill and two
+        # in-place passes are faster.  (re, im) pairs are complex128 in
+        # memory, and uniform(-1, 1) never returns -0.0, so this equals
+        # re + 1j * im bit for bit
+        x = r.random((n, 8))
+        x *= 2.0
+        x -= 1.0
+        return x.view(np.complex128)
 
     def keep(psi):
         # |psi|^2 as c_eigen_residuals forms it, on the (n, 8) float view,
@@ -218,6 +229,15 @@ FAMILY_CONSTRUCTORS = {
 }
 
 
+def _block_verdicts(block, n, tol: Tolerances):
+    """:func:`analyze` of one block and its C eigen-state codes (see
+    :func:`eigen_states`), both from one transpose of the block into
+    :func:`kernels.columns`."""
+    cols = kernels.columns(block)
+    res = analyze(block, n, tol, cols)
+    return res, eigen_states(*c_eigen_residuals(block, cols), tol)
+
+
 class Campaign(NamedTuple):
     """Aggregates of :func:`campaign`."""
     joint: np.ndarray      # (7, ncat, 3) int64 rows by class (0 = unclassifiable),
@@ -256,8 +276,7 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
                 block, _, _, n = construct(**{
                     key: value[start:start + SAMPLE_BLOCK_ROWS]
                     for key, value in params.items()})
-            res = analyze(block, n, tol)
-            c_state = eigen_states(*c_eigen_residuals(block), tol)
+            res, c_state = _block_verdicts(block, n, tol)
             cells = res.classes if raw else res.classes * joint.shape[1] + res.categories
             cells = cells * 3 + c_state
             joint += np.bincount(cells, minlength=joint.size).reshape(joint.shape)

@@ -74,9 +74,10 @@ def eigen_states(res_plus, res_minus, tol: Tolerances):
 _EIGENVALUES = (1, -1, None)  # eigenvalue of each eigen_states code
 
 
-def c_eigen_residuals(psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def c_eigen_residuals(psis: np.ndarray, cols=None) -> tuple[np.ndarray, np.ndarray]:
     """(res_plus, res_minus): ||C psi -+ psi|| / ||psi|| for each nonzero
-    (N, 4) row.
+    (N, 4) row; ``cols`` are its :func:`kernels.columns` when the caller
+    holds them already.
 
     Computed in real arithmetic on the (N, 8) float view, with no complex
     temporaries.  Components 0 and 3 of C psi -+ psi have equal moduli, and
@@ -87,7 +88,7 @@ def c_eigen_residuals(psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     branch.
     """
     x = np.ascontiguousarray(psis, dtype=complex).view(np.float64)
-    ar, ai, br, bi, cr, ci, dr, di = x.T
+    ar, ai, br, bi, cr, ci, dr, di = x.T if cols is None else cols
     norm_sq = np.einsum("ij,ij->i", x, x)
 
     def residual(ad, bc):

@@ -18,7 +18,8 @@ from spinorlab import (
     helicity_profile,
     lounesto_class,
 )
-from spinorlab import kernels
+from spinorlab import kernels, sampling
+from spinorlab.algebra import unit_vectors
 from spinorlab.bilinears import BilinearSet, fpk_residuals_batch
 from spinorlab.classify import (
     CATEGORY_DUAL,
@@ -29,9 +30,11 @@ from spinorlab.classify import (
     CLASS_CATEGORIES,
     analyze,
     helicity_categories,
+    helicity_profiles,
     lounesto_classes,
 )
-from spinorlab.sampling import random_raw_spinors
+from spinorlab.sampling import SAMPLE_BLOCK_ROWS, random_raw_spinors
+from spinorlab.symmetries import c_eigen_residuals, eigen_states
 from spinorlab.tolerances import DEFAULT_TOLERANCES
 
 
@@ -299,3 +302,91 @@ class TestColumnPasses:
             assert got.shape == (3,)
             assert got.tobytes() == want.tobytes()
         assert np.isnan(analyze(psis).fpk_max).all()
+
+
+@pytest.fixture(scope="module")
+def edited_pool():
+    """Rows of all six classes and their unit vectors: SAMPLE_BLOCK_ROWS
+    rows of each steered single-helicity subclass, raw rows (with random
+    directions) and each singular family, some edited to hold NaN, -0.0,
+    +0.0 or 5e-324 in one component, some scaled by 1e75 or 1e-75.  Rows
+    edited in each way come first, one of each kind in turn, then the rest
+    shuffled."""
+    rng = np.random.default_rng(17)
+    rows = SAMPLE_BLOCK_ROWS
+    parts = []
+    for steer in (1, 2, 3):
+        params = sampling.single_helicity_params(rng, rows, steer=steer)
+        parts.append(sampling.single_helicity_batch(**params))
+    theta, phi = sampling.random_directions(rng, rows)
+    parts.append((random_raw_spinors(rng, rows), theta, phi, unit_vectors(theta, phi)))
+    for family in ("dual_helicity", "self_conjugate", "weyl"):
+        params = sampling.FAMILY_PARAMS[family](rng, rows)
+        parts.append(sampling.FAMILY_CONSTRUCTORS[family](**params))
+    psis = np.concatenate([part[0] for part in parts])
+    n = np.concatenate([np.stack(part[3], axis=1) for part in parts])
+    x = psis.view(np.float64)
+    edited = rng.permutation(len(psis))[:2400].reshape(6, 400)
+    cols = rng.integers(0, 8, 400)
+    for idx, value in zip(edited[:4], (np.nan, -0.0, 0.0, 5e-324)):
+        x[idx, cols] = value
+    x[edited[4]] *= 1e75
+    x[edited[5]] *= 1e-75
+    # a Weyl row's zero block holding -0.0 and 5e-324 stays singular
+    weyl = np.setdiff1d(np.arange(6 * rows, 7 * rows), edited)[:400]
+    null_block = np.where(psis[weyl, 0] == 0.0, 0, 4)
+    x[weyl, null_block] = -0.0
+    x[weyl, null_block + 3] = 5e-324
+    first = np.vstack([edited, weyl]).T.ravel()
+    rest = rng.permutation(np.setdiff1d(np.arange(len(psis)), first))
+    order = np.concatenate([first, rest])
+    return psis[order], n[order]
+
+
+def _block(pool, kind, size):
+    """The first ``size`` rows of the pool whose reference class is regular,
+    singular (0 or 4-6), or either ("mixed")."""
+    psis, n = pool
+    sigma, omega, j, k = kernels.bilinears(psis)
+    s = kernels.tensor(kernels.columns(psis))
+    classes = _reference_classes(sigma, omega, *(np.stack(c, axis=1) for c in (j, k, s)))
+    if kind == "regular":
+        keep = (classes >= 1) & (classes <= 3)
+    elif kind == "singular":
+        keep = (classes == 0) | (classes >= 4)
+    else:
+        keep = np.ones(len(psis), dtype=bool)
+    psis, n = psis[keep][:size], n[keep][:size]
+    return psis, tuple(n.T)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", [1, 7, SAMPLE_BLOCK_ROWS])
+@pytest.mark.parametrize("kind", ["regular", "singular", "mixed"])
+def test_block_verdicts_equal_the_full_bilinear_composition(edited_pool, kind, size):
+    # the block path against every bilinear of every row: classes,
+    # categories, fpk maxima and the campaign's C states, bit for bit
+    psis, n = _block(edited_pool, kind, size)
+    res, c_state = sampling._block_verdicts(psis, n, DEFAULT_TOLERANCES)
+
+    sigma, omega, j, k = kernels.bilinears(psis)
+    s = kernels.tensor(kernels.columns(psis))
+    want_classes = lounesto_classes(sigma, omega, j, k, s)
+    np.testing.assert_array_equal(
+        want_classes,
+        _reference_classes(sigma, omega, *(np.stack(c, axis=1) for c in (j, k, s))))
+    want_fpk = np.max(fpk_residuals_batch(sigma, omega, j, k), axis=0)
+    rstate, lstate, _, _ = helicity_profiles(psis, n)
+    want_c = eigen_states(*c_eigen_residuals(psis), DEFAULT_TOLERANCES)
+
+    assert res.classes.tobytes() == want_classes.tobytes()
+    assert res.categories.tobytes() == helicity_categories(rstate, lstate).tobytes()
+    assert res.fpk_max.tobytes() == want_fpk.tobytes()
+    assert c_state.tobytes() == want_c.tobytes()
+    singular = np.isin(want_classes, (0, 4, 5, 6))
+    if kind == "regular":
+        assert not singular.any()
+    elif kind == "singular":
+        assert singular.all()
+    elif size > 1:
+        assert 0 < singular.sum() < size

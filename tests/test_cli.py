@@ -1,4 +1,5 @@
 """Job parsing, report generation, exit codes and golden files."""
+import gc
 import hashlib
 import io
 import json
@@ -353,6 +354,34 @@ class TestCliProcess:
         assert code == 0
         proc = run_cli(doc=doc, tmp_path=tmp_path)
         assert captured.out == proc.stdout
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_1_with_an_empty_stderr(self, unbuffered):
+        # the reader of stdout has gone before the report is written
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "spinorlab", "--job",
+                 str(GOLDEN_DIR / "class5.job.json")],
+                stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE,
+                env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_main_in_process_freezes_no_objects(self, tmp_path, capsys):
+        # only the process entry, cli.run, freezes the collector's objects
+        doc = {"mode": "sample", "family": "weyl", "seed": 1, "count": 10}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        before = gc.get_freeze_count()
+        assert main(["--job", str(path)]) == 0
+        assert gc.get_freeze_count() == before
+        assert json.loads(capsys.readouterr().out)["sample"]["count"] == 10
 
 
 def _extreme_scale_jobs():

@@ -93,3 +93,13 @@ def test_package_import_loads_no_numpy_and_keeps_the_environment():
         "print(json.dumps({'numpy': 'numpy' in sys.modules,\n"
         "                  'environ_kept': dict(os.environ) == before}))\n")
     assert got == {"numpy": False, "environ_kept": True}
+
+
+def test_cli_import_leaves_the_property_suite_unloaded():
+    # only verify jobs import spinorlab.verification
+    got = _fresh(
+        "import json, sys\n"
+        "import spinorlab.cli\n"
+        "print(json.dumps({'verification': 'spinorlab.verification' in sys.modules,\n"
+        "                  'sampling': 'spinorlab.sampling' in sys.modules}))\n")
+    assert got == {"verification": False, "sampling": True}

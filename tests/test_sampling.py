@@ -35,6 +35,15 @@ def test_raw_spinors_are_the_drawn_pairs_bit_for_bit():
     np.testing.assert_array_equal(arr.view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("seed", [1, 7, 12])
+def test_raw_draw_is_uniform_bit_for_bit(seed):
+    # the bulk fill scaled in place against uniform(-1.0, 1.0), past one chunk
+    rows = sampling.DRAW_ROWS + 5
+    arr = sampling.random_raw_spinors(sampling.rng_for(seed), rows)
+    dof = sampling.rng_for(seed).uniform(-1.0, 1.0, size=(rows, 8))
+    assert arr.view(np.float64).tobytes() == dof.tobytes()
+
+
 # sha256 of each family draw's parameters at seed 7, count 2000.  They come
 # straight from the generator, so a change in the order of the RNG calls
 # moves them even where the constructed spinors keep their class, category
