@@ -640,6 +640,60 @@ def test_standard_input_that_is_not_utf8_is_an_input_error(monkeypatch, capsys):
     assert error["message"].startswith("cannot read standard input: ")
 
 
+# texts that get past the JSON decoder's syntax checks but cannot be decoded
+UNDECODABLE_TEXTS = {
+    "nested-too-deep": "[" * 200_000,
+    "seed-of-5000-digits": '{"mode": "verify", "seed": ' + "7" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize("source", ["job-file", "stdin"])
+@pytest.mark.parametrize("name", UNDECODABLE_TEXTS)
+def test_undecodable_document_is_an_input_error(name, source, tmp_path, monkeypatch,
+                                                capsys):
+    text = UNDECODABLE_TEXTS[name]
+    if source == "job-file":
+        path = tmp_path / "job.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["--job", str(path)]
+    else:
+        monkeypatch.setattr(sys, "stdin", _PipedStdin(io.BytesIO(text.encode()),
+                                                      encoding="utf-8"))
+        argv = []
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert (error["type"], error["exit_code"]) == ("input", 2)
+    assert error["message"].startswith("malformed job document: ")
+
+
+@pytest.mark.parametrize("spinor_doc", [
+    {"mode": "classify", "spinor": {"components": [[1, 0], [0, 0], [1, 0], [0, 0]]}},
+    {"mode": "sample", "family": "random_raw", "seed": 3, "count": 1000},
+    {"mode": "sample", "family": "dual_helicity", "seed": 3, "count": 1000},
+], ids=["classify", "sample-random-raw", "sample-dual-helicity"])
+def test_largest_class_threshold_tests_every_bilinear_zero(spinor_doc, tmp_path, capsys):
+    # an infinite zero scale is the limit of a large threshold: every finite
+    # bilinear tests zero, with the verdicts of any threshold far above 1
+    path = tmp_path / "job.json"
+    outputs = []
+    for eps in (1e308, 10):
+        path.write_text(json.dumps({**spinor_doc, "tolerances": {"epsilon_class": eps}}),
+                        encoding="utf-8")
+        assert main(["--job", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        del report["job"]
+        outputs.append(report)
+    assert outputs[0] == outputs[1]
+    if spinor_doc["mode"] == "classify":
+        assert outputs[0]["lounesto"]["annotation"] == "unclassifiable"
+    else:
+        assert outputs[0]["sample"]["class_counts"]["unclassifiable"] == 1000
+
+
 @pytest.mark.parametrize("name", [f"class{i}" for i in range(1, 7)])
 def test_golden_reports(name):
     job_path = GOLDEN_DIR / f"{name}.job.json"
