@@ -88,7 +88,10 @@ def lounesto_classes(sigma, omega, j, k, s,
     those gathered by index when some are.  ``s`` is S's six columns, or a
     function that returns them for such a row selection.
     """
-    scale = tol.eps_class * j[0]
+    # a threshold near the float64 maximum makes the scale inf: every finite
+    # bilinear then tests zero, the limit of a large threshold
+    with np.errstate(over="ignore"):
+        scale = tol.eps_class * j[0]
     sig0 = _zero_scalar(sigma, scale)
     om0 = _zero_scalar(omega, scale)
     out = np.zeros(len(sigma), dtype=np.int8)
@@ -161,7 +164,8 @@ def helicity_profiles(psis: np.ndarray, n, tol: Tolerances = DEFAULT_TOLERANCES,
     nx, ny, nz = n
     rp, rm, rn, lp, lm, ln = kernels.helicity_residuals(psis, nz, nx, ny, cols)
     total = rn**2 + ln**2
-    null_scale = np.sqrt(tol.eps_class * total)
+    with np.errstate(over="ignore"):  # as in lounesto_classes
+        null_scale = np.sqrt(tol.eps_class * total)
 
     def _block(res_p, res_m, nrm):
         null = nrm <= null_scale

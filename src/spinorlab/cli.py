@@ -460,7 +460,9 @@ def _load_document(args) -> dict:
         return {}
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an integer past the int digit limit, and
+        # RecursionError an array or object nested too deep to decode
         raise JobError(f"malformed job document: {exc}") from exc
     if not isinstance(doc, dict):
         raise JobError("job document must be a JSON object")
