@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import NoReturn, Optional
+from typing import Callable, NamedTuple, NoReturn, Optional
 
 # OpenBLAS starts a worker thread per extra CPU when numpy loads, and each
 # spins for about 0.1 s of CPU; spinorlab's only BLAS calls are 2x2 and 4x4
@@ -54,8 +54,6 @@ from .symmetries import symmetry_report
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 SAMPLE_FAMILIES = ("random_raw", *sampling.FAMILY_PARAMS)
-CONSTRUCTOR_FAMILIES = ("single_helicity", "dual_helicity", "self_conjugate",
-                        "weyl", "singular_form", "parity_linked")
 
 # Keys a job may carry in each mode.  The common ones are valid everywhere
 # because flags (--seed, --count, ...) and the normalized echo set them in
@@ -119,9 +117,9 @@ def _complex_pair(value, path: str) -> complex:
     return complex(_number(value[0], path + "[0]"), _number(value[1], path + "[1]"))
 
 
-def _angle(value, path: str, polar: bool) -> float:
+def _polar_angle(value, path: str) -> float:
     x = _number(value, path)
-    if polar and not 0.0 <= x <= math.pi:
+    if not 0.0 <= x <= math.pi:
         _fail(path, f"polar angle must lie in [0, pi], got {x}")
     return x
 
@@ -132,76 +130,96 @@ def _check_keys(doc: dict, allowed, path: str):
             _fail(path, f"unknown key {key!r} (allowed: {', '.join(sorted(allowed))})")
 
 
+def _complex(value, path: str) -> list:
+    return _as_pair(_complex_pair(value, path))
+
+
+def _complex_list(count: int, word: str):
+    def parse(value, path: str) -> list:
+        if not isinstance(value, (list, tuple)) or len(value) != count:
+            _fail(path, f"expected {word} [re, im] pairs")
+        return [_complex(z, f"{path}[{i}]") for i, z in enumerate(value)]
+    return parse
+
+
+def _one_of(valid: tuple, text: Optional[str] = None):
+    """Parser that passes only the values in ``valid``, never a boolean."""
+    text = text or " or ".join(map(repr, valid))
+
+    def parse(value, path: str):
+        if isinstance(value, bool) or value not in valid:
+            _fail(path, f"must be {text}, got {value!r}")
+        return value
+    return parse
+
+
+class Family(NamedTuple):
+    """A constructor form of the ``spinor`` key.
+
+    ``fields`` are (key, parse, default) triples in echo order: ``parse``
+    maps a value and its path to the echo, and a missing key is an error
+    when ``default`` is REQUIRED, else ``parse`` reads ``default(fields
+    parsed so far, the job's phases)``.  ``build`` takes the fields' echoes
+    in order with [re, im] pairs as complex numbers, then the momentum when
+    ``boosted``: such a spinor is built at its momentum and carries no
+    direction of its own.
+    """
+    fields: tuple
+    build: Callable[..., BiSpinor]
+    boosted: bool = False
+
+
+REQUIRED = None
+_SIGN = _one_of((1, -1))
+
+
+def _absent(fields, phases):  # the parser rejects the None of a missing key
+    return None
+
+
+def _helicity_fields(pairs: tuple) -> tuple:
+    return (("pair", _one_of(pairs, f"one of {pairs}"), REQUIRED),
+            ("a", _complex, REQUIRED), ("c", _complex, REQUIRED),
+            ("theta", _polar_angle, REQUIRED), ("phi", _number, REQUIRED))
+
+
+FAMILIES = {
+    "single_helicity": Family(_helicity_fields(("++", "--")), build_single_helicity),
+    "dual_helicity": Family(_helicity_fields(("+-", "-+")), build_dual_helicity),
+    "self_conjugate": Family((("sign", _SIGN, _absent), ("c", _complex, REQUIRED),
+                              ("d", _complex, REQUIRED)), build_self_conjugate),
+    "weyl": Family((("side", _one_of(("right", "left")), _absent),
+                    ("block", _complex_list(2, "two"), _absent)), build_weyl),
+    "singular_form": Family(tuple((key, _complex, REQUIRED) for key in "bcd"),
+                            build_singular_form),
+    "parity_linked": Family(
+        (("helicity", _SIGN, _absent),
+         ("phase", _number, lambda fields, phases: phases[fields["helicity"] != 1])),
+        lambda helicity, phase, p: build_parity_linked(helicity, p, phase), boosted=True),
+}
+CONSTRUCTOR_FAMILIES = tuple(FAMILIES)
+
+
 def _parse_spinor(spec, phases) -> dict:
     spec = _expect_dict(spec, "spinor")
     if ("components" in spec) == ("family" in spec):
         _fail("spinor", "exactly one of 'components' or 'family' is required")
     if "components" in spec:
         _check_keys(spec, {"components"}, "spinor")
-        comps = spec["components"]
-        if not isinstance(comps, (list, tuple)) or len(comps) != 4:
-            _fail("spinor.components", "expected four [re, im] pairs")
-        pairs = [_complex_pair(c, f"spinor.components[{i}]") for i, c in enumerate(comps)]
-        return {"components": [[z.real, z.imag] for z in pairs]}
-
+        return {"components": _complex_list(4, "four")(spec["components"],
+                                                       "spinor.components")}
     family = spec["family"]
     if family not in CONSTRUCTOR_FAMILIES:
         _fail("spinor.family",
               f"unknown family {family!r} (known: {', '.join(CONSTRUCTOR_FAMILIES)})")
+    fields = FAMILIES[family].fields
+    _check_keys(spec, {"family", *(key for key, _, _ in fields)}, "spinor")
     out = {"family": family}
-    if family in ("single_helicity", "dual_helicity"):
-        _check_keys(spec, {"family", "pair", "a", "c", "theta", "phi"}, "spinor")
-        valid = ("++", "--") if family == "single_helicity" else ("+-", "-+")
-        for key in ("pair", "a", "c", "theta", "phi"):
-            if key not in spec:
-                _fail("spinor", f"{family} requires {key!r}")
-        if spec["pair"] not in valid:
-            _fail("spinor.pair", f"must be one of {valid}, got {spec['pair']!r}")
-        out["pair"] = spec["pair"]
-        out["a"] = _as_pair(_complex_pair(spec["a"], "spinor.a"))
-        out["c"] = _as_pair(_complex_pair(spec["c"], "spinor.c"))
-        out["theta"] = _angle(spec["theta"], "spinor.theta", polar=True)
-        out["phi"] = _angle(spec["phi"], "spinor.phi", polar=False)
-    elif family == "self_conjugate":
-        _check_keys(spec, {"family", "sign", "c", "d"}, "spinor")
-        sign = spec.get("sign")
-        if isinstance(sign, bool) or sign not in (1, -1):
-            _fail("spinor.sign", f"must be 1 or -1, got {sign!r}")
-        for key in ("c", "d"):
-            if key not in spec:
-                _fail("spinor", f"self_conjugate requires {key!r}")
-        out["sign"] = sign
-        out["c"] = _as_pair(_complex_pair(spec["c"], "spinor.c"))
-        out["d"] = _as_pair(_complex_pair(spec["d"], "spinor.d"))
-    elif family == "weyl":
-        _check_keys(spec, {"family", "side", "block"}, "spinor")
-        side = spec.get("side")
-        if side not in ("right", "left"):
-            _fail("spinor.side", f"must be 'right' or 'left', got {side!r}")
-        block = spec.get("block")
-        if not isinstance(block, (list, tuple)) or len(block) != 2:
-            _fail("spinor.block", "expected two [re, im] pairs")
-        out["side"] = side
-        out["block"] = [
-            _as_pair(_complex_pair(block[0], "spinor.block[0]")),
-            _as_pair(_complex_pair(block[1], "spinor.block[1]")),
-        ]
-    elif family == "singular_form":
-        _check_keys(spec, {"family", "b", "c", "d"}, "spinor")
-        for key in ("b", "c", "d"):
-            if key not in spec:
-                _fail("spinor", f"singular_form requires {key!r}")
-            out[key] = _as_pair(_complex_pair(spec[key], f"spinor.{key}"))
-    else:  # parity_linked
-        _check_keys(spec, {"family", "helicity", "phase"}, "spinor")
-        hel = spec.get("helicity")
-        if isinstance(hel, bool) or hel not in (1, -1):
-            _fail("spinor.helicity", f"must be 1 or -1, got {hel!r}")
-        out["helicity"] = hel
-        if "phase" in spec:
-            out["phase"] = _number(spec["phase"], "spinor.phase")
-        else:
-            out["phase"] = phases[0] if hel == 1 else phases[1]
+    for key, parse, default in fields:
+        if key not in spec and default is REQUIRED:
+            _fail("spinor", f"{family} requires {key!r}")
+        value = spec[key] if key in spec else default(out, phases)
+        out[key] = parse(value, f"spinor.{key}")
     return out
 
 
@@ -209,14 +227,18 @@ def _as_pair(z: complex) -> list:
     return [z.real, z.imag]
 
 
-def _spinor_direction(spinor_spec: Optional[dict]) -> Optional[tuple]:
+def _boosted(spinor_spec: dict) -> bool:
+    return "family" in spinor_spec and FAMILIES[spinor_spec["family"]].boosted
+
+
+def _spinor_direction(spinor_spec: dict) -> Optional[tuple]:
     """Construction direction of a parsed spinor spec, or None.
 
-    Families whose direction is derived from their block structure
-    (self_conjugate, weyl, singular_form) are built once to read it off;
-    raw components and parity_linked spinors carry none at this stage.
+    A family without theta and phi fields derives its direction from its
+    block structure, so it is built once to read it off; raw components and
+    boosted families carry none at this stage.
     """
-    if spinor_spec is None or spinor_spec.get("family") in (None, "parity_linked"):
+    if "components" in spinor_spec or _boosted(spinor_spec):
         return None
     if "theta" in spinor_spec:
         return (spinor_spec["theta"], spinor_spec["phi"])
@@ -274,11 +296,10 @@ def parse_job(doc: dict) -> JobSpec:
             momentum = _parse_momentum(doc["momentum"], spinor_spec)
         if mode == "symmetries" and momentum is None:
             _fail("momentum", "momentum required for Dirac residual")
-        needs_p = spinor_spec.get("family") == "parity_linked" or boost
-        if needs_p and momentum is None:
+        if (boost or _boosted(spinor_spec)) and momentum is None:
             _fail("momentum", "required to build a boosted spinor")
-        if spinor_spec.get("family") == "parity_linked" and boost:
-            _fail("boost", "parity_linked spinors are built boosted already")
+        if boost and _boosted(spinor_spec):
+            _fail("boost", f"{spinor_spec['family']} spinors are built boosted already")
     elif mode == "sample":
         family = doc.get("family")
         if family not in SAMPLE_FAMILIES:
@@ -310,7 +331,7 @@ def parse_job(doc: dict) -> JobSpec:
                    tolerances=tol, zeta1=zeta1, normalized=normalized)
 
 
-def _parse_momentum(doc, spinor_spec: Optional[dict]) -> dict:
+def _parse_momentum(doc, spinor_spec: dict) -> dict:
     doc = _expect_dict(doc, "momentum")
     _check_keys(doc, {"m", "pmag", "theta", "phi"}, "momentum")
     if "m" not in doc:
@@ -322,8 +343,8 @@ def _parse_momentum(doc, spinor_spec: Optional[dict]) -> dict:
     if "theta" in doc or "phi" in doc:
         if "theta" not in doc or "phi" not in doc:
             _fail("momentum", "theta and phi must be given together")
-        theta = _angle(doc["theta"], "momentum.theta", polar=True)
-        phi = _angle(doc["phi"], "momentum.phi", polar=False)
+        theta = _polar_angle(doc["theta"], "momentum.theta")
+        phi = _number(doc["phi"], "momentum.phi")
     else:
         direction = _spinor_direction(spinor_spec)
         if direction is None:
@@ -335,32 +356,19 @@ def _parse_momentum(doc, spinor_spec: Optional[dict]) -> dict:
     return {"m": m, "pmag": pmag, "theta": theta, "phi": phi}
 
 
+def _argument(value):
+    """A build_* argument from its echo: [re, im] pairs become complex."""
+    if not isinstance(value, list):
+        return value
+    return tuple(map(_argument, value)) if isinstance(value[0], list) else complex(*value)
+
+
 def _construct(spec: dict, p: Optional[FourMomentum]) -> BiSpinor:
     if "components" in spec:
-        return BiSpinor(*(complex(re, im) for re, im in spec["components"]))
-    family = spec["family"]
-    if family in ("single_helicity", "dual_helicity"):
-        build = build_single_helicity if family == "single_helicity" else build_dual_helicity
-        return build(spec["pair"], complex(*spec["a"]), complex(*spec["c"]),
-                     spec["theta"], spec["phi"])
-    if family == "self_conjugate":
-        return build_self_conjugate(spec["sign"], complex(*spec["c"]),
-                                    complex(*spec["d"]))
-    if family == "weyl":
-        return build_weyl(spec["side"],
-                          (complex(*spec["block"][0]), complex(*spec["block"][1])))
-    if family == "singular_form":
-        return build_singular_form(complex(*spec["b"]), complex(*spec["c"]),
-                                   complex(*spec["d"]))
-    assert family == "parity_linked"
-    return build_parity_linked(spec["helicity"], p, spec["phase"])
-
-
-def _momentum_of(job: JobSpec) -> Optional[FourMomentum]:
-    if job.momentum is None:
-        return None
-    return FourMomentum(job.momentum["m"], job.momentum["pmag"],
-                        job.momentum["theta"], job.momentum["phi"])
+        return BiSpinor(*_argument(spec["components"]))
+    family = FAMILIES[spec["family"]]
+    args = [_argument(spec[key]) for key, _, _ in family.fields]
+    return family.build(*args, p) if family.boosted else family.build(*args)
 
 
 def run_job(job: JobSpec) -> tuple[dict, int]:
@@ -382,7 +390,7 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
         report["sample"] = _run_sample(job)
         return report, 0
 
-    p = _momentum_of(job)
+    p = None if job.momentum is None else FourMomentum(**job.momentum)
     psi = _construct(job.spinor_spec, p)
     if job.boost and p is not None:
         psi = boost_bispinor(psi, p)

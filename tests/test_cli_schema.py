@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from spinorlab.cli import main
+from spinorlab.cli import FAMILIES, main
 
 SCHEMA = Path(__file__).parent.parent / "docs" / "cli_schema.md"
 
@@ -49,3 +49,18 @@ def test_worked_examples_report_what_the_schema_says(index, check, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err == ""
     check(json.loads(captured.out))
+
+
+def _documented_spinor_forms():
+    """(family, field keys in order) of each constructor row of the
+    "Spinor forms" table; the raw row has no family."""
+    section = SCHEMA.read_text(encoding="utf-8").split("## Spinor forms", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, flags=re.M)
+    return [(family, tuple(re.findall(r'`"(\w+)"', fields))) for family, fields in rows]
+
+
+def test_spinor_forms_table_mirrors_the_family_table():
+    assert _documented_spinor_forms() == [
+        (family, tuple(key for key, _, _ in form.fields))
+        for family, form in FAMILIES.items()]
