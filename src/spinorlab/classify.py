@@ -88,9 +88,7 @@ def lounesto_classes(sigma, omega, j, k, s,
     those gathered by index when some are.  ``s`` is S's six columns, or a
     function that returns them for such a row selection.
     """
-    # a threshold near the float64 maximum makes the scale inf: every finite
-    # bilinear then tests zero, the limit of a large threshold
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # inf at a huge threshold: all test zero
         scale = tol.eps_class * j[0]
     sig0 = _zero_scalar(sigma, scale)
     om0 = _zero_scalar(omega, scale)

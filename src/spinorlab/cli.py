@@ -10,7 +10,6 @@ document schema with worked examples lives in docs/cli_schema.md.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
@@ -154,16 +153,12 @@ def _one_of(valid: tuple, text: Optional[str] = None):
 
 
 class Family(NamedTuple):
-    """A constructor form of the ``spinor`` key.
-
-    ``fields`` are (key, parse, default) triples in echo order: ``parse``
-    maps a value and its path to the echo, and a missing key is an error
-    when ``default`` is REQUIRED, else ``parse`` reads ``default(fields
-    parsed so far, the job's phases)``.  ``build`` takes the fields' echoes
-    in order with [re, im] pairs as complex numbers, then the momentum when
-    ``boosted``: such a spinor is built at its momentum and carries no
-    direction of its own.
-    """
+    """A constructor form of ``spinor``: its (key, parse, default) fields in
+    echo order and its build_* wrapper.  parse(value, path) gives the echo.
+    A missing key is an error when its default is REQUIRED, else parse reads
+    default(the fields so far, the job's phases).  build takes the echoes,
+    [re, im] pairs as complex, and the momentum last when ``boosted``: the
+    spinor is built at it and carries no direction of its own."""
     fields: tuple
     build: Callable[..., BiSpinor]
     boosted: bool = False
@@ -279,10 +274,8 @@ def parse_job(doc: dict) -> JobSpec:
         if abs(abs(z) - 1.0) > 1e-12:
             _fail(f"phases.{name}", "must be a unit phase")
 
-    spinor_spec = None
-    momentum = None
+    spinor_spec = momentum = family = None
     boost = False
-    family = None
     count = _integer(doc.get("count", 1000), "count")
 
     if mode in ("classify", "symmetries"):
@@ -478,26 +471,18 @@ def _load_document(args) -> dict:
 
 
 def _apply_overrides(doc: dict, args) -> dict:
-    if args.mode is not None:
-        doc["mode"] = args.mode
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.count is not None:
-        doc["count"] = args.count
-    if args.format is not None:
-        doc["format"] = args.format
-    if args.epsilon_class is not None or args.epsilon_helicity is not None:
-        tols = doc.setdefault("tolerances", {})
-        if args.epsilon_class is not None:
-            tols["epsilon_class"] = args.epsilon_class
-        if args.epsilon_helicity is not None:
-            tols["epsilon_helicity"] = args.epsilon_helicity
-    if args.theta1 is not None or args.theta2 is not None:
-        phases = doc.setdefault("phases", {})
-        if args.theta1 is not None:
-            phases["theta1"] = args.theta1
-        if args.theta2 is not None:
-            phases["theta2"] = args.theta2
+    """Write each given flag over its key of the document.  An object the
+    key belongs in that is not an object stays as it is, for the parser to
+    reject."""
+    for section, keys in (("", ("mode", "seed", "count", "format")),
+                          ("tolerances", ("epsilon_class", "epsilon_helicity")),
+                          ("phases", ("theta1", "theta2"))):
+        for key in keys:
+            if getattr(args, key) is None:
+                continue
+            target = doc.setdefault(section, {}) if section else doc
+            if isinstance(target, dict):
+                target[key] = getattr(args, key)
     return doc
 
 
@@ -544,23 +529,19 @@ def run(argv=None) -> NoReturn:
     """Process entry point of ``python -m spinorlab`` and the ``spinorlab``
     script: :func:`main`, then exit with its code.
 
-    A closed standard output (a reader that has gone away) ends in exit 1
-    with nothing on stderr: stdout is pointed at os.devnull, so that the
-    interpreter's own flush at exit cannot fail again (the SIGPIPE recipe of
-    the ``signal`` module's documentation).  Once the report is written,
-    ``gc.freeze()`` moves every object the process holds out of reach of the
-    collector, so the interpreter's last collection at exit skips what
-    numpy and spinorlab loaded.
+    Both streams are flushed, then ``os._exit`` ends the process without
+    the interpreter's teardown, which would only free what numpy and
+    spinorlab loaded.  A closed standard output (a reader that has gone
+    away) ends in exit 1 with nothing on stderr: nothing flushes stdout
+    again at exit.
     """
     try:
         code = main(argv)
         sys.stdout.flush()
     except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
         code = 1
-    gc.freeze()
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

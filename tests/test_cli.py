@@ -374,7 +374,7 @@ class TestCliProcess:
         assert (proc.returncode, proc.stderr) == (1, b"")
 
     def test_main_in_process_freezes_no_objects(self, tmp_path, capsys):
-        # only the process entry, cli.run, freezes the collector's objects
+        # the in-process API leaves the collector's state as it found it
         doc = {"mode": "sample", "family": "weyl", "seed": 1, "count": 10}
         path = tmp_path / "job.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -595,6 +595,23 @@ def test_job_input_errors_exit_2_with_their_message(name, tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["--job", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"type": "input", "message": message, "exit_code": 2}}
+
+
+@pytest.mark.parametrize("doc, flag, message", [
+    ({"mode": "verify", "tolerances": [1]}, ["--epsilon-class", "1e-9"],
+     "tolerances: expected an object, got list"),
+    ({"mode": "verify", "phases": "x"}, ["--theta1", "1"],
+     "phases: expected an object, got str"),
+])
+def test_flag_into_a_section_that_is_not_an_object_is_an_input_error(
+        doc, flag, message, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--job", str(path), *flag]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {
