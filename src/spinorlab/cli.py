@@ -172,6 +172,10 @@ def _absent(fields, phases):  # the parser rejects the None of a missing key
     return None
 
 
+def _rest_phase(fields, phases):  # theta1 for helicity 1, else theta2
+    return phases[0] if fields["helicity"] == 1 else phases[1]
+
+
 def _helicity_fields(pairs: tuple) -> tuple:
     return (("pair", _one_of(pairs, f"one of {pairs}"), REQUIRED),
             ("a", _complex, REQUIRED), ("c", _complex, REQUIRED),
@@ -188,8 +192,7 @@ FAMILIES = {
     "singular_form": Family(tuple((key, _complex, REQUIRED) for key in "bcd"),
                             build_singular_form),
     "parity_linked": Family(
-        (("helicity", _SIGN, _absent),
-         ("phase", _number, lambda fields, phases: phases[fields["helicity"] != 1])),
+        (("helicity", _SIGN, _absent), ("phase", _number, _rest_phase)),
         lambda helicity, phase, p: build_parity_linked(helicity, p, phase), boosted=True),
 }
 CONSTRUCTOR_FAMILIES = tuple(FAMILIES)
