@@ -62,7 +62,8 @@ def theta_conjugate(block: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourMomentum:
-    """On-shell momentum (m, |p|, theta, phi) with E = sqrt(m^2 + |p|^2).
+    """On-shell momentum (m, |p|, theta, phi) with E = sqrt(m^2 + |p|^2);
+    :func:`momentum_components` gives its (E, px, py, pz).
 
     The direction angles are retained even at pmag = 0, matching the
     rest-limit momentum used to label rest-frame spinors.
@@ -82,23 +83,6 @@ class FourMomentum:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
-
-    @property
-    def energy(self) -> float:
-        return float(np.hypot(self.m, self.pmag))
-
-    @property
-    def direction(self) -> tuple[float, float]:
-        return (self.theta, self.phi)
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Spatial momentum (px, py, pz)."""
-        return np.array(momentum_components(self.m, self.pmag, self.theta, self.phi)[1:])
-
-    @property
-    def four_vector(self) -> np.ndarray:
-        return np.concatenate([[self.energy], self.vector])
 
 
 def unit_vectors(theta, phi):

@@ -47,18 +47,14 @@ class BilinearSet:
         return float(self.j[0])
 
 
-def _require_nonzero(psi: BiSpinor):
-    if psi.is_zero():
-        raise ZeroSpinorError("bilinears of the zero spinor are undefined")
-
-
 def bilinear_set(psi: BiSpinor) -> BilinearSet:
     """All bilinear covariants of a nonzero spinor.
 
     Raises :class:`ScaleError` when (psi^dag psi)^2, the scale of the
     constraint residuals, overflows or underflows float64.
     """
-    _require_nonzero(psi)
+    if psi.is_zero():
+        raise ZeroSpinorError("bilinears of the zero spinor are undefined")
     # an overflow here leaves j0 * j0 non-finite, which the guard reports
     with np.errstate(over="ignore", invalid="ignore"):
         row = psi.array[None, :]

@@ -398,7 +398,7 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
     findings = list(section.pop("findings"))
     report.update(section)
     if job.mode == "symmetries":
-        sym = symmetry_to_dict(symmetry_report(psi, p, job.tolerances, job.zeta1))
+        sym = symmetry_to_dict(symmetry_report(psi, p, job.zeta1))
         findings.extend(sym.pop("findings"))
         sym["phases"] = job.normalized["phases"]
         report["symmetries"] = sym

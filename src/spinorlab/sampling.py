@@ -10,15 +10,16 @@ documented in one place and a (seed, count) pair reproduces a run exactly:
 * amplitudes: real and imaginary parts uniform on [-1, 1], rejecting
   modulus < 1e-3 (degenerate amplitudes collapse dual-helicity shapes onto
   single-block ones)
-* momenta: mass log-uniform on [0.1, 10], pmag/m log-uniform over the
-  requested ratio range, direction as above
+* momenta: mass log-uniform on MASS_RANGE = [0.1, 10], pmag/m log-uniform
+  over the requested ratio range, direction as above
 
-Each constructor family has a parameter draw, ``<family>_params``, which
-returns its batch constructor's per-row arguments as (N,) arrays keyed by
-argument name, and ``FAMILY_CONSTRUCTORS`` maps the family to that
-constructor.  :func:`campaign` is the one engine over them, behind sample
-mode and every sampled verify campaign of raw or constructed spinors: it
-draws ``DRAW_ROWS`` rows at a time, constructs and analyses one
+``FAMILY_PARAMS`` maps each constructor family to its parameter draw, which
+returns the batch constructor's per-row arguments as (N,) arrays keyed by
+argument name; both helicity families share :func:`single_helicity_params`.
+``FAMILY_CONSTRUCTORS`` maps the family to that constructor.
+:func:`campaign` is the one engine over them, behind sample mode and every
+sampled verify campaign of raw or constructed spinors: it draws
+``DRAW_ROWS`` rows at a time, constructs and analyses one
 ``SAMPLE_BLOCK_ROWS`` block at a time, and adds up one class x
 helicity-category x charge-conjugation-state count table and the constraint
 maxima.  A constructed row does not depend on the rows built with it.
@@ -48,6 +49,7 @@ MIN_RAW_NORM_SQ = 1e-6
 MIN_AMPLITUDE = 1e-3
 MIN_SIN_THETA = 1e-6
 STEER_MARGIN = 0.05
+MASS_RANGE = (0.1, 10.0)
 
 # Rows handled at a time in a campaign: the batch constructors, the raw
 # norm test and the analysis run one block at a time, which keeps their
@@ -134,9 +136,10 @@ def random_unit_phases(rng, count: int) -> np.ndarray:
     return np.exp(1j * ang)
 
 
-def random_momenta(rng, count: int, ratio=(1e-3, 1e3), mass=(0.1, 10.0)):
+def random_momenta(rng, count: int, ratio=(1e-3, 1e3)):
     """Arrays (m, pmag, theta, phi) of on-shell momenta."""
-    m = np.exp(rng.uniform(np.log(mass[0]), np.log(mass[1]), size=count))
+    m = np.exp(rng.uniform(np.log(MASS_RANGE[0]), np.log(MASS_RANGE[1]),
+                           size=count))
     r = np.exp(rng.uniform(np.log(ratio[0]), np.log(ratio[1]), size=count))
     theta, phi = random_directions(rng, count)
     return m, m * r, theta, phi
@@ -180,7 +183,8 @@ def _random_signs(rng, count: int) -> np.ndarray:
 
 
 def single_helicity_params(rng, count: int, steer: int | None = None) -> dict:
-    """Single-helicity arguments; steer picks the targeted regular subclass."""
+    """Single- or dual-helicity arguments; steer picks the targeted regular
+    subclass of a single-helicity spinor."""
     theta, phi = random_directions(rng, count)
     sign = _random_signs(rng, count)
     if steer is None:
@@ -188,14 +192,6 @@ def single_helicity_params(rng, count: int, steer: int | None = None) -> dict:
         c = random_amplitudes(rng, count)
     else:
         a, c = steered_amplitudes(rng, count, steer)
-    return {"sign": sign, "a": a, "c": c, "theta": theta, "phi": phi}
-
-
-def dual_helicity_params(rng, count: int) -> dict:
-    theta, phi = random_directions(rng, count)
-    sign = _random_signs(rng, count)
-    a = random_amplitudes(rng, count)
-    c = random_amplitudes(rng, count)
     return {"sign": sign, "a": a, "c": c, "theta": theta, "phi": phi}
 
 
@@ -217,7 +213,7 @@ def weyl_params(rng, count: int) -> dict:
 # time, so a function swapped into a dict (as a tracer does) is the one run.
 FAMILY_PARAMS = {
     "single_helicity": single_helicity_params,
-    "dual_helicity": dual_helicity_params,
+    "dual_helicity": single_helicity_params,
     "self_conjugate": self_conjugate_params,
     "weyl": weyl_params,
 }
@@ -235,14 +231,14 @@ def _block_verdicts(block, n, tol: Tolerances):
     :func:`kernels.columns`."""
     cols = kernels.columns(block)
     res = analyze(block, n, tol, cols)
-    return res, eigen_states(*c_eigen_residuals(block, cols), tol)
+    return res, eigen_states(*c_eigen_residuals(block, cols))
 
 
 class Campaign(NamedTuple):
     """Aggregates of :func:`campaign`."""
     joint: np.ndarray      # (7, ncat, 3) int64 rows by class (0 = unclassifiable),
                            # CAT_* code (one column for random_raw) and C state:
-                           # C = +1, C = -1 or neither, at tol.exact
+                           # C = +1, C = -1 or neither, at EXACT
     fpk_max: np.ndarray    # (3,) worst constraint residuals
 
 

@@ -29,8 +29,8 @@ from .algebra import (
     theta_conjugate,
 )
 from .errors import MasslessError, ProvenanceError, ScaleError, ZeroSpinorError
-from .factory import BiSpinor, boost_bispinor_batch, dual_helicity_partner
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .factory import BiSpinor, _rows, boost_bispinor, dual_helicity_partner
+from .tolerances import EXACT
 
 
 def _finite(value: float, name: str) -> float:
@@ -64,11 +64,11 @@ def c_involution_max(psis: np.ndarray) -> float:
     return float(np.max(np.abs(charge_conjugate_batch(charge_conjugate_batch(psis)) - psis)))
 
 
-def eigen_states(res_plus, res_minus, tol: Tolerances):
+def eigen_states(res_plus, res_minus):
     """Codes of the +-1 eigen verdict from the residuals of both branches:
-    0 for +1 when ``res_plus <= tol.exact`` (+1 wins a tie), else 1 for -1
-    when ``res_minus <= tol.exact``, else 2 for neither (NaN included)."""
-    return np.where(res_plus <= tol.exact, 0, np.where(res_minus <= tol.exact, 1, 2))
+    0 for +1 when ``res_plus <= EXACT`` (+1 wins a tie), else 1 for -1
+    when ``res_minus <= EXACT``, else 2 for neither (NaN included)."""
+    return np.where(res_plus <= EXACT, 0, np.where(res_minus <= EXACT, 1, 2))
 
 
 _EIGENVALUES = (1, -1, None)  # eigenvalue of each eigen_states code
@@ -128,10 +128,10 @@ class CEigenCheck:
     def residual(self) -> float:
         return min(self.residual_plus, self.residual_minus)
 
-    def violated(self, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    def violated(self) -> tuple:
         return tuple(
             name for name, value in sorted(self.constraints.items())
-            if value > tol.exact
+            if value > EXACT
         )
 
 
@@ -153,8 +153,7 @@ def _phase_alignment(x: complex, y: complex) -> float:
     return _ratio(abs(x * ay - y * ax), ax * ay, "C phase alignment")
 
 
-def c_eigen_check(psi: BiSpinor,
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> CEigenCheck:
+def c_eigen_check(psi: BiSpinor) -> CEigenCheck:
     """N=1 form of :func:`c_eigen_residuals`, with the eigenvalue verdict.
 
     On top of the eigen-residuals, the component constraints behind the
@@ -171,7 +170,7 @@ def c_eigen_check(psi: BiSpinor,
     with np.errstate(invalid="ignore"):
         res_plus, res_minus = (_finite(float(res[0]), "C residual")
                                for res in c_eigen_residuals(arr))
-    eigenvalue = _EIGENVALUES[int(eigen_states(res_plus, res_minus, tol))]
+    eigenvalue = _EIGENVALUES[int(eigen_states(res_plus, res_minus))]
     scaled = BiSpinor.from_array(arr[0])
     a, b, c, d = scaled.a, scaled.b, scaled.c, scaled.d
     n2 = scaled.norm_sq
@@ -218,15 +217,10 @@ def parity_apply(psi: BiSpinor, p: Optional[FourMomentum] = None) -> BiSpinor:
     swapped = BiSpinor(*prov.rest_left, *prov.rest_right)
     if built_at is None:
         return swapped  # unboosted: the rest blocks are the components
-    if built_at.m <= 0.0:
-        raise MasslessError("boost requires m > 0")
-    arr = boost_bispinor_batch(swapped.array[None, :], *(
-        np.array([x]) for x in (built_at.m, built_at.pmag, built_at.theta, built_at.phi)))
-    return BiSpinor.from_array(arr[0])
+    return boost_bispinor(swapped, built_at)
 
 
-def parity_eigen_check(psi: BiSpinor, p: Optional[FourMomentum] = None,
-                       tol: Tolerances = DEFAULT_TOLERANCES):
+def parity_eigen_check(psi: BiSpinor, p: Optional[FourMomentum] = None):
     """(eigenvalue or None, residual) of psi under the parity operation."""
     par = parity_apply(psi, p).array
     arr = psi.array
@@ -235,7 +229,7 @@ def parity_eigen_check(psi: BiSpinor, p: Optional[FourMomentum] = None,
         raise ZeroSpinorError("parity eigencheck of the zero spinor is undefined")
     res_plus = float(np.linalg.norm(par - arr)) / nrm
     res_minus = float(np.linalg.norm(par + arr)) / nrm
-    state = int(eigen_states(res_plus, res_minus, tol))
+    state = int(eigen_states(res_plus, res_minus))
     return _EIGENVALUES[state], (res_plus, res_minus, min(res_plus, res_minus))[state]
 
 
@@ -366,8 +360,8 @@ def theta_link_check(phi_left_rest, p: FourMomentum, zeta: complex = 1.0) -> flo
         raise ValueError("zeta must be a unit phase")
     if p.m <= 0.0:
         raise MasslessError("boost requires m > 0")
-    res = theta_link_residuals(block[None, :], [complex(zeta)], *(
-        np.array([x]) for x in (p.m, p.pmag, p.theta, p.phi)))
+    res = theta_link_residuals(block[None, :], [complex(zeta)],
+                               *_rows(p.m, p.pmag, p.theta, p.phi))
     return _finite(float(res[0]), "theta-link residual")
 
 
@@ -375,8 +369,8 @@ def theta_link_check(phi_left_rest, p: FourMomentum, zeta: complex = 1.0) -> flo
 class SymmetryReport:
     """Residuals and verdicts for the discrete-symmetry diagnostics.
 
-    Eigenvalues are reported only when the matching residual is below the
-    exact-algebra tolerance; otherwise they are None and the residual still
+    Eigenvalues are reported only when the matching residual is within
+    :data:`tolerances.EXACT`; otherwise they are None and the residual still
     records how far the spinor is from the nearest eigenspinor.
     """
 
@@ -394,7 +388,6 @@ class SymmetryReport:
 
 
 def symmetry_report(psi: BiSpinor, p: Optional[FourMomentum] = None,
-                    tol: Tolerances = DEFAULT_TOLERANCES,
                     zeta: complex = 1.0) -> SymmetryReport:
     """Run every applicable symmetry diagnostic on one spinor; ``zeta`` is
     the unit phase of the theta-link check.
@@ -407,7 +400,7 @@ def symmetry_report(psi: BiSpinor, p: Optional[FourMomentum] = None,
         raise ZeroSpinorError("symmetry report of the zero spinor is undefined")
     findings: list[str] = []
 
-    cres = c_eigen_check(psi, tol)
+    cres = c_eigen_check(psi)
     cc = charge_conjugate(charge_conjugate(psi)).array
     involution = _ratio(float(np.linalg.norm(cc - psi.array)),
                         float(np.linalg.norm(psi.array)), "C involution residual")
@@ -415,7 +408,7 @@ def symmetry_report(psi: BiSpinor, p: Optional[FourMomentum] = None,
     parity_eigenvalue = None
     parity_residual = None
     try:
-        parity_eigenvalue, parity_residual = parity_eigen_check(psi, p, tol)
+        parity_eigenvalue, parity_residual = parity_eigen_check(psi, p)
     except ProvenanceError as exc:
         findings.append(f"parity check skipped: {exc}")
 

@@ -377,7 +377,7 @@ def test_block_verdicts_equal_the_full_bilinear_composition(edited_pool, kind, s
         _reference_classes(sigma, omega, *(np.stack(c, axis=1) for c in (j, k, s))))
     want_fpk = np.max(fpk_residuals_batch(sigma, omega, j, k), axis=0)
     rstate, lstate, _, _ = helicity_profiles(psis, n)
-    want_c = eigen_states(*c_eigen_residuals(psis), DEFAULT_TOLERANCES)
+    want_c = eigen_states(*c_eigen_residuals(psis))
 
     assert res.classes.tobytes() == want_classes.tobytes()
     assert res.categories.tobytes() == helicity_categories(rstate, lstate).tobytes()

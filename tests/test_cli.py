@@ -21,6 +21,7 @@ from spinorlab.errors import JobError
 from spinorlab.report import emit_structured
 from spinorlab.sampling import DRAW_ROWS, SAMPLE_BLOCK_ROWS
 from spinorlab.symmetries import charge_conjugate_batch
+from spinorlab.tolerances import EXACT
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -725,6 +726,32 @@ def test_golden_reports(name):
     assert json.loads(expected)["lounesto"]["index"] == expected_index
 
 
+# symmetries jobs whose report the tolerances must not move: the class5
+# golden, and a raw spinor whose C residual, about 1e-2, would read +1 at a
+# threshold of 0.5
+TOLERANCE_FREE_JOBS = {
+    "class5": json.loads((GOLDEN_DIR / "class5.job.json").read_text()),
+    "near-c-eigen": {
+        "mode": "symmetries",
+        "spinor": {"components": [[0.01, 0], [0, 1], [1, 0], [0, 0]]},
+        "momentum": {"m": 1, "pmag": 2, "theta": 0.5, "phi": 0.3},
+    },
+}
+
+
+@pytest.mark.parametrize("name", TOLERANCE_FREE_JOBS)
+def test_tolerances_stay_out_of_the_symmetries_section(name, tmp_path, capsys):
+    # the job's tolerances set the class and helicity verdicts only; the C
+    # and parity eigen verdicts use the fixed EXACT
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(TOLERANCE_FREE_JOBS[name]), encoding="utf-8")
+    sections = []
+    for flags in ([], ["--epsilon-class", "0.5", "--epsilon-helicity", "0.5"]):
+        assert main(["--job", str(path), *flags]) == 0
+        sections.append(json.loads(capsys.readouterr().out)["symmetries"])
+    assert sections[0] == sections[1]
+
+
 # sha256 of the structured `--mode verify` stdout at seed 0: every property's
 # worst value and details string reaches the bytes.
 VERIFY_BYTES_SHA256 = "0dee2371e0b75c92e86675875723f3a1769651a48ce74852c6a3262e75761e0a"
@@ -882,7 +909,7 @@ def _one_pass_sample(job, arr, theta, phi):
         counts = np.bincount(res.categories, minlength=len(CATEGORY_NAMES))
         out["helicity_category_counts"] = {
             name: int(counts[code]) for code, name in CATEGORY_NAMES.items()}
-    exact = job.tolerances.exact
+    exact = EXACT
     carr = charge_conjugate_batch(arr)
     nrm = np.linalg.norm(arr, axis=1)
     res_plus = np.linalg.norm(carr - arr, axis=1) / nrm

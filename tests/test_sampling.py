@@ -130,9 +130,10 @@ def test_amplitudes_respect_modulus_floor():
 
 def test_momenta_on_shell_and_in_range():
     m, pmag, theta, phi = sampling.random_momenta(
-        sampling.rng_for(4), 5000, ratio=(1e-2, 1e2), mass=(0.5, 2.0)
+        sampling.rng_for(4), 5000, ratio=(1e-2, 1e2)
     )
-    assert np.all((m >= 0.5) & (m <= 2.0))
+    lo, hi = sampling.MASS_RANGE
+    assert np.all((m >= lo) & (m <= hi))
     ratio = pmag / m
     assert np.all((ratio >= 1e-2) & (ratio <= 1e2))
     e, _, _, _ = momentum_components(m, pmag, theta, phi)

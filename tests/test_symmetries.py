@@ -43,7 +43,7 @@ from spinorlab.symmetries import (
     charge_conjugate_batch,
     eigen_states,
 )
-from spinorlab.tolerances import DEFAULT_TOLERANCES
+from spinorlab.tolerances import EXACT
 
 
 class TestChargeConjugation:
@@ -133,7 +133,7 @@ class TestChargeConjugation:
         assert {1, -1} <= set(sign)
         assert np.all(res_plus[len(raw):][sign == 1] == 0.0)
         assert np.all(res_minus[len(raw):][sign == -1] == 0.0)
-        exact = DEFAULT_TOLERANCES.exact
+        exact = EXACT
         for got, want in ((res_plus, want_plus), (res_minus, want_minus)):
             assert np.count_nonzero(got <= exact) == np.count_nonzero(want <= exact)
         assert np.count_nonzero(res_plus <= exact) == np.count_nonzero(sign == 1)
@@ -156,7 +156,7 @@ class TestChargeConjugation:
         np.testing.assert_equal(got, expected)
 
 
-_EXACT = DEFAULT_TOLERANCES.exact
+_EXACT = EXACT
 
 
 @pytest.mark.parametrize("res_plus, res_minus, state", [
@@ -170,8 +170,8 @@ _EXACT = DEFAULT_TOLERANCES.exact
     (0.5, math.nan, 2),
 ])
 def test_eigen_states(res_plus, res_minus, state):
-    assert eigen_states(res_plus, res_minus, DEFAULT_TOLERANCES) == state
-    got = eigen_states(np.array([res_plus]), np.array([res_minus]), DEFAULT_TOLERANCES)
+    assert eigen_states(res_plus, res_minus) == state
+    got = eigen_states(np.array([res_plus]), np.array([res_minus]))
     np.testing.assert_array_equal(got, [state])
 
 
@@ -356,7 +356,8 @@ class TestDiracOperator:
             p = FourMomentum(1.0, float(rng.uniform(0, 5)), 1.1, 0.3)
             fast = _dirac_image(psi, p)
             slow = dirac_matrix(p) @ psi.array
-            np.testing.assert_allclose(fast, slow, atol=1e-13 * p.energy)
+            e = momentum_components(p.m, p.pmag, p.theta, p.phi)[0]
+            np.testing.assert_allclose(fast, slow, atol=1e-13 * e)
 
     def test_rest_frame_dirac_spinor_residual_exactly_zero(self):
         psi = BiSpinor(1, 0, 1, 0, provenance=None)
