@@ -3,10 +3,11 @@
     python scripts/peak_rss.py LIMIT_MB -- CMD [ARG ...]
 
 The command runs with standard input and output on /dev/null; its standard
-error passes through.  The script prints the command's exit code and its
-peak resident set size (the child's own ``ru_maxrss``, read with
-``os.wait4``), and exits 0 only when the command exited 0 and peaked below
-LIMIT_MB megabytes (MiB); otherwise it exits 1.
+error passes through.  The script prints the command's exit code, its peak
+resident set size and its minor page faults (the child's own ``ru_maxrss``
+and ``ru_minflt``, read with ``os.wait4``), and exits 0 only when the
+command exited 0 and peaked below LIMIT_MB megabytes (MiB); otherwise it
+exits 1.
 """
 import os
 import subprocess
@@ -23,7 +24,8 @@ def main(argv) -> int:
     _, status, usage = os.wait4(proc.pid, 0)
     code = os.waitstatus_to_exitcode(status)
     peak_mb = usage.ru_maxrss / 1024
-    print(f"exit {code}, peak RSS {peak_mb:.1f} MB (limit {limit_mb:g} MB)")
+    print(f"exit {code}, peak RSS {peak_mb:.1f} MB, {usage.ru_minflt} minor faults "
+          f"(limit {limit_mb:g} MB)")
     return 0 if code == 0 and peak_mb < limit_mb else 1
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from spinorlab.symmetries import charge_conjugate_batch
 from spinorlab.tolerances import EXACT
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+PEAK_RSS = Path(__file__).parent.parent / "scripts" / "peak_rss.py"
 
 
 def run_cli(args=(), stdin_text=None, tmp_path=None, doc=None):
@@ -851,8 +853,9 @@ def test_sample_bytes_pinned(family, tmp_path, capsys):
 
 
 # sha256 of the structured `sample` stdout at seed 7 and count 2 * DRAW_ROWS + 5:
-# three draw chunks, the last one partial, so the bytes cover the chunk
-# boundaries that the count-20000 pins never reach.
+# three draw chunks of dual_helicity (nine RAW_DRAW_ROWS chunks of random_raw),
+# the last one partial, so the bytes cover the chunk boundaries that the
+# count-20000 pins never reach.
 MULTI_CHUNK_SAMPLE_BYTES_SHA256 = {
     "random_raw": "a00be9e5ab72c3b4a06d7b2116126d42f6d69ce16bfb11fc0a585f19a91c7764",
     "dual_helicity": "d42f48d3b3240358b0d2b6951b1eebc19203e34da33a98b01ef010fa4b1b0087",
@@ -944,28 +947,44 @@ def test_chunked_sample_equals_one_pass_over_the_chunkwise_draws(family):
         assert sample == _whole_array_sample(job)
 
 
+def _sample_peak_rss_bytes(tmp_path, family, count):
+    """Peak RSS of a fresh `sample` process.  scripts/peak_rss.py spawns it:
+    a child's ru_maxrss starts at the RSS of the process that spawned it,
+    and this test process's RSS can be above a sample's own peak."""
+    path = tmp_path / f"job-{family}-{count}.json"
+    path.write_text(json.dumps({"mode": "sample", "family": family,
+                                "seed": 1, "count": count}), encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(PEAK_RSS), "inf", "--", sys.executable,
+                           "-m", "spinorlab", "--job", str(path)],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return float(re.search(r"peak RSS (\S+) MB", proc.stdout).group(1)) * 2**20
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is read in KiB, as Linux reports it")
 def test_sample_peak_rss_grows_only_with_the_drawn_rows(tmp_path):
-    # Nothing is held whole: rows are drawn DRAW_ROWS at a time, and both
-    # ends of the range draw several chunks, so peak RSS should not grow.
-    # Both families measure 0 to 3 B/row; drawing the whole sample at once
+    # Nothing is held whole: rows are drawn in fixed chunks (RAW_DRAW_ROWS
+    # for random_raw, DRAW_ROWS for a constructor family), and both ends of
+    # the range draw several chunks, so peak RSS should not grow.
+    # Both families measure 0 to 4 B/row; drawing the whole sample at once
     # took 64 (random_raw) and 84 (dual_helicity) B/row.
-    def peak_rss_bytes(family, count):
-        path = tmp_path / f"job-{family}-{count}.json"
-        path.write_text(json.dumps({"mode": "sample", "family": family,
-                                    "seed": 1, "count": count}), encoding="utf-8")
-        proc = subprocess.Popen([sys.executable, "-m", "spinorlab", "--job", str(path)],
-                                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
-        return usage.ru_maxrss * 1024
-
     for family, bound in (("random_raw", 16), ("dual_helicity", 16)):
-        slope = (peak_rss_bytes(family, 800_000)
-                 - peak_rss_bytes(family, 200_000)) / 600_000
+        slope = (_sample_peak_rss_bytes(tmp_path, family, 800_000)
+                 - _sample_peak_rss_bytes(tmp_path, family, 200_000)) / 600_000
         assert slope < bound, f"{family}: peak RSS grows by {slope:.0f} B per sampled row"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is read in KiB, as Linux reports it")
+def test_sample_raw_working_set_is_bounded(tmp_path):
+    # A 1-row sample peaks at the floor: the interpreter, numpy and
+    # numpy.random.  Above it, a 1e6-row random_raw sample holds one 2 MB
+    # draw chunk and the blocks' temporaries: 3.5 MB measured, against
+    # 9.4 MB when raw rows were drawn in 8 MB chunks of DRAW_ROWS.
+    extra = (_sample_peak_rss_bytes(tmp_path, "random_raw", 1_000_000)
+             - _sample_peak_rss_bytes(tmp_path, "random_raw", 1))
+    assert extra < 6 * 2**20, f"a 1e6-row sample peaks {extra / 2**20:.1f} MB above the floor"
 
 
 def test_dirac_residuals_are_scale_free_at_extreme_magnitudes():

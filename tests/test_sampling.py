@@ -44,6 +44,32 @@ def test_raw_draw_is_uniform_bit_for_bit(seed):
     assert arr.view(np.float64).tobytes() == dof.tobytes()
 
 
+def test_raw_draws_do_not_depend_on_the_chunk_size(monkeypatch):
+    # a norm floor of 2.0 rejects about 22% of the candidates, so each draw
+    # refills its rejections; the rows kept are the stream's accepted rows
+    # in order, however the draw is split
+    monkeypatch.setattr(sampling, "MIN_RAW_NORM_SQ", 2.0)
+    count = sampling.RAW_DRAW_ROWS + 5
+    whole = sampling.random_raw_spinors(sampling.rng_for(13), count)
+    for rows in (1, 7, sampling.SAMPLE_BLOCK_ROWS, sampling.RAW_DRAW_ROWS):
+        rng = sampling.rng_for(13)
+        parts = [sampling.random_raw_spinors(rng, min(rows, count - start))
+                 for start in range(0, count, rows)]
+        np.testing.assert_array_equal(np.concatenate(parts).view(np.uint64),
+                                      whole.view(np.uint64))
+    # so a raw campaign's aggregates do not depend on its chunk size either
+    count = sampling.DRAW_ROWS + 5
+    results = []
+    for rows in (sampling.RAW_DRAW_ROWS, sampling.SAMPLE_BLOCK_ROWS, sampling.DRAW_ROWS):
+        monkeypatch.setattr(sampling, "RAW_DRAW_ROWS", rows)
+        results.append(sampling.campaign("random_raw", sampling.rng_for(13), count,
+                                         DEFAULT_TOLERANCES))
+    for result in results[1:]:
+        np.testing.assert_array_equal(result.joint, results[0].joint)
+        np.testing.assert_array_equal(result.fpk_max.view(np.uint64),
+                                      results[0].fpk_max.view(np.uint64))
+
+
 # sha256 of each family draw's parameters at seed 7, count 2000.  They come
 # straight from the generator, so a change in the order of the RNG calls
 # moves them even where the constructed spinors keep their class, category
