@@ -278,6 +278,30 @@ class TestWeyl:
             build_weyl("right", (0.0, 0.0))
 
 
+@pytest.mark.parametrize("build, theta, phi", [
+    (lambda: build_self_conjugate(1, 0.3 - 0.7j, -1.1 + 0.2j),
+     "0x1.f214fb2b7d77fp+0", "0x1.082b507525be4p+2"),
+    (lambda: build_self_conjugate(-1, -0.9 + 0.4j, 0.25 - 0.6j),
+     "0x1.2aad95bb1d4fbp+0", "0x1.3120be89074c7p+1"),
+    (lambda: build_weyl("right", (0.6 + 0.1j, -0.4 + 0.9j)),
+     "0x1.047cb94047b5dp+1", "0x1.d2e94625b8cb0p+0"),
+    (lambda: build_weyl("left", (-0.35 - 0.8j, 0.7 + 0.15j)),
+     "0x1.5f99b6691bec2p+0", "0x1.18ded36305e46p+1"),
+    # the right block (a, b) where it is nonzero, else the left block (c, d)
+    (lambda: build_singular_form(0.5 - 0.25j, 0.8 + 0.3j, -0.2 + 1.1j),
+     "0x1.4e17f98049382p+0", "0x1.222466f238c0ap+2"),
+    (lambda: build_singular_form(0.0, 0.8 + 0.3j, -0.2 + 1.1j),
+     "0x1.d62771083c6aep+0", "0x1.645231405d5f9p+0"),
+    (lambda: build_self_conjugate(1, 1e150 * (0.3 - 0.7j), 1e150 * (-1.1 + 0.2j)),
+     "0x1.f214fb2b7d77fp+0", "0x1.082b507525be4p+2"),
+])
+def test_bloch_family_directions_pinned(build, theta, phi):
+    # the construction direction a Bloch-family spinor records, and reports
+    # echo, keeps its bits
+    prov = build().provenance
+    assert (prov.theta.hex(), prov.phi.hex()) == (theta, phi)
+
+
 class TestParityLinkedAndBoost:
     def test_rest_spinor_duplicated_into_both_blocks(self):
         p = FourMomentum(2.0, 0.0, 0.8, 0.3)
