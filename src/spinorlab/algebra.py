@@ -158,16 +158,17 @@ def boost_factor_batch(sign, helicity, m, pmag) -> np.ndarray:
 
 
 def bloch_direction_batch(b0, b1):
-    """(theta, phi) along which each 2-spinor (b0, b1) has helicity +1.
+    """(n, v) of 2-spinors (b0, b1): the Bloch vector v, along which each
+    has helicity +1, and its unit vector n = v / (|b0|^2 + |b1|^2).
 
-    A block whose squared entries leave the float64 range gets a nan
-    direction without a warning, for the caller's guard to report.
+    Out of the float64 range n is nan, without a warning, for the caller's
+    guard to report.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        nx = 2.0 * (b0.real * b1.real + b0.imag * b1.imag)
-        ny = 2.0 * (b0.real * b1.imag - b0.imag * b1.real)
-        nz = (b0.real ** 2 + b0.imag ** 2) - (b1.real ** 2 + b1.imag ** 2)
-        return np.arctan2(np.hypot(nx, ny), nz), np.arctan2(ny, nx) % math.tau
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r0, r1 = b0.real ** 2 + b0.imag ** 2, b1.real ** 2 + b1.imag ** 2
+        v = (2.0 * (b0.real * b1.real + b0.imag * b1.imag),
+             2.0 * (b0.real * b1.imag - b0.imag * b1.real), r0 - r1)
+        return tuple(x / (r0 + r1) for x in v), v
 
 
 def angles_match(t1: float, p1: float, t2: float, p2: float) -> bool:

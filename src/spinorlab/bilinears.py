@@ -89,12 +89,7 @@ def fpk_columns(sigma, omega, j, k) -> tuple:
     )
 
 
-def fpk_residuals_batch(sigma, omega, j, k) -> np.ndarray:
-    """The :func:`fpk_columns` stacked into an (N, 3) array."""
-    return np.stack(fpk_columns(sigma, omega, j, k), axis=1)
-
-
 def fpk_residuals(bset: BilinearSet) -> np.ndarray:
-    """N=1 form of :func:`fpk_residuals_batch` for one bilinear set."""
-    return fpk_residuals_batch(np.array([bset.sigma]), np.array([bset.omega]),
-                               bset.j[:, None], bset.k[:, None])[0]
+    """The three :func:`fpk_columns` residuals of one bilinear set."""
+    return np.concatenate(fpk_columns(np.array([bset.sigma]), np.array([bset.omega]),
+                                      bset.j[:, None], bset.k[:, None]))

@@ -151,7 +151,7 @@ class HelicityProfile:
 def helicity_profiles(psis: np.ndarray, n, tol: Tolerances = DEFAULT_TOLERANCES,
                       cols=None):
     """Vectorized block verdicts along each row's unit vectors n = (nx, ny,
-    nz), as :func:`algebra.unit_vectors` and the batch constructors give them;
+    nz), as the batch constructors or :func:`algebra.unit_vectors` give them;
     ``cols`` are the :func:`kernels.columns` of psis, when held already.
 
     Returns (right_state, left_state, right_rel, left_rel).  States are int8
@@ -250,8 +250,7 @@ def helicity_profile(psi: BiSpinor, theta: float, phi: float,
     if psi.is_zero():
         raise ZeroSpinorError("helicity profile of the zero spinor is undefined")
     rs, ls, (rp, rm), (lp, lm) = helicity_profiles(
-        psi.array[None, :], unit_vectors(np.array([theta]), np.array([phi])), tol
-    )
+        psi.array[None, :], unit_vectors(theta, phi), tol)
     return HelicityProfile(
         _STATE_NAME[int(rs[0])], _STATE_NAME[int(ls[0])],
         _block_residual(rs[0], rp[0], rm[0]), _block_residual(ls[0], lp[0], lm[0]),

@@ -1,15 +1,15 @@
 """Constructors for every bispinor family the workbench analyzes.
 
 Each family has one batch constructor, ``<family>_batch``, taking (N,)
-parameter arrays and returning ``(components, theta, phi, n)``: an (N, 4)
-complex array, one spinor per row, each row's construction direction, and
-its unit vectors n = (nx, ny, nz) from :func:`algebra.unit_vectors`, which
-the helicity analysis reads.  Families built along n compute it once and
-hand it on; the others compute it once from the direction they derive.
-:func:`parity_linked_batch` builds from half-angles and returns
-``(components, theta, phi)``.
-Batch constructors do not validate; their rows must meet the preconditions
-that the scalar ``build_*`` N=1 wrappers check.  A wrapper returns a
+parameter arrays and returning ``(components, n)``: an (N, 4) complex
+array, one spinor per row, and the unit vectors n = (nx, ny, nz) of each
+row's direction, which the helicity analysis reads.  The helicity families
+are built along :func:`algebra.unit_vectors` of their (theta, phi); the
+self-conjugate, Weyl and singular forms take n from a block's
+:func:`algebra.bloch_direction_batch`.  :func:`parity_linked_batch` and
+:func:`dual_helicity_partner_batch` return the components only.  Batch
+constructors do not validate; their rows must meet the preconditions that
+the scalar ``build_*`` N=1 wrappers check.  A wrapper returns a
 :class:`BiSpinor` carrying a :class:`Provenance` record (family name,
 construction parameters, direction, unboosted blocks) so that reports can
 state how a spinor was generated and the parity operation can rebuild it.
@@ -196,7 +196,7 @@ def single_helicity_batch(sign, a, c, theta, phi):
     a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
     n = unit_vectors(theta, phi)
     tr, ti = _helicity_fraction(sign, n)
-    return np.stack([a, _mul(a, tr, ti), c, _mul(c, tr, ti)], axis=1), theta, phi, n
+    return np.stack([a, _mul(a, tr, ti), c, _mul(c, tr, ti)], axis=1), n
 
 
 def dual_helicity_batch(sign, a, c, theta, phi):
@@ -208,7 +208,7 @@ def dual_helicity_batch(sign, a, c, theta, phi):
     n = unit_vectors(theta, phi)
     rr, ri = _helicity_fraction(sign, n)
     lr, li = _helicity_fraction(-sign, n)
-    return np.stack([a, _mul(a, rr, ri), c, _mul(c, lr, li)], axis=1), theta, phi, n
+    return np.stack([a, _mul(a, rr, ri), c, _mul(c, lr, li)], axis=1), n
 
 
 def _spinor(arr, **prov) -> BiSpinor:
@@ -266,8 +266,8 @@ def dual_helicity_partner_batch(sign, a, c, theta, phi, m, pmag):
 
     Flips the helicity pair and swaps the free amplitudes.
     """
-    arr, _, _, n = dual_helicity_batch(-sign, c, a, theta, phi)
-    return boost_bispinor_batch(arr, m, pmag, theta, phi), theta, phi, n
+    arr, _ = dual_helicity_batch(-sign, c, a, theta, phi)
+    return boost_bispinor_batch(arr, m, pmag, theta, phi)
 
 
 def dual_helicity_partner(psi: BiSpinor) -> BiSpinor:
@@ -285,6 +285,14 @@ def dual_helicity_partner(psi: BiSpinor) -> BiSpinor:
     return partner
 
 
+def _bloch_angles(b0: complex, b1: complex) -> dict:
+    # a Provenance's (theta, phi): of the Bloch vector v, not of the rounded n
+    _, (x, y, z) = bloch_direction_batch(*_rows(b0, b1))
+    with np.errstate(over="ignore"):
+        return {"theta": float(np.arctan2(np.hypot(x, y), z)[0]),
+                "phi": float((np.arctan2(y, x) % math.tau)[0])}
+
+
 def singular_form_batch(b, c, d):
     """Singular-structure spinors (-b c conj(d)/|c|^2, b, c, d); c != 0.
 
@@ -293,16 +301,14 @@ def singular_form_batch(b, c, d):
     the right block, or of the left one where the right block is null.
     """
     b, c, d = (np.asarray(x, dtype=complex) for x in (b, c, d))
-    # out of range, a and the direction come out inf or nan without a warning
+    # out of range, a comes out inf or nan without a warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         y = _mul(_mul(-b, c.real, c.imag), d.real, -d.imag)
         n2 = np.hypot(c.real, c.imag) ** 2
         a = _complex(y.real / n2, y.imag / n2)
     right = (a != 0) | (b != 0)
-    tr, pr = bloch_direction_batch(a, b)
-    tl, pl = bloch_direction_batch(c, d)
-    theta, phi = np.where(right, tr, tl), np.where(right, pr, pl)
-    return np.stack([a, b, c, d], axis=1), theta, phi, unit_vectors(theta, phi)
+    n, _ = bloch_direction_batch(np.where(right, a, c), np.where(right, b, d))
+    return np.stack([a, b, c, d], axis=1), n
 
 
 def build_singular_form(b: complex, c: complex, d: complex) -> BiSpinor:
@@ -310,10 +316,11 @@ def build_singular_form(b: complex, c: complex, d: complex) -> BiSpinor:
     b, c, d = complex(b), complex(c), complex(d)
     if c == 0:
         raise ZeroSpinorError("singular form requires c != 0")
-    arr, theta, phi, _ = singular_form_batch(*_rows(b, c, d))
+    arr, _ = singular_form_batch(*_rows(b, c, d))
+    a = complex(arr[0, 0])
     return _spinor(
         arr, family="singular_form", params={"b": b, "c": c, "d": d},
-        theta=float(theta[0]), phi=float(phi[0]))
+        **(_bloch_angles(a, b) if a or b else _bloch_angles(c, d)))
 
 
 def self_conjugate_batch(sign, c, d):
@@ -327,8 +334,7 @@ def self_conjugate_batch(sign, c, d):
     c, d = np.asarray(c, dtype=complex), np.asarray(d, dtype=complex)
     a = _complex(-sign * d.imag, -sign * d.real)
     b = _complex(sign * c.imag, sign * c.real)
-    theta, phi = bloch_direction_batch(c, d)
-    return np.stack([a, b, c, d], axis=1), theta, phi, unit_vectors(theta, phi)
+    return np.stack([a, b, c, d], axis=1), bloch_direction_batch(c, d)[0]
 
 
 def build_self_conjugate(sign: int, c: complex, d: complex) -> BiSpinor:
@@ -338,10 +344,10 @@ def build_self_conjugate(sign: int, c: complex, d: complex) -> BiSpinor:
     c, d = complex(c), complex(d)
     if c == 0 and d == 0:
         raise ZeroSpinorError("left block (c, d) must be nonzero")
-    arr, theta, phi, _ = self_conjugate_batch(*_rows(sign, c, d))
+    arr, _ = self_conjugate_batch(*_rows(sign, c, d))
     return _spinor(
         arr, family="self_conjugate", params={"sign": sign, "c": c, "d": d},
-        theta=float(theta[0]), phi=float(phi[0]))
+        **_bloch_angles(c, d))
 
 
 def weyl_batch(right, b0, b1):
@@ -355,8 +361,7 @@ def weyl_batch(right, b0, b1):
     on_right = np.asarray(right)[:, None]
     arr = np.concatenate([np.where(on_right, blk, 0), np.where(on_right, 0, blk)],
                          axis=1)
-    theta, phi = bloch_direction_batch(blk[:, 0], blk[:, 1])
-    return arr, theta, phi, unit_vectors(theta, phi)
+    return arr, bloch_direction_batch(blk[:, 0], blk[:, 1])[0]
 
 
 def build_weyl(which: str, block) -> BiSpinor:
@@ -369,10 +374,10 @@ def build_weyl(which: str, block) -> BiSpinor:
     if blk[0] == 0 and blk[1] == 0:
         raise ZeroSpinorError("block must be nonzero")
     b0, b1 = complex(blk[0]), complex(blk[1])
-    arr, theta, phi, _ = weyl_batch(*_rows(which == "right", b0, b1))
+    arr, _ = weyl_batch(*_rows(which == "right", b0, b1))
     return _spinor(
         arr, family="weyl", params={"which": which, "block": (b0, b1)},
-        theta=float(theta[0]), phi=float(phi[0]))
+        **_bloch_angles(b0, b1))
 
 
 def parity_linked_batch(helicity, m, pmag, theta, phi, phase=None):
@@ -389,7 +394,7 @@ def parity_linked_batch(helicity, m, pmag, theta, phi, phase=None):
     with np.errstate(over="ignore", invalid="ignore"):
         right = boost_factor_batch(1, helicity, m, pmag)[:, None] * rest
         left = boost_factor_batch(-1, helicity, m, pmag)[:, None] * rest
-    return np.concatenate([right, left], axis=1), theta, phi
+    return np.concatenate([right, left], axis=1)
 
 
 def build_parity_linked(helicity: int, p: FourMomentum,
@@ -398,7 +403,7 @@ def build_parity_linked(helicity: int, p: FourMomentum,
     if phase is None:
         phase = _default_phase(helicity)
     rest = tuple(complex(z) for z in rest_spinor(helicity, p.theta, p.phi, p.m, phase))
-    arr, _, _ = parity_linked_batch(*_rows(helicity, p.m, p.pmag, p.theta, p.phi, phase))
+    arr = parity_linked_batch(*_rows(helicity, p.m, p.pmag, p.theta, p.phi, phase))
     return BiSpinor.from_array(arr[0], Provenance(
         "parity_linked", {"helicity": helicity, "phase": phase},
         p.theta, p.phi, p, rest, rest))

@@ -16,7 +16,7 @@ tensor(cols)                   -> the 6 (N,) columns of S, from any rows'
 helicity_residuals(psi, nz, nx, ny, cols=None)
                                -> ||M b - b||, ||M b + b||, ||b|| for the
                                   right then the left block, M = sigma.n,
-                                  with (nx, ny, nz) from algebra.unit_vectors
+                                  with n = (nx, ny, nz) a row's unit vector
 dirac_apply_shift(psi, e, m, px, py, pz, shift)
                                -> (N,4) gamma_mu p^mu psi - shift psi
 
@@ -127,8 +127,8 @@ def tensor(cols):
 def helicity_residuals(psi, nz, nx, ny, cols=None):
     """Eigen-residual numerators of sigma.n on each chiral block.
 
-    (nx, ny, nz) are the unit vectors n of :func:`algebra.unit_vectors`, and
-    ``cols`` the :func:`columns` of psi when the caller holds them already.
+    (nx, ny, nz) are the rows' unit vectors n, as the batch constructors
+    hand them on, and ``cols`` the :func:`columns` of psi when held already.
     Returns ||M b - b||, ||M b + b|| and ||b|| for the right block, then the
     same three for the left block (all 2-norms).
     """

@@ -16,7 +16,7 @@ documented in one place and a (seed, count) pair reproduces a run exactly:
 ``FAMILY_PARAMS`` maps each constructor family to its parameter draw, which
 returns the batch constructor's per-row arguments as (N,) arrays keyed by
 argument name; both helicity families share :func:`single_helicity_params`.
-``FAMILY_CONSTRUCTORS`` maps the family to that constructor.
+``FAMILY_CONSTRUCTORS`` maps the family to that constructor (rows and n).
 :func:`campaign` is the one engine over them, behind sample mode and every
 sampled verify campaign of raw or constructed spinors: it draws
 ``RAW_DRAW_ROWS`` raw or ``DRAW_ROWS`` constructed rows at a time,
@@ -279,7 +279,7 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
             if raw:
                 block, n = chunk[start:start + SAMPLE_BLOCK_ROWS], None
             else:
-                block, _, _, n = construct(**{
+                block, n = construct(**{
                     key: value[start:start + SAMPLE_BLOCK_ROWS]
                     for key, value in params.items()})
             res, c_state = _block_verdicts(block, n, tol)

@@ -121,7 +121,7 @@ def check_parity_dirac_link(seed: int = 3) -> PropertyResult:
     rng = sampling.rng_for(seed)
     m, pmag, theta, phi = sampling.random_momenta(rng, count)
     hel = sampling._random_signs(rng, count)
-    arr, _, _ = parity_linked_batch(hel, m, pmag, theta, phi)
+    arr = parity_linked_batch(hel, m, pmag, theta, phi)
     worst = float(np.max(dirac_residuals(arr, m, pmag, theta, phi)))
     return PropertyResult("parity-dirac-dynamics", worst < 1e-12, worst, 1e-12, count)
 
@@ -137,7 +137,7 @@ def check_dual_helicity_dirac(seed: int = 4) -> PropertyResult:
     c = sampling.random_amplitudes(rng, count)
     arr = boost_bispinor_batch(dual_helicity_batch(sign, a, c, theta, phi)[0],
                                m, pmag, theta, phi)
-    parr = dual_helicity_partner_batch(sign, a, c, theta, phi, m, pmag)[0]
+    parr = dual_helicity_partner_batch(sign, a, c, theta, phi, m, pmag)
     min_plus = float(np.min(dirac_residuals(arr, m, pmag, theta, phi, 1)))
     min_minus = float(np.min(dirac_residuals(arr, m, pmag, theta, phi, -1)))
     max_fwd = float(np.max(dirac_flip_residuals(arr, parr, m, pmag, theta, phi)))

@@ -102,9 +102,18 @@ def brute_force_class(psi, eps=1e-9):
 
 def eigen_sign(block, theta, phi, tol=1e-9):
     """+1/-1 if block is a sigma.n eigenvector along (theta, phi), else None."""
+    return _eigen_sign(block, sigma_dot(theta, phi), tol)
+
+
+def eigen_sign_along(block, n, tol=1e-9):
+    """:func:`eigen_sign` along the unit 3-vector n = (nx, ny, nz)."""
+    return _eigen_sign(block, n[0] * PAULI[0] + n[1] * PAULI[1] + n[2] * PAULI[2], tol)
+
+
+def _eigen_sign(block, sigma_n, tol):
     block = np.asarray(block, dtype=complex)
     nrm = np.linalg.norm(block)
-    image = sigma_dot(theta, phi) @ block
+    image = sigma_n @ block
     if np.linalg.norm(image - block) / nrm < tol:
         return 1
     if np.linalg.norm(image + block) / nrm < tol:
@@ -121,10 +130,12 @@ def dirac_operator(m, pmag, theta, phi):
 
 
 def family_draw(family, rng, count, **extra):
-    """(components, theta, phi, params) of ``count`` rows of a constructor
-    family: its parameter draw then its batch constructor over every row at
-    once; ``params`` holds the drawn arguments other than the direction."""
+    """(components, n, theta, phi, params) of ``count`` rows of a
+    constructor family: its parameter draw then its batch constructor over
+    every row at once.  theta and phi are the drawn directions of a helicity
+    family and None for a Bloch family, which derives its n; ``params``
+    holds the drawn arguments other than the direction."""
     params = sampling.FAMILY_PARAMS[family](rng, count, **extra)
-    arr, theta, phi, _ = sampling.FAMILY_CONSTRUCTORS[family](**params)
-    return arr, theta, phi, {key: value for key, value in params.items()
-                             if key not in ("theta", "phi")}
+    arr, n = sampling.FAMILY_CONSTRUCTORS[family](**params)
+    return arr, n, params.get("theta"), params.get("phi"), {
+        key: value for key, value in params.items() if key not in ("theta", "phi")}

@@ -1,4 +1,4 @@
-"""Constant operators, boosts and Bloch directions."""
+"""Constant operators, boosts and Bloch vectors."""
 import math
 
 import numpy as np
@@ -20,6 +20,7 @@ from spinorlab.algebra import (
     bloch_direction_batch,
     boost_factor_batch,
     momentum_components,
+    unit_vectors,
 )
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -258,12 +259,14 @@ class TestBlochDirection:
         for _ in range(50):
             t = math.acos(rng.uniform(-0.999, 0.999))
             f = rng.uniform(0, 2 * math.pi)
-            block = np.array([math.cos(t / 2) * np.exp(-0.5j * f),
-                              math.sin(t / 2) * np.exp(0.5j * f)])
-            tb, fb = bloch_direction_batch(block[0], block[1])
-            assert abs(tb - t) < 1e-12
-            assert abs(math.remainder(fb - f, 2 * math.pi)) < 1e-9
+            scale = 10.0 ** rng.uniform(-100, 100)
+            block = scale * np.array([math.cos(t / 2) * np.exp(-0.5j * f),
+                                      math.sin(t / 2) * np.exp(0.5j * f)])
+            n, v = bloch_direction_batch(block[0], block[1])
+            np.testing.assert_allclose(n, unit_vectors(t, f), rtol=0, atol=1e-15)
+            # v has length |b0|^2 + |b1|^2, the length n divides it by
+            assert math.isclose(math.hypot(*v), scale * scale, rel_tol=1e-15)
 
     def test_poles(self):
-        assert bloch_direction_batch(1 + 0j, 0j)[0] == 0.0
-        assert bloch_direction_batch(0j, 1 + 0j)[0] == math.pi
+        assert bloch_direction_batch(1 + 0j, 0j) == ((0.0, 0.0, 1.0),) * 2
+        assert bloch_direction_batch(0j, 1 + 0j) == ((0.0, 0.0, -1.0),) * 2

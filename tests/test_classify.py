@@ -20,7 +20,7 @@ from spinorlab import (
 )
 from spinorlab import kernels, sampling
 from spinorlab.algebra import unit_vectors
-from spinorlab.bilinears import BilinearSet, fpk_residuals_batch
+from spinorlab.bilinears import BilinearSet, fpk_columns
 from spinorlab.classify import (
     CATEGORY_DUAL,
     CATEGORY_NAMES,
@@ -297,7 +297,8 @@ class TestColumnPasses:
         psis = random_raw_spinors(rng, 5000)
         psis[1234, 2] = complex(np.nan, 0.0)
         for rows in (psis[:1234], psis):
-            want = np.max(fpk_residuals_batch(*kernels.bilinears(rows)[:4]), axis=0)
+            want = np.max(np.stack(fpk_columns(*kernels.bilinears(rows)[:4]), axis=1),
+                          axis=0)
             got = analyze(rows).fpk_max
             assert got.shape == (3,)
             assert got.tobytes() == want.tobytes()
@@ -319,12 +320,12 @@ def edited_pool():
         params = sampling.single_helicity_params(rng, rows, steer=steer)
         parts.append(sampling.single_helicity_batch(**params))
     theta, phi = sampling.random_directions(rng, rows)
-    parts.append((random_raw_spinors(rng, rows), theta, phi, unit_vectors(theta, phi)))
+    parts.append((random_raw_spinors(rng, rows), unit_vectors(theta, phi)))
     for family in ("dual_helicity", "self_conjugate", "weyl"):
         params = sampling.FAMILY_PARAMS[family](rng, rows)
         parts.append(sampling.FAMILY_CONSTRUCTORS[family](**params))
     psis = np.concatenate([part[0] for part in parts])
-    n = np.concatenate([np.stack(part[3], axis=1) for part in parts])
+    n = np.concatenate([np.stack(part[1], axis=1) for part in parts])
     x = psis.view(np.float64)
     edited = rng.permutation(len(psis))[:2400].reshape(6, 400)
     cols = rng.integers(0, 8, 400)
@@ -375,7 +376,7 @@ def test_block_verdicts_equal_the_full_bilinear_composition(edited_pool, kind, s
     np.testing.assert_array_equal(
         want_classes,
         _reference_classes(sigma, omega, *(np.stack(c, axis=1) for c in (j, k, s))))
-    want_fpk = np.max(fpk_residuals_batch(sigma, omega, j, k), axis=0)
+    want_fpk = np.max(np.stack(fpk_columns(sigma, omega, j, k), axis=1), axis=0)
     rstate, lstate, _, _ = helicity_profiles(psis, n)
     want_c = eigen_states(*c_eigen_residuals(psis))
 

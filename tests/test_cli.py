@@ -15,7 +15,6 @@ import pytest
 
 import oracles
 from spinorlab import sampling
-from spinorlab.algebra import unit_vectors
 from spinorlab.classify import CATEGORY_NAMES, analyze
 from spinorlab.cli import _run_sample, main, parse_job, run_job
 from spinorlab.errors import JobError
@@ -876,12 +875,12 @@ def _whole_array_sample(job):
     """The `sample` section computed in one pass: one analyze over every row
     and the charge-conjugation residuals of the whole array."""
     rng = sampling.rng_for(job.seed)
-    theta = phi = None
+    n = None
     if job.family == "random_raw":
         arr = sampling.random_raw_spinors(rng, job.count)
     else:
-        arr, theta, phi, _ = oracles.family_draw(job.family, rng, job.count)
-    return _one_pass_sample(job, arr, theta, phi)
+        arr, n, *_ = oracles.family_draw(job.family, rng, job.count)
+    return _one_pass_sample(job, arr, n)
 
 
 def _chunkwise_draw_sample(job):
@@ -892,23 +891,23 @@ def _chunkwise_draw_sample(job):
     for start in range(0, job.count, DRAW_ROWS):
         rows = min(DRAW_ROWS, job.count - start)
         if job.family == "random_raw":
-            parts.append((sampling.random_raw_spinors(rng, rows), None, None))
+            parts.append((sampling.random_raw_spinors(rng, rows), None))
         else:
-            parts.append(oracles.family_draw(job.family, rng, rows)[:3])
-    arr, theta, phi = (None if part[0] is None else np.concatenate(part)
-                       for part in zip(*parts))
-    return _one_pass_sample(job, arr, theta, phi)
+            parts.append(oracles.family_draw(job.family, rng, rows)[:2])
+    arr = np.concatenate([part[0] for part in parts])
+    n = None if parts[0][1] is None else np.concatenate([part[1] for part in parts],
+                                                        axis=1)
+    return _one_pass_sample(job, arr, n)
 
 
-def _one_pass_sample(job, arr, theta, phi):
-    res = analyze(arr, None if theta is None else unit_vectors(theta, phi),
-                  job.tolerances)
+def _one_pass_sample(job, arr, n):
+    res = analyze(arr, n, job.tolerances)
     counts = np.bincount(res.classes, minlength=7)
     classes = {str(idx): int(counts[idx]) for idx in range(1, 7)}
     classes["unclassifiable"] = int(counts[0])
     out = {"family": job.family, "seed": job.seed, "count": job.count,
            "class_counts": classes, "fpk_max": [float(x) for x in res.fpk_max]}
-    if theta is not None:
+    if n is not None:
         counts = np.bincount(res.categories, minlength=len(CATEGORY_NAMES))
         out["helicity_category_counts"] = {
             name: int(counts[code]) for code, name in CATEGORY_NAMES.items()}

@@ -101,23 +101,32 @@ def test_draws_are_param_draws_then_blockwise_construction(family, steer):
     # a campaign draws the parameters whole and constructs them one block
     # at a time; the whole-array reference draw must give the same bits
     block_rows = sampling.SAMPLE_BLOCK_ROWS
-    n = 2 * block_rows + 3
+    rows = 2 * block_rows + 3
     extra = {} if steer is None else {"steer": steer}
-    arr, theta, phi, params = oracles.family_draw(family, sampling.rng_for(31), n, **extra)
-    drawn = sampling.FAMILY_PARAMS[family](sampling.rng_for(31), n, **extra)
+    arr, n, theta, phi, params = oracles.family_draw(family, sampling.rng_for(31), rows,
+                                                     **extra)
+    drawn = sampling.FAMILY_PARAMS[family](sampling.rng_for(31), rows, **extra)
     construct = sampling.FAMILY_CONSTRUCTORS[family]
     blocks = [construct(**{key: value[start:start + block_rows]
                            for key, value in drawn.items()})
-              for start in range(0, n, block_rows)]
-    for got, parts in zip((arr, theta, phi), zip(*blocks)):
-        want = np.concatenate(parts)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-    # the unit vectors a constructor hands on, whether it built along them or
-    # derived its direction, are those of its direction bit for bit
-    for got, want in zip(unit_vectors(theta, phi),
-                         (np.concatenate(parts) for parts in zip(*(b[3] for b in blocks)))):
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+              for start in range(0, rows, block_rows)]
+    want = np.concatenate([block[0] for block in blocks])
+    assert arr.dtype == want.dtype
+    np.testing.assert_array_equal(arr.view(np.uint64), want.view(np.uint64))
+    for got, parts in zip(n, zip(*(block[1] for block in blocks))):
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      np.concatenate(parts).view(np.uint64))
+    if theta is None:
+        # a Bloch family's n is its Bloch vector over its length
+        norm = np.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
+        assert np.max(np.abs(norm - 1.0)) <= 4 * np.finfo(float).eps
+    else:
+        # a helicity family hands on the unit vectors of its drawn
+        # directions, bit for bit
+        np.testing.assert_array_equal(theta, drawn["theta"])
+        np.testing.assert_array_equal(phi, drawn["phi"])
+        for got, want in zip(n, unit_vectors(theta, phi)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     assert set(params) == set(drawn) - {"theta", "phi"}
     for key, value in params.items():
         np.testing.assert_array_equal(value, drawn[key])
@@ -188,16 +197,21 @@ def test_steered_amplitudes_patterns():
 
 
 def test_family_draws_carry_directions():
-    # each nonzero block is a sigma.n eigenvector along its row's direction
+    # each nonzero block is a sigma.n eigenvector along its row's n
     for name in sampling.FAMILY_PARAMS:
-        arr, theta, phi, params = oracles.family_draw(name, sampling.rng_for(11), 50)
+        arr, n, _, _, params = oracles.family_draw(name, sampling.rng_for(11), 50)
         assert arr.shape == (50, 4) and arr.dtype == complex
-        assert theta.shape == phi.shape == (50,)
+        assert len(n) == 3 and all(np.shape(x) == (50,) for x in n)
         assert all(np.shape(v) == (50,) for v in params.values())
-        for row, t, f in zip(arr, theta, phi):
+        for row, unit in zip(arr, np.stack(n, axis=1)):
             for block in (row[:2], row[2:]):
                 if np.any(block != 0):
-                    assert oracles.eigen_sign(block, t, f) is not None, name
+                    assert oracles.eigen_sign_along(block, unit) is not None, name
+
+
+def _direction(theta, phi, i):
+    # row i's drawn direction; a Bloch family draws none
+    return (None, None) if theta is None else (float(theta[i]), float(phi[i]))
 
 
 def _scalar_build(family, params, theta, phi):
@@ -237,10 +251,10 @@ def _python_components(family, p, theta, phi):
 
 def test_batch_rows_match_python_complex_formulas():
     for family in sampling.FAMILY_PARAMS:
-        arr, theta, phi, params = oracles.family_draw(family, sampling.rng_for(23), 200)
+        arr, _, theta, phi, params = oracles.family_draw(family, sampling.rng_for(23), 200)
         for i in range(200):
             row = {key: value[i].item() for key, value in params.items()}
-            want = _python_components(family, row, float(theta[i]), float(phi[i]))
+            want = _python_components(family, row, *_direction(theta, phi, i))
             assert arr[i].tolist() == want, (family, i)
 
 
@@ -250,23 +264,31 @@ def _bits(x):
 
 def test_scalar_constructors_are_the_batch_rows():
     # the scalar build_* on a row's inputs gives that row bit for bit,
-    # signed zeros included, and so do the boost and the partner
+    # signed zeros included, and so do the boost and the partner; the
+    # direction it records is the row's drawn one, or for a Bloch family
+    # the one whose unit vectors the row's n rounds
     n = 200
     for family in sampling.FAMILY_PARAMS:
-        arr, theta, phi, params = oracles.family_draw(family, sampling.rng_for(21), n)
+        arr, units, theta, phi, params = oracles.family_draw(
+            family, sampling.rng_for(21), n)
         for i in range(n):
             row = {key: value[i] for key, value in params.items()}
-            psi = _scalar_build(family, row, float(theta[i]), float(phi[i]))
+            psi = _scalar_build(family, row, *_direction(theta, phi, i))
             np.testing.assert_array_equal(_bits(psi.array), _bits(arr[i]))
-            assert (psi.provenance.theta, psi.provenance.phi) == (theta[i], phi[i])
+            prov = psi.provenance
+            if theta is not None:
+                assert (prov.theta, prov.phi) == (theta[i], phi[i])
+            np.testing.assert_allclose([x[i] for x in units],
+                                       unit_vectors(prov.theta, prov.phi),
+                                       rtol=0, atol=1e-15)
 
     rng = sampling.rng_for(22)
-    arr, theta, phi, params = oracles.family_draw("dual_helicity", rng, n)
+    arr, _, theta, phi, params = oracles.family_draw("dual_helicity", rng, n)
     m, pmag, _, _ = sampling.random_momenta(rng, n)
     boosted = boost_bispinor_batch(arr, m, pmag, theta, phi)
     partners = dual_helicity_partner_batch(params["sign"], params["a"],
-                                           params["c"], theta, phi, m, pmag)[0]
-    linked, _, _ = parity_linked_batch(params["sign"], m, pmag, theta, phi)
+                                           params["c"], theta, phi, m, pmag)
+    linked = parity_linked_batch(params["sign"], m, pmag, theta, phi)
     for i in range(n):
         p = FourMomentum(float(m[i]), float(pmag[i]), float(theta[i]), float(phi[i]))
         row = {key: value[i] for key, value in params.items()}

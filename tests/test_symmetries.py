@@ -116,7 +116,7 @@ class TestChargeConjugation:
 
     def test_fused_eigen_residuals_match_the_norm_form(self, rng):
         raw = random_raw_spinors(rng, 4096)
-        conj, _, _, params = oracles.family_draw("self_conjugate", rng, 4096)
+        conj, *_, params = oracles.family_draw("self_conjugate", rng, 4096)
         rows = np.concatenate([raw, conj])
         res_plus, res_minus = c_eigen_residuals(rows)
 
