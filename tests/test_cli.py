@@ -25,6 +25,9 @@ from spinorlab.tolerances import EXACT
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 PEAK_RSS = Path(__file__).parent.parent / "scripts" / "peak_rss.py"
+# the `phases` a symmetries report echoes when the job gives none
+DEFAULT_PHASES = {"theta1": 0.0, "theta2": 3.141592653589793,
+                  "zeta1": [1.0, 0.0], "zeta2": [1.0, 0.0]}
 
 
 def run_cli(args=(), stdin_text=None, tmp_path=None, doc=None):
@@ -156,12 +159,60 @@ class TestRunJob:
         })
         report, code = run_job(job)
         assert code == 0
-        assert {"massless momentum; Dirac diagnostics skipped",
-                "massless momentum; theta-link check skipped"} <= set(report["findings"])
-        sym = report["symmetries"]
-        assert sym["dirac"] == {"flip_residual": None, "residual_minus": None,
-                                "residual_plus": None}
-        assert sym["theta_link_residual"] is None
+        assert report["findings"] == [
+            "helicity not aligned with supplied direction",
+            "parity check skipped: parity needs the construction record of the "
+            "spinor; raw spinors cannot be rebuilt at the reflected momentum",
+            "massless momentum; Dirac diagnostics skipped",
+            "massless momentum; theta-link check skipped",
+        ]
+        assert report["symmetries"] == {
+            "parity": {"eigenvalue": None, "residual": None},
+            "charge_conjugation": {
+                "eigenvalue": None, "residual": 1.065427207806866,
+                "involution_residual": 0.0,
+                "constraints": {
+                    "norm_ad": 0.43243243243243246, "norm_bc": 0.2972972972972973,
+                    "phase_ad_plus": 1.0, "phase_bc_plus": 0.45950584109472237,
+                    "phase_ad_minus": 1.0, "phase_bc_minus": 1.9464979789354604,
+                },
+            },
+            "dirac": {"residual_plus": None, "residual_minus": None,
+                      "flip_residual": None},
+            "theta_link_residual": None,
+            "phases": DEFAULT_PHASES,
+        }
+
+    def test_symmetries_right_weyl_skips_the_theta_link_check(self):
+        job = parse_job({
+            "mode": "symmetries",
+            "spinor": {"family": "weyl", "side": "right",
+                       "block": [[0.6, -0.2], [0.1, 0.9]]},
+            "momentum": {"m": 1.5, "pmag": 40.0, "theta": 2.1, "phi": 5.0},
+        })
+        report, code = run_job(job)
+        assert code == 0
+        assert report["findings"] == [
+            "parity check skipped: spinor was not built at a momentum; parity "
+            "at pmag > 0 is undefined for it",
+            "left block is null; theta-link check skipped",
+        ]
+        assert report["symmetries"] == {
+            "parity": {"eigenvalue": None, "residual": None},
+            "charge_conjugation": {
+                "eigenvalue": None, "residual": 1.4142135623730951,
+                "involution_residual": 0.0,
+                "constraints": {
+                    "norm_ad": 0.32786885245901637, "norm_bc": 0.6721311475409837,
+                    "phase_ad_plus": 1.0, "phase_bc_plus": 1.0,
+                    "phase_ad_minus": 1.0, "phase_bc_minus": 1.0,
+                },
+            },
+            "dirac": {"residual_plus": 48.238306176759664,
+                      "residual_minus": 48.238306176759664, "flip_residual": None},
+            "theta_link_residual": None,
+            "phases": DEFAULT_PHASES,
+        }
 
     def test_symmetries_self_conjugate(self):
         job = parse_job({
@@ -789,6 +840,26 @@ def test_symmetries_bytes_pinned(fmt, tmp_path, capsys):
     assert main(["--job", str(path), "--format", fmt]) == 0
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == SYMMETRIES_BYTES_SHA256[fmt]
+    assert captured.err == ""
+
+
+# sha256 of the structured stdout of a boosted dual_helicity symmetries job:
+# parity at the build momentum and the flip residual run together.
+BOOSTED_DUAL_PIN_JOB = {
+    "mode": "symmetries", "boost": True,
+    "spinor": {"family": "dual_helicity", "pair": "+-", "a": [0.3, 0.7],
+               "c": [-0.8, 0.1], "theta": 0.9, "phi": 2.5},
+    "momentum": {"m": 2.0, "pmag": 30.0},
+}
+BOOSTED_DUAL_BYTES_SHA256 = "989a030ea46faf1ac2b9765ae4c6933ad168d47ae3589e01cc99107de2caf552"
+
+
+def test_boosted_dual_helicity_symmetries_bytes_pinned(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(BOOSTED_DUAL_PIN_JOB), encoding="utf-8")
+    assert main(["--job", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == BOOSTED_DUAL_BYTES_SHA256
     assert captured.err == ""
 
 

@@ -34,6 +34,7 @@ from spinorlab import (
 )
 from spinorlab import kernels
 from spinorlab.algebra import momentum_components
+from spinorlab.report import symmetry_to_dict
 from spinorlab.sampling import random_raw_spinors
 from spinorlab.symmetries import (
     _pow2_mass,
@@ -493,6 +494,30 @@ class TestSymmetryReport:
         rep = symmetry_report(psi, None)
         assert rep.dirac_residual_plus is None
         assert any("Dirac diagnostics skipped" in f for f in rep.findings)
+
+    def test_missing_momentum_section_pinned(self):
+        # a rest spinor with provenance: parity runs without a momentum,
+        # and both momentum-bound checks are skipped in this order
+        psi = build_single_helicity("--", 0.6 - 0.2j, 0.1 + 0.9j, 2.1, 5.0)
+        assert symmetry_to_dict(symmetry_report(psi)) == {
+            "parity": {"eigenvalue": None, "residual": 1.2675004445952591},
+            "charge_conjugation": {
+                "eigenvalue": None, "residual": 1.414213562373095,
+                "involution_residual": 0.0,
+                "constraints": {
+                    "norm_ad": 0.08029190475894515, "norm_bc": 0.4245541998409124,
+                    "phase_ad_plus": 1.5128062106859017,
+                    "phase_bc_plus": 1.3082115153560463,
+                    "phase_ad_minus": 1.308211515356046,
+                    "phase_bc_minus": 1.5128062106859017,
+                },
+            },
+            "dirac": {"residual_plus": None, "residual_minus": None,
+                      "flip_residual": None},
+            "theta_link_residual": None,
+            "findings": ["no momentum supplied; Dirac diagnostics skipped",
+                         "no momentum supplied; theta-link check skipped"],
+        }
 
 
 def test_compensated_dirac_apply_beats_plain_matmul():
