@@ -15,7 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "algebra": ("FourMomentum", "boost_block", "gamma", "gamma5", "theta_conjugate"),
+    "algebra": ("FourMomentum", "gamma", "gamma5", "theta_conjugate"),
     "bilinears": ("BilinearSet", "bilinear_set", "fpk_residuals"),
     "classify": ("ClassifyReport", "HelicityProfile", "LounestoClass",
                  "classify_report", "helicity_profile", "lounesto_class"),

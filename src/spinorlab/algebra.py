@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MasslessError
-
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -127,21 +125,6 @@ def boost_block_batch(sign, m, pmag, theta, phi) -> np.ndarray:
         out[..., 1, 0] = ox + 1j * oy
         out[..., 1, 1] = pref * _diag_entry(-sign * pz, e, m, pxy2)
     return out
-
-
-def boost_block(handedness: str, p: FourMomentum) -> np.ndarray:
-    """Pure boost acting on one chiral block.
-
-    sqrt((E+m)/2m) (I + sigma.p/(E+m)) for the right-handed block and the
-    sign-flipped generator for the left-handed one.  Right and left boosts
-    at the same momentum are exact inverses of each other.
-    """
-    if handedness not in ("right", "left"):
-        raise ValueError(f"handedness must be 'right' or 'left', got {handedness!r}")
-    if p.m <= 0.0:
-        raise MasslessError("boost requires m > 0")
-    return boost_block_batch(1 if handedness == "right" else -1, p.m, p.pmag,
-                             p.theta, p.phi)
 
 
 def boost_factor_batch(sign, helicity, m, pmag) -> np.ndarray:

@@ -57,9 +57,8 @@ def bilinear_set(psi: BiSpinor) -> BilinearSet:
         raise ZeroSpinorError("bilinears of the zero spinor are undefined")
     # an overflow here leaves j0 * j0 non-finite, which the guard reports
     with np.errstate(over="ignore", invalid="ignore"):
-        row = psi.array[None, :]
-        cols = kernels.columns(row)
-        sigma, omega, j, k = kernels.bilinears(row, cols)
+        cols = kernels.columns(psi.array[None, :])
+        sigma, omega, j, k = kernels.bilinears(cols)
         s = kernels.tensor(cols)
     j0 = float(j[0][0])
     if not math.isfinite(j0 * j0) or j0 * j0 == 0.0:

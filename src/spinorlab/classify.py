@@ -73,10 +73,6 @@ class LounestoClass:
         return CLASS_ANNOTATIONS[self.index or 0]
 
 
-def _zero_scalar(x, scale):
-    return np.abs(x) <= scale
-
-
 def lounesto_classes(sigma, omega, j, k, s,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Vectorized decision tree over the (N,) columns j, k of J and K (as
@@ -85,13 +81,13 @@ def lounesto_classes(sigma, omega, j, k, s,
 
     sigma and omega decide every regular row, so K and S are read only for
     the rows where both test zero: all rows when every row is singular,
-    those gathered by index when some are.  ``s`` is S's six columns, or a
-    function that returns them for such a row selection.
+    those gathered by index when some are.  ``s`` is a function that returns
+    S's six columns for such a row selection.
     """
     with np.errstate(over="ignore"):  # inf at a huge threshold: all test zero
         scale = tol.eps_class * j[0]
-    sig0 = _zero_scalar(sigma, scale)
-    om0 = _zero_scalar(omega, scale)
+    sig0 = np.abs(sigma) <= scale
+    om0 = np.abs(omega) <= scale
     out = np.zeros(len(sigma), dtype=np.int8)
     out[~sig0 & ~om0] = 1
     out[~sig0 & om0] = 2
@@ -105,7 +101,7 @@ def lounesto_classes(sigma, omega, j, k, s,
         return out
     scale = scale[rows]
     k0 = kernels._row_max_abs([c[rows] for c in k]) <= scale
-    s0 = kernels._row_max_abs(s(rows) if callable(s) else [c[rows] for c in s]) <= scale
+    s0 = kernels._row_max_abs(s(rows)) <= scale
     verdict = np.zeros(len(scale), dtype=np.int8)
     verdict[~k0 & ~s0] = 4
     verdict[k0 & ~s0] = 5
@@ -122,7 +118,7 @@ def lounesto_class(bset: BilinearSet,
         np.array([bset.omega]),
         bset.j[:, None],
         bset.k[:, None],
-        bset.s[:, None],
+        lambda rows: bset.s[:, None][:, rows],
         tol,
     )[0]
     return LounestoClass(int(idx) if idx != 0 else None)
@@ -148,11 +144,10 @@ class HelicityProfile:
     category: str
 
 
-def helicity_profiles(psis: np.ndarray, n, tol: Tolerances = DEFAULT_TOLERANCES,
-                      cols=None):
-    """Vectorized block verdicts along each row's unit vectors n = (nx, ny,
-    nz), as the batch constructors or :func:`algebra.unit_vectors` give them;
-    ``cols`` are the :func:`kernels.columns` of psis, when held already.
+def helicity_profiles(cols, n, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Vectorized block verdicts, from the rows' :func:`kernels.columns`,
+    along each row's unit vectors n = (nx, ny, nz), as the batch
+    constructors or :func:`algebra.unit_vectors` give them.
 
     Returns (right_state, left_state, right_rel, left_rel).  States are int8
     codes: 0 null, +1 plus, -1 minus, 2 not-eigen.  Each ``*_rel`` is the
@@ -160,7 +155,7 @@ def helicity_profiles(psis: np.ndarray, n, tol: Tolerances = DEFAULT_TOLERANCES,
     norm; they mean nothing for a null block.
     """
     nx, ny, nz = n
-    rp, rm, rn, lp, lm, ln = kernels.helicity_residuals(psis, nz, nx, ny, cols)
+    rp, rm, rn, lp, lm, ln = kernels.helicity_residuals(cols, nz, nx, ny)
     total = rn**2 + ln**2
     with np.errstate(over="ignore"):  # as in lounesto_classes
         null_scale = np.sqrt(tol.eps_class * total)
@@ -217,7 +212,7 @@ def analyze(psis: np.ndarray, n=None,
     """
     if cols is None:
         cols = kernels.columns(psis)
-    sigma, omega, j, k = kernels.bilinears(psis, cols)
+    sigma, omega, j, k = kernels.bilinears(cols)
     classes = lounesto_classes(
         sigma, omega, j, k, lambda rows: kernels.tensor([c[rows] for c in cols]), tol)
     # one column at a time, as in kernels._row_max_abs
@@ -225,7 +220,7 @@ def analyze(psis: np.ndarray, n=None,
     del sigma, omega, j, k
     categories = None
     if n is not None:
-        rstate, lstate, _, _ = helicity_profiles(psis, n, tol, cols)
+        rstate, lstate, _, _ = helicity_profiles(cols, n, tol)
         categories = helicity_categories(rstate, lstate)
     return Analysis(classes, categories, fpk_max)
 
@@ -250,7 +245,7 @@ def helicity_profile(psi: BiSpinor, theta: float, phi: float,
     if psi.is_zero():
         raise ZeroSpinorError("helicity profile of the zero spinor is undefined")
     rs, ls, (rp, rm), (lp, lm) = helicity_profiles(
-        psi.array[None, :], unit_vectors(theta, phi), tol)
+        kernels.columns(psi.array[None, :]), unit_vectors(theta, phi), tol)
     return HelicityProfile(
         _STATE_NAME[int(rs[0])], _STATE_NAME[int(ls[0])],
         _block_residual(rs[0], rp[0], rm[0]), _block_residual(ls[0], lp[0], lm[0]),

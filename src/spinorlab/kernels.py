@@ -1,19 +1,19 @@
 """Numpy batch kernels: the one implementation behind every analysis path.
 
-Each kernel takes an (N, 4) complex128 array, one spinor per row, and
-expands complex products into explicit real and imaginary parts.  The
-evaluation order is part of the output format: the golden reports and the
-sample bytes depend on it.
+Each kernel takes an (N, 4) complex128 array, one spinor per row, or its
+eight :func:`columns`, and expands complex products into explicit real and
+imaginary parts.  The evaluation order is part of the output format: the
+golden reports and the sample bytes depend on it.
 
 Kernel contracts
 ----------------
 columns(psi)                   -> the 8 contiguous float columns of psi
-bilinears(psi, cols=None)      -> sigma, omega (N,); j, k as tuples of 4
+bilinears(cols)                -> sigma, omega (N,); j, k as tuples of 4
                                   (N,) columns
 tensor(cols)                   -> the 6 (N,) columns of S, from any rows'
                                   columns; callers evaluate it only for the
                                   rows whose sigma and omega both test zero
-helicity_residuals(psi, nz, nx, ny, cols=None)
+helicity_residuals(cols, nz, nx, ny)
                                -> ||M b - b||, ||M b + b||, ||b|| for the
                                   right then the left block, M = sigma.n,
                                   with n = (nx, ny, nz) a row's unit vector
@@ -81,10 +81,9 @@ def columns(psi):
     return tuple(np.ascontiguousarray(x.T))
 
 
-def bilinears(psi, cols=None):
-    """sigma, omega, J and K of every row of psi; ``cols`` are its
-    :func:`columns` when the caller holds them already."""
-    ar, ai, br, bi, cr, ci, dr, di = columns(psi) if cols is None else cols
+def bilinears(cols):
+    """sigma, omega, J and K of every row, from the rows' :func:`columns`."""
+    ar, ai, br, bi, cr, ci, dr, di = cols
 
     # A product sum shared by two outputs is computed once and dropped as
     # soon as both are formed.  Only identical expressions are shared
@@ -124,16 +123,14 @@ def tensor(cols):
     )
 
 
-def helicity_residuals(psi, nz, nx, ny, cols=None):
+def helicity_residuals(cols, nz, nx, ny):
     """Eigen-residual numerators of sigma.n on each chiral block.
 
-    (nx, ny, nz) are the rows' unit vectors n, as the batch constructors
-    hand them on, and ``cols`` the :func:`columns` of psi when held already.
-    Returns ||M b - b||, ||M b + b|| and ||b|| for the right block, then the
-    same three for the left block (all 2-norms).
+    ``cols`` are the rows' :func:`columns` and (nx, ny, nz) their unit
+    vectors n, as the batch constructors hand them on.  Returns ||M b - b||,
+    ||M b + b|| and ||b|| for the right block, then the same three for the
+    left block (all 2-norms).
     """
-    if cols is None:
-        cols = columns(psi)
     out = []
     for lo in (0, 4):
         x0r, x0i, x1r, x1i = cols[lo:lo + 4]

@@ -8,9 +8,9 @@ so gamma0 B(-p) psi_rest = B(p) gamma0 psi_rest: parity is the boost, at
 the build momentum, of the rest blocks recorded in a spinor's provenance
 with the two blocks exchanged.  All Dirac-operator residuals are
 normalized by m ||psi|| so that one threshold covers every momentum scale.
-Being homogeneous of degree 0 in the spinor and in (m, pmag), the Dirac,
-flip and theta-link residuals are evaluated on inputs scaled near 1 by
-exact powers of two, so nothing under- or overflows.
+Being homogeneous of degree 0 in the spinor and in (m, pmag), the parity,
+Dirac, flip and theta-link residuals are evaluated on inputs scaled near 1
+by exact powers of two, so nothing under- or overflows.
 """
 from __future__ import annotations
 
@@ -40,11 +40,6 @@ def _finite(value: float, name: str) -> float:
         raise ScaleError(f"{name} is not representable in float64 at the "
                          "magnitudes of this spinor and momentum")
     return value
-
-
-def _ratio(num: float, den: float, name: str) -> float:
-    # normalized residual whose den is the norm of a nonzero vector
-    return _finite(num / den if 0.0 < den < math.inf else math.nan, name)
 
 
 _C_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
@@ -146,11 +141,11 @@ def _phase_alignment(x: complex, y: complex) -> float:
         return 0.0
     if x == 0 or y == 0:
         return 1.0
-    # each scaled near 1 by its own power of two, so that ax * ay cannot
-    # underflow; exact, so an in-range ratio keeps its bits
+    # each scaled near 1 by its own power of two (exact), so that ax * ay
+    # lies in [0.25, 2) and the ratio keeps its bits
     x, y = (complex(z) for z in _pow2_scaled([[x], [y]])[:, 0])
     ax, ay = abs(x), abs(y)
-    return _ratio(abs(x * ay - y * ax), ax * ay, "C phase alignment")
+    return abs(x * ay - y * ax) / (ax * ay)
 
 
 def c_eigen_check(psi: BiSpinor) -> CEigenCheck:
@@ -223,10 +218,10 @@ def parity_apply(psi: BiSpinor, p: Optional[FourMomentum] = None) -> BiSpinor:
 def parity_eigen_check(psi: BiSpinor, p: Optional[FourMomentum] = None):
     """(eigenvalue or None, residual) of psi under the parity operation."""
     par = parity_apply(psi, p).array
-    arr = psi.array
-    nrm = float(np.linalg.norm(arr))
-    if nrm == 0.0:
+    if psi.is_zero():
         raise ZeroSpinorError("parity eigencheck of the zero spinor is undefined")
+    par, arr = _pow2_scaled(np.concatenate([par, psi.array])[None, :])[0].reshape(2, 4)
+    nrm = float(np.linalg.norm(arr))
     res_plus = float(np.linalg.norm(par - arr)) / nrm
     res_minus = float(np.linalg.norm(par + arr)) / nrm
     state = int(eigen_states(res_plus, res_minus))
@@ -401,40 +396,29 @@ def symmetry_report(psi: BiSpinor, p: Optional[FourMomentum] = None,
     findings: list[str] = []
 
     cres = c_eigen_check(psi)
-    cc = charge_conjugate(charge_conjugate(psi)).array
-    involution = _ratio(float(np.linalg.norm(cc - psi.array)),
-                        float(np.linalg.norm(psi.array)), "C involution residual")
+    involution = c_involution_max(psi.array[None, :])
 
-    parity_eigenvalue = None
-    parity_residual = None
+    parity_eigenvalue = parity_residual = None
     try:
         parity_eigenvalue, parity_residual = parity_eigen_check(psi, p)
     except ProvenanceError as exc:
         findings.append(f"parity check skipped: {exc}")
 
-    dplus = dminus = None
-    flip = None
-    if p is None:
-        findings.append("no momentum supplied; Dirac diagnostics skipped")
-    elif p.m <= 0.0:
-        findings.append("massless momentum; Dirac diagnostics skipped")
+    dplus = dminus = flip = theta_link = None
+    if p is None or p.m <= 0.0:
+        why = "no momentum supplied" if p is None else "massless momentum"
+        findings.append(f"{why}; Dirac diagnostics skipped")
+        findings.append(f"{why}; theta-link check skipped")
     else:
         dplus = dirac_residual(psi, p, 1)
         dminus = dirac_residual(psi, p, -1)
         prov = psi.provenance
         if prov is not None and prov.family == "dual_helicity":
-            partner = dual_helicity_partner(psi)
-            flip = dirac_flip_residual(psi, partner, p)
-
-    theta_link = None
-    if p is None:
-        findings.append("no momentum supplied; theta-link check skipped")
-    elif p.m <= 0.0:
-        findings.append("massless momentum; theta-link check skipped")
-    elif psi.c == 0 and psi.d == 0:
-        findings.append("left block is null; theta-link check skipped")
-    else:
-        theta_link = theta_link_check(psi.left, p, zeta)
+            flip = dirac_flip_residual(psi, dual_helicity_partner(psi), p)
+        if psi.c == 0 and psi.d == 0:
+            findings.append("left block is null; theta-link check skipped")
+        else:
+            theta_link = theta_link_check(psi.left, p, zeta)
 
     return SymmetryReport(
         parity_eigenvalue=parity_eigenvalue,

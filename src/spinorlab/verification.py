@@ -58,13 +58,18 @@ class PropertyResult:
     details: str = ""
 
 
+def _below(name: str, values, threshold: float, count: int) -> PropertyResult:
+    """The result of a check that passes when max(values) < threshold."""
+    worst = float(np.max(values))
+    return PropertyResult(name, worst < threshold, worst, threshold, count)
+
+
 def check_fpk_identities(seed: int = 0) -> PropertyResult:
     """Scalar constraint residuals vanish for arbitrary random spinors."""
     count = 100_000
     result = sampling.campaign("random_raw", sampling.rng_for(seed), count,
                                DEFAULT_TOLERANCES)
-    worst = float(result.fpk_max.max())
-    return PropertyResult("fpk-identities", worst < 1e-10, worst, 1e-10, count)
+    return _below("fpk-identities", result.fpk_max, 1e-10, count)
 
 
 _FAMILY_EXPECTED_CLASSES = {
@@ -122,8 +127,8 @@ def check_parity_dirac_link(seed: int = 3) -> PropertyResult:
     m, pmag, theta, phi = sampling.random_momenta(rng, count)
     hel = sampling._random_signs(rng, count)
     arr = parity_linked_batch(hel, m, pmag, theta, phi)
-    worst = float(np.max(dirac_residuals(arr, m, pmag, theta, phi)))
-    return PropertyResult("parity-dirac-dynamics", worst < 1e-12, worst, 1e-12, count)
+    res = dirac_residuals(arr, m, pmag, theta, phi)
+    return _below("parity-dirac-dynamics", res, 1e-12, count)
 
 
 def check_dual_helicity_dirac(seed: int = 4) -> PropertyResult:
@@ -143,13 +148,14 @@ def check_dual_helicity_dirac(seed: int = 4) -> PropertyResult:
     max_fwd = float(np.max(dirac_flip_residuals(arr, parr, m, pmag, theta, phi)))
     max_rev = float(np.max(dirac_flip_residuals(parr, arr, m, pmag, theta, phi)))
     worst_flip = max(max_fwd, max_rev)
-    passed = min_plus > 0.1 and min_minus > 0.1 and worst_flip < 1e-10
+    threshold = 1e-10
+    passed = min_plus > 0.1 and min_minus > 0.1 and worst_flip < threshold
     details = (
         f"min dirac residual +m {min_plus:.3f}, -m {min_minus:.3f}; "
         f"flip defect fwd {max_fwd:.2e}, rev {max_rev:.2e}"
     )
     return PropertyResult("dual-helicity-dirac", passed, worst_flip,
-                          1e-10, count, details=details)
+                          threshold, count, details=details)
 
 
 def check_charge_conjugation(seed: int = 5) -> PropertyResult:
@@ -176,9 +182,10 @@ def check_charge_conjugation(seed: int = 5) -> PropertyResult:
         and "phase_ad_plus" not in violated
         and "phase_bc_plus" not in violated
     )
+    threshold = 1e-14
     passed = (
         invol < 1e-15
-        and eigen_worst < 1e-14
+        and eigen_worst < threshold
         and single_min > EXACT
         and fixture_ok
     )
@@ -188,7 +195,7 @@ def check_charge_conjugation(seed: int = 5) -> PropertyResult:
         f"norm-constraint fixture {'flagged' if fixture_ok else 'NOT flagged'}"
     )
     return PropertyResult("charge-conjugation", passed,
-                          max(invol, eigen_worst), 1e-14, count * 3, details=details)
+                          max(invol, eigen_worst), threshold, count * 3, details=details)
 
 
 def check_theta_link(seed: int = 6) -> PropertyResult:
@@ -202,8 +209,8 @@ def check_theta_link(seed: int = 6) -> PropertyResult:
         axis=1,
     )
     zetas = sampling.random_unit_phases(rng, count)
-    worst = float(np.max(theta_link_residuals(blocks, zetas, m, pmag, theta, phi)))
-    return PropertyResult("theta-link", worst < 1e-12, worst, 1e-12, count)
+    res = theta_link_residuals(blocks, zetas, m, pmag, theta, phi)
+    return _below("theta-link", res, 1e-12, count)
 
 
 def check_klein_gordon(seed: int = 7) -> PropertyResult:
@@ -213,8 +220,7 @@ def check_klein_gordon(seed: int = 7) -> PropertyResult:
     m, pmag, theta, phi = sampling.random_momenta(rng, count, ratio=(1e-3, 10.0))
     mats = dirac_matrix_batch(m, pmag, theta, phi)
     dev = np.abs(mats @ mats - (m * m)[:, None, None] * np.eye(4))
-    worst = float(np.max(np.max(dev, axis=(1, 2)) / m**2))
-    return PropertyResult("klein-gordon", worst < 1e-12, worst, 1e-12, count)
+    return _below("klein-gordon", np.max(dev, axis=(1, 2)) / m**2, 1e-12, count)
 
 
 def check_clifford_algebra() -> PropertyResult:
@@ -229,7 +235,8 @@ def check_clifford_algebra() -> PropertyResult:
             worst = max(worst, float(np.max(np.abs(anti - 2 * eta[mu, nu] * eye))))
     prod = 1j * gs[0] @ gs[1] @ gs[2] @ gs[3]
     worst = max(worst, float(np.max(np.abs(prod - gamma5()))))
-    return PropertyResult("clifford-algebra", worst <= 1e-15, worst, 1e-15, 11)
+    threshold = 1e-15
+    return PropertyResult("clifford-algebra", worst <= threshold, worst, threshold, 11)
 
 
 def check_boost_inverse(seed: int = 8) -> PropertyResult:
@@ -239,8 +246,7 @@ def check_boost_inverse(seed: int = 8) -> PropertyResult:
     m, pmag, theta, phi = sampling.random_momenta(rng, count)
     prod = (boost_block_batch(1, m, pmag, theta, phi)
             @ boost_block_batch(-1, m, pmag, theta, phi))
-    worst = float(np.max(np.abs(prod - np.eye(2))))
-    return PropertyResult("boost-inverse", worst < 1e-12, worst, 1e-12, count)
+    return _below("boost-inverse", np.abs(prod - np.eye(2)), 1e-12, count)
 
 
 def run_verification_suite(seed: int = 0,

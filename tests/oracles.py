@@ -2,13 +2,16 @@
 
 Everything here is written from hard-coded matrix literals, on purpose: the
 production code derives its operators from Pauli blocks, so agreement
-between the two routes checks the conventions end to end.  The one
-exception is :func:`family_draw`, a whole-array reference draw that the
-block-wise campaign engine and the constructors are checked against.
+between the two routes checks the conventions end to end.  Two helpers wrap
+production code instead: :func:`family_draw`, a whole-array reference draw
+that the block-wise campaign engine and the constructors are checked
+against, and :func:`boost_block`, the N=1 form of
+:func:`spinorlab.algebra.boost_block_batch`.
 """
 import numpy as np
 
 from spinorlab import sampling
+from spinorlab.algebra import boost_block_batch
 
 GAMMA0 = np.array(
     [[0, 0, 1, 0],
@@ -139,3 +142,10 @@ def family_draw(family, rng, count, **extra):
     arr, n = sampling.FAMILY_CONSTRUCTORS[family](**params)
     return arr, n, params.get("theta"), params.get("phi"), {
         key: value for key, value in params.items() if key not in ("theta", "phi")}
+
+
+def boost_block(handedness, p):
+    """The 2x2 boost of the "right" or "left" chiral block at the momentum p;
+    like :func:`family_draw`, it wraps production code."""
+    sign = 1 if handedness == "right" else -1
+    return boost_block_batch(sign, p.m, p.pmag, p.theta, p.phi)

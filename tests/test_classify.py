@@ -259,7 +259,7 @@ class TestColumnPasses:
         return np.array(k_rows), np.array(s_rows)
 
     def _check(self, sigma, omega, j, k, s):
-        got = lounesto_classes(sigma, omega, j.T, k.T, s.T)
+        got = lounesto_classes(sigma, omega, j.T, k.T, lambda rows: s.T[:, rows])
         assert got.dtype == np.int8
         np.testing.assert_array_equal(got, _reference_classes(sigma, omega, j, k, s))
         return got
@@ -297,8 +297,8 @@ class TestColumnPasses:
         psis = random_raw_spinors(rng, 5000)
         psis[1234, 2] = complex(np.nan, 0.0)
         for rows in (psis[:1234], psis):
-            want = np.max(np.stack(fpk_columns(*kernels.bilinears(rows)[:4]), axis=1),
-                          axis=0)
+            bils = kernels.bilinears(kernels.columns(rows))
+            want = np.max(np.stack(fpk_columns(*bils), axis=1), axis=0)
             got = analyze(rows).fpk_max
             assert got.shape == (3,)
             assert got.tobytes() == want.tobytes()
@@ -348,8 +348,9 @@ def _block(pool, kind, size):
     """The first ``size`` rows of the pool whose reference class is regular,
     singular (0 or 4-6), or either ("mixed")."""
     psis, n = pool
-    sigma, omega, j, k = kernels.bilinears(psis)
-    s = kernels.tensor(kernels.columns(psis))
+    cols = kernels.columns(psis)
+    sigma, omega, j, k = kernels.bilinears(cols)
+    s = kernels.tensor(cols)
     classes = _reference_classes(sigma, omega, *(np.stack(c, axis=1) for c in (j, k, s)))
     if kind == "regular":
         keep = (classes >= 1) & (classes <= 3)
@@ -370,14 +371,16 @@ def test_block_verdicts_equal_the_full_bilinear_composition(edited_pool, kind, s
     psis, n = _block(edited_pool, kind, size)
     res, c_state = sampling._block_verdicts(psis, n, DEFAULT_TOLERANCES)
 
-    sigma, omega, j, k = kernels.bilinears(psis)
-    s = kernels.tensor(kernels.columns(psis))
-    want_classes = lounesto_classes(sigma, omega, j, k, s)
+    cols = kernels.columns(psis)
+    sigma, omega, j, k = kernels.bilinears(cols)
+    s = kernels.tensor(cols)
+    want_classes = lounesto_classes(sigma, omega, j, k,
+                                    lambda rows: [c[rows] for c in s])
     np.testing.assert_array_equal(
         want_classes,
         _reference_classes(sigma, omega, *(np.stack(c, axis=1) for c in (j, k, s))))
     want_fpk = np.max(np.stack(fpk_columns(sigma, omega, j, k), axis=1), axis=0)
-    rstate, lstate, _, _ = helicity_profiles(psis, n)
+    rstate, lstate, _, _ = helicity_profiles(cols, n)
     want_c = eigen_states(*c_eigen_residuals(psis))
 
     assert res.classes.tobytes() == want_classes.tobytes()

@@ -28,6 +28,7 @@ def _example_2(report):
     dirac = report["symmetries"]["dirac"]
     assert report["lounesto"] == {"index": 5, "annotation": "dual-helicity"}
     assert (conjugation["eigenvalue"], conjugation["residual"]) == (1, 0)
+    assert conjugation["involution_residual"] == 0
     assert dirac["residual_plus"] > 1 and dirac["residual_minus"] > 1
 
 

@@ -13,7 +13,6 @@ from spinorlab import (
     Provenance,
     ZeroSpinorError,
     boost_bispinor,
-    boost_block,
     build_dual_helicity,
     build_self_conjugate,
     build_single_helicity,
@@ -44,8 +43,6 @@ def _boosted_single():
 GUARDS = {
     "momentum-phi-nan": (lambda: FourMomentum(1.0, 1.0, 0.5, math.nan),
                          ValueError, "phi must be finite"),
-    "boost-block-handedness": (lambda: boost_block("up", _P), ValueError,
-                               "handedness must be 'right' or 'left', got 'up'"),
     "from-array-shape": (lambda: BiSpinor.from_array([1, 0, 0]), ValueError,
                          "expected 4 components, got shape (3,)"),
     "rest-helicity": (lambda: rest_spinor(0, 0.5, 0.3, 1.0), ValueError,

@@ -11,7 +11,7 @@ import pytest
 import spinorlab
 
 EXPORTS = {
-    "algebra": ["FourMomentum", "boost_block", "gamma", "gamma5", "theta_conjugate"],
+    "algebra": ["FourMomentum", "gamma", "gamma5", "theta_conjugate"],
     "bilinears": ["BilinearSet", "bilinear_set", "fpk_residuals"],
     "classify": ["ClassifyReport", "HelicityProfile", "LounestoClass", "classify_report",
                  "helicity_profile", "lounesto_class"],
@@ -31,7 +31,7 @@ NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
 class TestSurface:
     def test_all_lists_the_exported_names(self):
-        assert len(NAMES) == 46
+        assert len(NAMES) == 45
         assert sorted(spinorlab.__all__) == NAMES
         assert set(NAMES) <= set(dir(spinorlab))
         assert spinorlab.__version__ == "0.1.0"

@@ -15,7 +15,6 @@ from spinorlab import (
     ProvenanceError,
     ZeroSpinorError,
     boost_bispinor,
-    boost_block,
     build_dual_helicity,
     build_parity_linked,
     build_self_conjugate,
@@ -269,9 +268,9 @@ class TestParity:
         rest = rest_spinor(1, 0.9, 1.3, 1.0)
         p = FourMomentum(1.0, 4.0, 0.9, 1.3)
         refl = FourMomentum(p.m, p.pmag, math.pi - p.theta, p.phi + math.pi)
-        via_parity = boost_block("right", refl) @ rest
+        via_parity = oracles.boost_block("right", refl) @ rest
         np.testing.assert_allclose(
-            via_parity, boost_block("left", p) @ rest, rtol=1e-12
+            via_parity, oracles.boost_block("left", p) @ rest, rtol=1e-12
         )
 
     def test_dual_helicity_not_parity_eigenspinor(self):
@@ -285,6 +284,20 @@ class TestParity:
         # gamma0 swaps the equal blocks (1, t) and (-1, -t)
         psi = build_single_helicity("++", 1, -1, 0.7, 0.2)
         assert parity_eigen_check(psi) == (-1, 0.0)
+
+    @pytest.mark.parametrize("k", [-1000, -520, 520, 1000])
+    def test_residual_is_scale_free(self, k):
+        # psi and its image are scaled by one power of two, so the residual
+        # keeps its bits where psi^dag psi under- or overflows float64
+        p = FourMomentum(1.0, 2.0, 0.5, 0.3)
+
+        def built(scale):
+            a, c = math.ldexp(0.3, scale), complex(0.0, math.ldexp(0.8, scale))
+            return (build_single_helicity("++", a, c, 0.5, 0.3),
+                    boost_bispinor(build_dual_helicity("+-", a, c, 0.5, 0.3), p))
+
+        for psi, scaled, q in zip(built(0), built(k), (None, p)):
+            assert parity_eigen_check(scaled, q) == parity_eigen_check(psi, q)
 
     def test_raw_spinor_rejected(self):
         with pytest.raises(ProvenanceError):
@@ -302,8 +315,8 @@ class TestParity:
         prov = psi.provenance
         p = prov.momentum
         refl = FourMomentum(p.m, p.pmag, math.pi - p.theta, p.phi + math.pi)
-        right = boost_block("right", refl) @ np.asarray(prov.rest_right)
-        left = boost_block("left", refl) @ np.asarray(prov.rest_left)
+        right = oracles.boost_block("right", refl) @ np.asarray(prov.rest_right)
+        left = oracles.boost_block("left", refl) @ np.asarray(prov.rest_left)
         return np.concatenate([left, right])
 
     @staticmethod
