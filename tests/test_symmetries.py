@@ -503,12 +503,6 @@ class TestSymmetryReport:
         assert rep.dirac_flip_residual < 1e-10
 
     def test_missing_momentum_produces_findings(self):
-        psi = build_self_conjugate(-1, 1.0, 0.0)
-        rep = symmetry_report(psi, None)
-        assert rep.dirac_residual_plus is None
-        assert any("Dirac diagnostics skipped" in f for f in rep.findings)
-
-    def test_missing_momentum_section_pinned(self):
         # a rest spinor with provenance: parity runs without a momentum,
         # and both momentum-bound checks are skipped in this order
         psi = build_single_helicity("--", 0.6 - 0.2j, 0.1 + 0.9j, 2.1, 5.0)
