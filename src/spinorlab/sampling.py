@@ -24,10 +24,10 @@ constructs and analyses one ``SAMPLE_BLOCK_ROWS`` block at a time, and adds
 up one class x helicity-category x charge-conjugation-state count table and
 the constraint maxima.  A constructed row does not depend on the rows built
 with it, and a raw row does not depend on the chunk it is drawn in.
-Each block is transposed once into its :func:`kernels.columns`, which the
-analysis and the charge-conjugation residuals both read.  S is evaluated
-only for a block's singular rows, where sigma and omega both test zero: a
-random_raw or single_helicity block, all regular, skips it.
+Each block's row verdicts (class, helicity category and C state) come from
+one :func:`classify.analyze` pass, which evaluates S only for the singular
+rows, where sigma and omega both test zero: a random_raw or single_helicity
+block, all regular, skips it.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .classify import CATEGORY_NAMES, analyze
 from .factory import (
     dual_helicity_batch,
@@ -43,7 +42,6 @@ from .factory import (
     single_helicity_batch,
     weyl_batch,
 )
-from .symmetries import c_eigen_residuals, eigen_states
 from .tolerances import Tolerances
 
 MIN_RAW_NORM_SQ = 1e-6
@@ -233,15 +231,6 @@ FAMILY_CONSTRUCTORS = {
 }
 
 
-def _block_verdicts(block, n, tol: Tolerances):
-    """:func:`analyze` of one block and its C eigen-state codes (see
-    :func:`eigen_states`), both from one transpose of the block into
-    :func:`kernels.columns`."""
-    cols = kernels.columns(block)
-    res = analyze(block, n, tol, cols)
-    return res, eigen_states(*c_eigen_residuals(block, cols))
-
-
 class Campaign(NamedTuple):
     """Aggregates of :func:`campaign`."""
     joint: np.ndarray      # (7, ncat, 3) int64 rows by class (0 = unclassifiable),
@@ -282,9 +271,9 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
                 block, n = construct(**{
                     key: value[start:start + SAMPLE_BLOCK_ROWS]
                     for key, value in params.items()})
-            res, c_state = _block_verdicts(block, n, tol)
+            res = analyze(block, n, tol)
             cells = res.classes if raw else res.classes * joint.shape[1] + res.categories
-            cells = cells * 3 + c_state
+            cells = cells * 3 + res.c_states
             joint += np.bincount(cells, minlength=joint.size).reshape(joint.shape)
             fpk_max = np.maximum(fpk_max, res.fpk_max)
             del block

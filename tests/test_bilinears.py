@@ -1,4 +1,6 @@
 """Bilinear covariants and the scalar constraint identities."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from spinorlab import (
     ZeroSpinorError,
     bilinear_set,
     fpk_residuals,
+    kernels,
+    sampling,
 )
 
 
@@ -152,3 +156,69 @@ class TestFpkResiduals:
             assert np.max(fpk_residuals(bilinear_set(psi))) < 1e-12
             psi = build_self_conjugate(-1, complex(*rng.normal(size=2)), 1.0)
             assert np.max(fpk_residuals(bilinear_set(psi))) < 1e-12
+
+
+# Exact reference for kernels.bilinears and kernels.tensor: every bilinear
+# as a gamma-matrix sandwich of the row's components in rational arithmetic.
+# A float64 is a dyadic rational, so Fraction(x) holds it exactly; the
+# literals of oracles have Gaussian-integer entries, and so do their
+# products, which numpy forms exactly.
+_U = Fraction(1, 2**53)  # unit roundoff of float64
+
+# Each output of the two kernels is +-2 or +-1 times a signed sum of
+# products of two components in which no component appears twice, summed
+# in a tree; the factor 2 is exact.  A term passes through at most four
+# roundings: its product and three additions (J^0, K^0, J^3, K^3; the
+# others take two).  So |fl - exact| <= gamma_4 * sum |x y| (Higham,
+# "Accuracy and Stability of Numerical Algorithms", 2nd ed., Lemma 3.1 and
+# section 3.1), and |x y| <= (x^2 + y^2) / 2 bounds that sum, factor 2
+# included, by j0 = sum x^2: c = gamma_4 / eps, about 2.  This holds while
+# no product under- or overflows, as at the drawn scales.
+_BOUND = 4 * _U / (1 - 4 * _U)  # Higham's gamma_k = k u / (1 - k u), k = 4
+
+# (prefactor, gamma0 M) of sigma, omega, J^0..3, K^0..3, S^{01..23}: the
+# bilinear is prefactor * conj(psi) . (gamma0 M) psi
+_SANDWICHES = (
+    [(1, oracles.GAMMA0), (1j, oracles.GAMMA0 @ oracles.GAMMA5)]
+    + [(1, oracles.GAMMA0 @ g) for g in oracles.GAMMAS]
+    + [(1, oracles.GAMMA0 @ g @ oracles.GAMMA5) for g in oracles.GAMMAS]
+    + [(1j, oracles.GAMMA0 @ oracles.GAMMAS[m] @ oracles.GAMMAS[n])
+       for m, n in oracles._S_PAIRS])
+
+
+def _cmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _exact_bilinears(row):
+    """(j0, [sigma, omega, J, K, S]) of one row, all exact Fractions."""
+    psi = [(Fraction(z.real), Fraction(z.imag)) for z in row]
+    j0 = sum(re * re + im * im for re, im in psi)
+    out = []
+    for pre, mat in _SANDWICHES:
+        re = im = Fraction(0)
+        for i, j in zip(*np.nonzero(mat)):
+            g = (int(mat[i, j].real), int(mat[i, j].imag))
+            term = _cmul(_cmul((psi[i][0], -psi[i][1]), g), psi[j])
+            re, im = re + term[0], im + term[1]
+        re, im = _cmul((int(pre.real), int(pre.imag)), (re, im))
+        assert im == 0  # every bilinear is real
+        out.append(re)
+    return j0, out
+
+
+@pytest.mark.parametrize("family", ["random_raw", *sampling.FAMILY_PARAMS])
+def test_kernels_within_a_rounding_bound_of_the_exact_bilinears(family):
+    rows = 300
+    rng = sampling.rng_for(11)
+    if family == "random_raw":
+        arr = sampling.random_raw_spinors(rng, rows)
+    else:
+        arr = oracles.family_draw(family, rng, rows)[0]
+    cols = kernels.columns(arr)
+    sigma, omega, j, k = kernels.bilinears(cols)
+    got = np.stack([sigma, omega, *j, *k, *kernels.tensor(cols)], axis=1)
+    for row, values in zip(arr, got):
+        j0, exact = _exact_bilinears(row)
+        for value, want in zip(values.tolist(), exact):
+            assert abs(Fraction(value) - want) <= _BOUND * j0, (family, value, float(want))

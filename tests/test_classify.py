@@ -367,9 +367,9 @@ def _block(pool, kind, size):
 @pytest.mark.parametrize("kind", ["regular", "singular", "mixed"])
 def test_block_verdicts_equal_the_full_bilinear_composition(edited_pool, kind, size):
     # the block path against every bilinear of every row: classes,
-    # categories, fpk maxima and the campaign's C states, bit for bit
+    # categories, fpk maxima and C states, bit for bit
     psis, n = _block(edited_pool, kind, size)
-    res, c_state = sampling._block_verdicts(psis, n, DEFAULT_TOLERANCES)
+    res = analyze(psis, n, DEFAULT_TOLERANCES)
 
     cols = kernels.columns(psis)
     sigma, omega, j, k = kernels.bilinears(cols)
@@ -386,7 +386,7 @@ def test_block_verdicts_equal_the_full_bilinear_composition(edited_pool, kind, s
     assert res.classes.tobytes() == want_classes.tobytes()
     assert res.categories.tobytes() == helicity_categories(rstate, lstate).tobytes()
     assert res.fpk_max.tobytes() == want_fpk.tobytes()
-    assert c_state.tobytes() == want_c.tobytes()
+    assert res.c_states.tobytes() == want_c.tobytes()
     singular = np.isin(want_classes, (0, 4, 5, 6))
     if kind == "regular":
         assert not singular.any()

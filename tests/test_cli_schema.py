@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from spinorlab.cli import FAMILIES, main
+from spinorlab.cli import FAMILIES, SAMPLE_FAMILIES, main
 
 SCHEMA = Path(__file__).parent.parent / "docs" / "cli_schema.md"
 
@@ -65,3 +65,49 @@ def test_spinor_forms_table_mirrors_the_family_table():
     assert _documented_spinor_forms() == [
         (family, tuple(key for key, _, _ in form.fields))
         for family, form in FAMILIES.items()]
+
+
+def _documented_report_fields():
+    """The key paths of the "Report fields" table, in order."""
+    section = SCHEMA.read_text(encoding="utf-8").split("## Report fields", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.findall(r"^\| `((?:sample|verify)\.[^`]+)` \|", section, flags=re.M)
+
+
+def _leaf_paths(value, prefix):
+    # a dict's keys and a list of dicts' entries ("[]") are followed down;
+    # anything else, a list of numbers included, is a leaf
+    if isinstance(value, dict):
+        return {path for key, item in value.items()
+                for path in _leaf_paths(item, f"{prefix}.{key}")}
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        return {path for item in value for path in _leaf_paths(item, prefix + "[]")}
+    return {prefix}
+
+
+def _report(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return json.loads(captured.out)
+
+
+def test_report_fields_table_mirrors_the_sample_and_verify_reports(tmp_path, capsys):
+    documented = _documented_report_fields()
+    assert len(documented) == len(set(documented))
+    seen = set()
+    path = tmp_path / "job.json"
+    for family in SAMPLE_FAMILIES:
+        path.write_text(json.dumps({"mode": "sample", "family": family, "count": 20}),
+                        encoding="utf-8")
+        sample = _report(["--job", str(path)], capsys)["sample"]
+        seen |= _leaf_paths(sample, "sample")
+        # each group of counts adds up to the rows drawn, as the doc says
+        conjugation = dict(sample["charge_conjugation"])
+        del conjugation["involution_max"]
+        for group in (sample["class_counts"], conjugation,
+                      sample.get("helicity_category_counts", {"none": 20})):
+            assert sum(group.values()) == 20, (family, group)
+    seen |= _leaf_paths(_report(["--mode", "verify"], capsys)["verify"], "verify")
+    assert sorted(seen - set(documented)) == [], "in a report but not documented"
+    assert sorted(set(documented) - seen) == [], "documented but in no report"

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from spinorlab import (
+    BiSpinor,
     FourMomentum,
     boost_bispinor,
     build_dual_helicity,
@@ -14,10 +15,13 @@ from spinorlab import (
     build_self_conjugate,
     build_single_helicity,
     build_weyl,
+    c_eigen_check,
+    classify_report,
     dual_helicity_partner,
     sampling,
 )
 from spinorlab.algebra import momentum_components, unit_vectors
+from spinorlab.classify import CATEGORY_NAMES, analyze
 from spinorlab.factory import (
     boost_bispinor_batch,
     dual_helicity_partner_batch,
@@ -299,6 +303,38 @@ def test_scalar_constructors_are_the_batch_rows():
                                       _bits(partners[i]))
         np.testing.assert_array_equal(_bits(build_parity_linked(row["sign"].item(), p).array),
                                       _bits(linked[i]))
+
+
+@pytest.mark.parametrize("family, steer", [
+    ("random_raw", None), ("single_helicity", None), ("single_helicity", 2),
+    ("single_helicity", 3), ("dual_helicity", None), ("self_conjugate", None),
+    ("weyl", None)])
+def test_scalar_verdicts_are_the_batch_verdicts(family, steer):
+    # every row's class, helicity category and C eigenvalue from analyze
+    # equal those of the N=1 route: the row built by build_* and classified
+    # along its recorded direction, or a raw row along its drawn one.  A
+    # Bloch family's N=1 direction is arctan2 of its Bloch vector, taken
+    # back through unit_vectors; the batch reads the normalised vector
+    rows = 300
+    rng = sampling.rng_for(21)
+    if family == "random_raw":
+        arr = sampling.random_raw_spinors(rng, rows)
+        theta, phi = sampling.random_directions(rng, rows)
+        n = unit_vectors(theta, phi)
+    else:
+        extra = {} if steer is None else {"steer": steer}
+        arr, n, theta, phi, params = oracles.family_draw(family, rng, rows, **extra)
+    res = analyze(arr, n)
+    for i in range(rows):
+        if family == "random_raw":
+            psi, direction = BiSpinor.from_array(arr[i]), (theta[i], phi[i])
+        else:
+            row = {key: value[i] for key, value in params.items()}
+            psi, direction = _scalar_build(family, row, *_direction(theta, phi, i)), None
+        report = classify_report(psi, direction)
+        assert res.classes[i] == (report.lounesto.index or 0), (family, i)
+        assert CATEGORY_NAMES[res.categories[i]] == report.helicity.category, (family, i)
+        assert (1, -1, None)[res.c_states[i]] == c_eigen_check(psi).eigenvalue, (family, i)
 
 
 def test_unit_phases():
