@@ -77,10 +77,10 @@ def fpk_columns(sigma, omega, j, k) -> tuple:
     (J^0)^2; the constraints hold identically for every four-component
     spinor, so these measure numerical noise only.
     """
-    jj = j[0] ** 2 - j[1] ** 2 - j[2] ** 2 - j[3] ** 2
+    scale = j[0] ** 2
+    jj = scale - j[1] ** 2 - j[2] ** 2 - j[3] ** 2
     jk = j[0] * k[0] - j[1] * k[1] - j[2] * k[2] - j[3] * k[3]
     kk = k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2
-    scale = j[0] ** 2
     return (
         np.abs(jj - (sigma**2 + omega**2)) / scale,
         np.abs(jk) / scale,

@@ -1017,18 +1017,24 @@ def test_chunked_sample_equals_one_pass_over_the_chunkwise_draws(family):
         assert sample == _whole_array_sample(job)
 
 
-def _sample_peak_rss_bytes(tmp_path, family, count):
-    """Peak RSS of a fresh `sample` process.  scripts/peak_rss.py spawns it:
-    a child's ru_maxrss starts at the RSS of the process that spawned it,
-    and this test process's RSS can be above a sample's own peak."""
-    path = tmp_path / f"job-{family}-{count}.json"
-    path.write_text(json.dumps({"mode": "sample", "family": family,
-                                "seed": 1, "count": count}), encoding="utf-8")
+def _peak_rss_bytes(*args):
+    """Peak RSS of a fresh `spinorlab` process with ``args``.
+    scripts/peak_rss.py spawns it: a child's ru_maxrss starts at the RSS of
+    the process that spawned it, and this test process's RSS can be above
+    the CLI's own peak."""
     proc = subprocess.run([sys.executable, str(PEAK_RSS), "inf", "--", sys.executable,
-                           "-m", "spinorlab", "--job", str(path)],
+                           "-m", "spinorlab", *args],
                           stdin=subprocess.DEVNULL, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return float(re.search(r"peak RSS (\S+) MB", proc.stdout).group(1)) * 2**20
+
+
+def _sample_peak_rss_bytes(tmp_path, family, count):
+    """Peak RSS of a fresh `sample` process."""
+    path = tmp_path / f"job-{family}-{count}.json"
+    path.write_text(json.dumps({"mode": "sample", "family": family,
+                                "seed": 1, "count": count}), encoding="utf-8")
+    return _peak_rss_bytes("--job", str(path))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -1055,6 +1061,18 @@ def test_sample_raw_working_set_is_bounded(tmp_path):
     extra = (_sample_peak_rss_bytes(tmp_path, "random_raw", 1_000_000)
              - _sample_peak_rss_bytes(tmp_path, "random_raw", 1))
     assert extra < 6 * 2**20, f"a 1e6-row sample peaks {extra / 2**20:.1f} MB above the floor"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is read in KiB, as Linux reports it")
+def test_verify_working_set_is_bounded(tmp_path):
+    # Every campaign of the suite runs in blocks: the sampled ones through
+    # sampling.blocks, the momentum ones MOMENTUM_BLOCK_ROWS rows at a time.
+    # Above the 1-row sample's floor, the suite measured 4.7 MB; with the
+    # momentum checks' 10,000 rows taken whole it measured 7.7 MB.
+    extra = (_peak_rss_bytes("--mode", "verify")
+             - _sample_peak_rss_bytes(tmp_path, "random_raw", 1))
+    assert extra < 6 * 2**20, f"the verify suite peaks {extra / 2**20:.1f} MB above the floor"
 
 
 def test_dirac_residuals_are_scale_free_at_extreme_magnitudes():

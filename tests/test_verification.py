@@ -1,4 +1,5 @@
-"""The verify class checks' miss arithmetic, pinned where it counts misses.
+"""The verify class checks' miss arithmetic, pinned where it counts misses,
+and the momentum checks' independence of their row block size.
 
 At the default tolerances both class checks count 0 misses, so the way a
 miss is counted goes untested there.  Loose thresholds turn rows away from
@@ -6,6 +7,7 @@ their class and category; these pins hold the exact counts and details.
 """
 import pytest
 
+from spinorlab import verification
 from spinorlab.tolerances import Tolerances
 from spinorlab.verification import check_constructor_class_table, check_helicity_dichotomy
 
@@ -39,3 +41,20 @@ def test_helicity_dichotomy_misses_pinned(tol, worst, details):
     res = check_helicity_dichotomy(tol=tol)
     assert (res.worst, res.details) == (worst, details)
     assert (res.passed, res.count) == (False, 40_000)
+
+
+def test_momentum_checks_do_not_depend_on_the_block_size(monkeypatch):
+    # every row's residual depends on that row alone, and the per-block
+    # maxima and minima fold exactly, so a block size that divides nothing
+    # and one block of all 10,000 rows give the default's results bit for bit
+    checks = (verification.check_parity_dirac_link,
+              verification.check_dual_helicity_dirac,
+              verification.check_theta_link)
+    for seed in (0, 11):
+        results = []
+        for rows in (verification.MOMENTUM_BLOCK_ROWS, 997, 10_000):
+            monkeypatch.setattr(verification, "MOMENTUM_BLOCK_ROWS", rows)
+            results.append([check(seed) for check in checks])
+        for got in results[1:]:
+            assert got == results[0]
+            assert [r.worst.hex() for r in got] == [r.worst.hex() for r in results[0]]
