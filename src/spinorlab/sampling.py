@@ -17,18 +17,17 @@ documented in one place and a (seed, count) pair reproduces a run exactly:
 returns the batch constructor's per-row arguments as (N,) arrays keyed by
 argument name; both helicity families share :func:`single_helicity_params`.
 ``FAMILY_CONSTRUCTORS`` maps the family to that constructor (rows and n).
-:func:`blocks` is the one block stream over them, behind sample mode and
-every sampled verify campaign of raw or constructed spinors: it draws
-``RAW_DRAW_ROWS`` raw or ``DRAW_ROWS`` constructed rows at a time and
-constructs one ``SAMPLE_BLOCK_ROWS`` block at a time.  A constructed row
-does not depend on the rows built with it, and a raw row does not depend on
-the chunk it is drawn in.  :func:`campaign`, the fold that sample mode
-runs, adds up one class x helicity-category x charge-conjugation-state
-count table and the constraint maxima of the blocks.  Its row verdicts
-(class, helicity category and C state) come from one
-:func:`classify.analyze` pass per block, which evaluates S only for the
-singular rows, where sigma and omega both test zero: a random_raw or
-single_helicity block, all regular, skips it.
+:func:`campaign` is the one engine over them, behind sample mode and every
+sampled verify campaign of raw or constructed spinors: it draws
+``RAW_DRAW_ROWS`` raw or ``DRAW_ROWS`` constructed rows at a time,
+constructs and analyses one ``SAMPLE_BLOCK_ROWS`` block at a time, and adds
+up one class x helicity-category x charge-conjugation-state count table and
+the constraint maxima.  A constructed row does not depend on the rows built
+with it, and a raw row does not depend on the chunk it is drawn in.
+Each block's row verdicts (class, helicity category and C state) come from
+one :func:`classify.analyze` pass, which evaluates S only for the singular
+rows, where sigma and omega both test zero: a random_raw or single_helicity
+block, all regular, skips it.
 """
 from __future__ import annotations
 
@@ -240,22 +239,23 @@ class Campaign(NamedTuple):
     fpk_max: np.ndarray    # (3,) worst constraint residuals
 
 
-def blocks(family: str, rng, count: int, steer: int | None = None):
-    """Yield ``(block, n)`` for ``count`` rows of ``family`` from ``rng``:
-    each ``SAMPLE_BLOCK_ROWS`` block of (N, 4) spinors, and the unit vectors
-    n of its construction directions (None for random_raw).
+def campaign(family: str, rng, count: int, tol: Tolerances,
+             steer: int | None = None) -> Campaign:
+    """Draw, construct and analyse ``count`` rows of ``family`` from ``rng``.
 
     Rows are drawn in chunks, RAW_DRAW_ROWS at a time for random_raw and
-    DRAW_ROWS for a constructor family, and built one block at a time, so
-    memory does not grow with ``count``.  random_raw rows do not depend on
-    the chunk size; a constructor family's do once ``count`` exceeds
-    DRAW_ROWS, because each chunk draws all of its parameters in turn.
-    ``steer`` is passed on to :func:`single_helicity_params`.  A raw block
-    is a view of its chunk: a caller that drops each block before asking
-    for the next keeps one chunk alive at a time.
+    DRAW_ROWS for a constructor family, and built and analysed one
+    SAMPLE_BLOCK_ROWS block at a time, so memory does not grow with
+    ``count``; counts add up and maxima combine in any order, so no aggregate
+    depends on the block size.  random_raw rows do not depend on the chunk
+    size; a constructor family's do once ``count`` exceeds DRAW_ROWS, because
+    each chunk draws all of its parameters in turn.  ``steer`` is passed on
+    to :func:`single_helicity_params`.
     """
     raw = family == "random_raw"
     extra = {} if steer is None else {"steer": steer}
+    joint = np.zeros((7, 1 if raw else len(CATEGORY_NAMES), 3), dtype=np.int64)
+    fpk_max = np.full(3, -np.inf)
     draw_rows = RAW_DRAW_ROWS if raw else DRAW_ROWS
     for offset in range(0, count, draw_rows):
         rows = min(draw_rows, count - offset)
@@ -266,32 +266,18 @@ def blocks(family: str, rng, count: int, steer: int | None = None):
             construct = FAMILY_CONSTRUCTORS[family]
         for start in range(0, rows, SAMPLE_BLOCK_ROWS):
             if raw:
-                yield chunk[start:start + SAMPLE_BLOCK_ROWS], None
+                block, n = chunk[start:start + SAMPLE_BLOCK_ROWS], None
             else:
-                yield construct(**{
+                block, n = construct(**{
                     key: value[start:start + SAMPLE_BLOCK_ROWS]
                     for key, value in params.items()})
-        # release the chunk before the next one is drawn
+            res = analyze(block, n, tol)
+            cells = res.classes if raw else res.classes * joint.shape[1] + res.categories
+            cells = cells * 3 + res.c_states
+            joint += np.bincount(cells, minlength=joint.size).reshape(joint.shape)
+            fpk_max = np.maximum(fpk_max, res.fpk_max)
+            del block
+        # release the chunk before the next one is drawn; a raw block is a
+        # view of it, so the block above goes first
         chunk = params = None
-
-
-def campaign(family: str, rng, count: int, tol: Tolerances,
-             steer: int | None = None) -> Campaign:
-    """Analyse the :func:`blocks` of ``count`` rows of ``family``.
-
-    Counts add up and maxima combine in any order, so no aggregate depends
-    on the block size.
-    """
-    shape = (7, 1 if family == "random_raw" else len(CATEGORY_NAMES), 3)
-    joint = np.zeros(shape, dtype=np.int64)
-    fpk_max = np.full(3, -np.inf)
-    for block, n in blocks(family, rng, count, steer):
-        res = analyze(block, n, tol)
-        # a raw block is a view of its chunk, which goes before the next draw
-        del block
-        cells = res.classes if res.categories is None else (
-            res.classes * shape[1] + res.categories)
-        cells = cells * 3 + res.c_states
-        joint += np.bincount(cells, minlength=joint.size).reshape(shape)
-        fpk_max = np.maximum(fpk_max, res.fpk_max)
     return Campaign(joint, fpk_max)

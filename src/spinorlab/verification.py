@@ -4,8 +4,8 @@ Each check draws a seeded random campaign of a size fixed in its body,
 measures the worst residual (or violation count) against a pinned threshold,
 and reports a PropertyResult.
 The campaigns over raw or constructed spinors (fpk-identities and the two
-class checks) fold only what they read over the blocks of
-:func:`sampling.blocks`.  The momentum checks (parity-dirac-dynamics,
+class checks) run through :func:`sampling.campaign` and read its
+aggregates.  The momentum checks (parity-dirac-dynamics,
 dual-helicity-dirac and theta-link) draw their momenta and amplitudes
 whole, then construct, boost and take residuals ``MOMENTUM_BLOCK_ROWS`` rows
 at a time, so no campaign's working set grows with its size.
@@ -27,15 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, sampling
+from . import sampling
 from .algebra import boost_block_batch, gamma, gamma5
-from .bilinears import fpk_columns
-from .classify import (
-    CLASS_CATEGORIES,
-    helicity_categories,
-    helicity_profiles,
-    lounesto_classes,
-)
+from .classify import CLASS_CATEGORIES
 from .factory import (
     BiSpinor,
     boost_bispinor_batch,
@@ -59,11 +53,13 @@ from .tolerances import DEFAULT_TOLERANCES, EXACT, Tolerances
 # Rows of a momentum check constructed, boosted and checked at a time.  Each
 # row's residual depends on that row alone, so the block size moves no
 # result; it bounds the (N, 4) and (N, 2, 2) temporaries.  A fresh
-# `--mode verify` process (2-CPU Xeon, numpy 2.4.6) peaked at 43.3 MB with
-# the 10,000 rows whole, 42.1 MB at 8192 rows, 40.9 at 4096 and 40.5 at 2048
-# and 1024, where the fpk-identities campaign sets the peak.  1024 took the
-# three checks 85 ms against 69 ms at 2048 (best of 5, in-process).
-MOMENTUM_BLOCK_ROWS = 2048
+# `--mode verify` process (2-CPU Xeon, numpy 2.4.6) peaked at 43.4 MB with
+# the 10,000 rows whole, 42.3 MB at 8192 rows, 40.9 at 4096 and 40.5-40.6 at
+# 3500 and 2048, where the class campaigns (40.4) set the peak.  Each block
+# costs a fresh process about 5 ms, so three blocks of a 10,000-row campaign
+# took the three checks 92 ms against 87 whole and 113 at 2048 (medians of
+# 10 interleaved processes).
+MOMENTUM_BLOCK_ROWS = 3500
 
 
 @dataclass(frozen=True)
@@ -89,35 +85,12 @@ def _row_blocks(*columns):
         yield tuple(c[start:start + MOMENTUM_BLOCK_ROWS] for c in columns)
 
 
-def _classes(block, tol: Tolerances):
-    """The :func:`kernels.columns` of a block and its rows' Lounesto
-    classes, decided from the bilinears alone."""
-    cols = kernels.columns(block)
-    return cols, lounesto_classes(
-        *kernels.bilinears(cols), lambda rows: kernels.tensor([c[rows] for c in cols]),
-        tol)
-
-
-def _class_counts(family: str, rng, count: int, tol: Tolerances,
-                  steer: int | None = None) -> np.ndarray:
-    """(7,) rows of each class index (0 = unclassifiable) in a campaign."""
-    counts = np.zeros(7, dtype=np.int64)
-    for block, _ in sampling.blocks(family, rng, count, steer):
-        counts += np.bincount(_classes(block, tol)[1], minlength=7)
-        del block
-    return counts
-
-
 def check_fpk_identities(seed: int = 0) -> PropertyResult:
     """Scalar constraint residuals vanish for arbitrary random spinors."""
     count = 100_000
-    worst = np.full(3, -np.inf)
-    for block, _ in sampling.blocks("random_raw", sampling.rng_for(seed), count):
-        residuals = fpk_columns(*kernels.bilinears(kernels.columns(block)))
-        # a raw block is a view of its chunk, which goes before the next draw
-        del block
-        worst = np.maximum(worst, [c.max() for c in residuals])
-    return _below("fpk-identities", worst, 1e-10, count)
+    result = sampling.campaign("random_raw", sampling.rng_for(seed), count,
+                               DEFAULT_TOLERANCES)
+    return _below("fpk-identities", result.fpk_max, 1e-10, count)
 
 
 _FAMILY_EXPECTED_CLASSES = {
@@ -137,12 +110,13 @@ def check_constructor_class_table(seed: int = 1,
     details = []
     slices = [count - 2 * (count // 3), count // 3, count // 3]
     for target, n in zip((1, 2, 3), slices):
-        counts = _class_counts("single_helicity", rng, n, tol, steer=target)
-        miss = n - int(counts[target])
+        joint = sampling.campaign("single_helicity", rng, n, tol, steer=target).joint
+        miss = n - int(joint[target].sum())
         bad += miss
         details.append(f"single->{target}: {miss}/{n} off")
     for family, expected in _FAMILY_EXPECTED_CLASSES.items():
-        miss = count - int(_class_counts(family, rng, count, tol)[expected].sum())
+        joint = sampling.campaign(family, rng, count, tol).joint
+        miss = count - int(joint[expected].sum())
         bad += miss
         details.append(f"{family}: {miss}/{count} off")
     return PropertyResult("constructor-class-table", bad == 0, float(bad), 0.0,
@@ -159,15 +133,8 @@ def check_helicity_dichotomy(seed: int = 2,
     bad = 0
     details = []
     for family in sampling.FAMILY_PARAMS:
-        matched = 0
-        for block, n in sampling.blocks(family, rng, count):
-            cols, classes = _classes(block, tol)
-            del block
-            rstate, lstate, _, _ = helicity_profiles(cols, n, tol)
-            # an unclassifiable row predicts -1, which matches no category
-            matched += int(np.count_nonzero(
-                CLASS_CATEGORIES[classes] == helicity_categories(rstate, lstate)))
-        miss = count - matched
+        joint = sampling.campaign(family, rng, count, tol).joint.sum(axis=2)
+        miss = count - sum(int(joint[c, CLASS_CATEGORIES[c]]) for c in range(1, 7))
         bad += miss
         details.append(f"{family}: {miss}/{count} off")
     return PropertyResult("helicity-dichotomy", bad == 0, float(bad), 0.0,

@@ -1067,8 +1067,8 @@ def test_sample_raw_working_set_is_bounded(tmp_path):
                     reason="ru_maxrss is read in KiB, as Linux reports it")
 def test_verify_working_set_is_bounded(tmp_path):
     # Every campaign of the suite runs in blocks: the sampled ones through
-    # sampling.blocks, the momentum ones MOMENTUM_BLOCK_ROWS rows at a time.
-    # Above the 1-row sample's floor, the suite measured 4.7 MB; with the
+    # sampling.campaign, the momentum ones MOMENTUM_BLOCK_ROWS rows at a time.
+    # Above the 1-row sample's floor, the suite measured 4.9 MB; with the
     # momentum checks' 10,000 rows taken whole it measured 7.7 MB.
     extra = (_peak_rss_bytes("--mode", "verify")
              - _sample_peak_rss_bytes(tmp_path, "random_raw", 1))

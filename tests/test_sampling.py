@@ -102,15 +102,18 @@ def test_draw_params_pinned(family):
     ("single_helicity", 3), ("dual_helicity", None), ("self_conjugate", None),
     ("weyl", None)])
 def test_draws_are_param_draws_then_blockwise_construction(family, steer):
-    # sampling.blocks draws the parameters whole and constructs them one
-    # block at a time; the whole-array reference draw must give the same bits
-    rows = 2 * sampling.SAMPLE_BLOCK_ROWS + 3
+    # a campaign draws the parameters whole and constructs them one block
+    # at a time; the whole-array reference draw must give the same bits
+    block_rows = sampling.SAMPLE_BLOCK_ROWS
+    rows = 2 * block_rows + 3
     extra = {} if steer is None else {"steer": steer}
     arr, n, theta, phi, params = oracles.family_draw(family, sampling.rng_for(31), rows,
                                                      **extra)
     drawn = sampling.FAMILY_PARAMS[family](sampling.rng_for(31), rows, **extra)
-    blocks = list(sampling.blocks(family, sampling.rng_for(31), rows, steer))
-    assert [len(block[0]) for block in blocks] == [sampling.SAMPLE_BLOCK_ROWS] * 2 + [3]
+    construct = sampling.FAMILY_CONSTRUCTORS[family]
+    blocks = [construct(**{key: value[start:start + block_rows]
+                           for key, value in drawn.items()})
+              for start in range(0, rows, block_rows)]
     want = np.concatenate([block[0] for block in blocks])
     assert arr.dtype == want.dtype
     np.testing.assert_array_equal(arr.view(np.uint64), want.view(np.uint64))
