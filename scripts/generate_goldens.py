@@ -6,14 +6,24 @@ Run from the repository root after an intentional output-format change:
 
 The committed job documents tests/goldens/<name>.job.json are the fixtures'
 inputs and are only read; each report <name>.report.json is rewritten from
-its job.  The reports are compared byte-for-byte by tests/test_cli.py and
-the acceptance suite.
+its job by a `python -m spinorlab` child that imports the package from this
+checkout's src/, so the package need not be installed.  The reports are
+compared byte-for-byte by tests/test_cli.py and the acceptance suite.
 """
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "goldens"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "tests" / "goldens"
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + env["PYTHONPATH"]
+                                             if env.get("PYTHONPATH") else "")
+    return env
 
 
 def main() -> int:
@@ -21,7 +31,7 @@ def main() -> int:
         name = job_path.name.removesuffix(".job.json")
         proc = subprocess.run(
             [sys.executable, "-m", "spinorlab", "--job", str(job_path)],
-            capture_output=True, check=True,
+            stdin=subprocess.DEVNULL, capture_output=True, check=True, env=child_env(),
         )
         (GOLDEN_DIR / f"{name}.report.json").write_bytes(proc.stdout)
         print(f"wrote {name}: {len(proc.stdout)} bytes")

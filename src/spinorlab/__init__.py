@@ -24,8 +24,7 @@ _EXPORTS = {
                "SpinorError", "ZeroSpinorError"),
     "factory": ("BiSpinor", "Provenance", "boost_bispinor", "build_dual_helicity",
                 "build_parity_linked", "build_self_conjugate", "build_single_helicity",
-                "build_singular_form", "build_weyl", "dual_helicity_partner",
-                "rest_spinor"),
+                "build_singular_form", "build_weyl", "rest_spinor"),
     "symmetries": ("CEigenCheck", "SymmetryReport", "c_eigen_check", "charge_conjugate",
                    "dirac_flip_residual", "dirac_matrix", "dirac_residual",
                    "parity_apply", "parity_eigen_check", "symmetry_report",

@@ -6,16 +6,13 @@ array, one spinor per row, and the unit vectors n = (nx, ny, nz) of each
 row's direction, which the helicity analysis reads.  The helicity families
 are built along :func:`algebra.unit_vectors` of their (theta, phi); the
 self-conjugate, Weyl and singular forms take n from a block's
-:func:`algebra.bloch_direction_batch`.  :func:`parity_linked_batch` and
-:func:`dual_helicity_partner_batch` return the components only.  Batch
-constructors do not validate; their rows must meet the preconditions that
-the scalar ``build_*`` N=1 wrappers check.  A wrapper returns a
-:class:`BiSpinor` carrying a :class:`Provenance` record (family name,
-construction parameters, direction, unboosted blocks) so that reports can
-state how a spinor was generated and the parity operation can rebuild it.
-Boosting at -p swaps the handedness of the block boosts, B_R(-p) = B_L(p),
-so parity is the batch boost at the build momentum of the rest blocks with
-the two blocks exchanged: gamma0 B(-p) psi_rest = B(p) gamma0 psi_rest.
+:func:`algebra.bloch_direction_batch`.  :func:`parity_linked_batch`
+returns the components only.  Batch constructors do not validate; their
+rows must meet the preconditions that the scalar ``build_*`` N=1 wrappers
+check.  A wrapper returns a :class:`BiSpinor` carrying a
+:class:`Provenance` record (family name, construction parameters,
+direction, unboosted blocks) so that reports can state how a spinor was
+generated and the parity operation can rebuild it.
 
 Complex products and quotients are written out in real and imaginary parts
 as Python complex arithmetic evaluates them (numpy's complex loops may fuse
@@ -258,31 +255,6 @@ def build_dual_helicity(pair: str, a: complex, c: complex,
     return _spinor(
         arr, family="dual_helicity", params={"pair": pair, "a": a, "c": c},
         theta=theta, phi=phi)
-
-
-def dual_helicity_partner_batch(sign, a, c, theta, phi, m, pmag):
-    """The dual-helicity spinors the Dirac operator maps each row onto, at
-    its momentum (m, pmag) along (theta, phi); pmag = 0 leaves them unboosted.
-
-    Flips the helicity pair and swaps the free amplitudes.
-    """
-    arr, _ = dual_helicity_batch(-sign, c, a, theta, phi)
-    return boost_bispinor_batch(arr, m, pmag, theta, phi)
-
-
-def dual_helicity_partner(psi: BiSpinor) -> BiSpinor:
-    """N=1 form of :func:`dual_helicity_partner_batch` for a spinor built by
-    :func:`build_dual_helicity` (and possibly boosted)."""
-    prov = psi.provenance
-    if prov is None or prov.family != "dual_helicity":
-        raise ValueError("partner is defined for dual_helicity spinors only")
-    flipped = "-+" if prov.params["pair"] == "+-" else "+-"
-    partner = build_dual_helicity(
-        flipped, prov.params["c"], prov.params["a"], prov.theta, prov.phi
-    )
-    if prov.momentum is not None:
-        partner = boost_bispinor(partner, prov.momentum)
-    return partner
 
 
 def _bloch_angles(b0: complex, b1: complex) -> dict:

@@ -5,12 +5,19 @@ conj(upper)) and is an exact involution.  Parity is realized at the spinor
 level as gamma0 composed with momentum reflection (intrinsic phase +1).
 Boosting at -p swaps the handedness of the block boosts, B_R(-p) = B_L(p),
 so gamma0 B(-p) psi_rest = B(p) gamma0 psi_rest: parity is the boost, at
-the build momentum, of the rest blocks recorded in a spinor's provenance
-with the two blocks exchanged.  All Dirac-operator residuals are
-normalized by m ||psi|| so that one threshold covers every momentum scale.
-Being homogeneous of degree 0 in the spinor and in (m, pmag), the parity,
-Dirac, flip and theta-link residuals are evaluated on inputs scaled near 1
-by exact powers of two, so nothing under- or overflows.
+the build momentum, of the rest blocks with the two blocks exchanged
+(:func:`parity_batch`).  For every spinor boosted from rest,
+gamma_mu p^mu psi = m P psi.  Two consequences follow: the Dirac operator
+maps a dual-helicity spinor onto its parity image, the spinor with the
+flipped helicity pair and swapped amplitudes, so the flip defect
+vanishes; and the Dirac equation holds exactly for P-even spinors, with
+-m for P-odd ones.
+
+All Dirac-operator residuals are normalized by m ||psi|| so that one
+threshold covers every momentum scale.  Being homogeneous of degree 0 in
+the spinor and in (m, pmag), the parity, Dirac, flip and theta-link
+residuals are evaluated on inputs scaled near 1 by exact powers of two, so
+nothing under- or overflows.
 """
 from __future__ import annotations
 
@@ -29,7 +36,7 @@ from .algebra import (
     theta_conjugate,
 )
 from .errors import MasslessError, ProvenanceError, ScaleError, ZeroSpinorError
-from .factory import BiSpinor, _rows, boost_bispinor, dual_helicity_partner
+from .factory import BiSpinor, _rows, boost_bispinor_batch
 from .tolerances import EXACT
 
 
@@ -180,14 +187,23 @@ def c_eigen_check(psi: BiSpinor) -> CEigenCheck:
     return CEigenCheck(eigenvalue, res_plus, res_minus, constraints)
 
 
-def parity_apply(psi: BiSpinor, p: Optional[FourMomentum] = None) -> BiSpinor:
-    """gamma0 composed with momentum reflection.
+def parity_batch(rest, m, pmag, theta, phi) -> np.ndarray:
+    """Parity images of (N, 4) rest rows, each boosted at its build momentum:
+    the two blocks of each row exchanged (gamma0), then boosted with
+    :func:`factory.boost_bispinor_batch`, which equals boosting each block
+    with the opposite-handed factor at the reflected momentum.  Every row
+    needs m > 0."""
+    rest = np.asarray(rest, dtype=complex)
+    return boost_bispinor_batch(rest[:, [2, 3, 0, 1]], m, pmag, theta, phi)
 
-    Exchanges the rest blocks stored in the spinor's provenance (gamma0) and
-    boosts them at the build momentum, which equals boosting each block with
-    the opposite-handed factor at the reflected momentum.  Raw spinors
-    without provenance are rejected, and a supplied momentum must be the one
-    the spinor was built at (or rest).
+
+def parity_apply(psi: BiSpinor, p: Optional[FourMomentum] = None) -> BiSpinor:
+    """N=1 form of :func:`parity_batch`, on the rest blocks and build
+    momentum stored in the spinor's provenance.
+
+    Raw spinors without provenance are rejected, and a supplied momentum
+    must be the one the spinor was built at (or rest).  An unboosted spinor
+    gets its exchanged rest blocks back unboosted.
     """
     prov = psi.provenance
     if prov is None or prov.rest_right is None or prov.rest_left is None:
@@ -212,7 +228,13 @@ def parity_apply(psi: BiSpinor, p: Optional[FourMomentum] = None) -> BiSpinor:
     swapped = BiSpinor(*prov.rest_left, *prov.rest_right)
     if built_at is None:
         return swapped  # unboosted: the rest blocks are the components
-    return boost_bispinor(swapped, built_at)
+    if swapped.is_zero():
+        raise ZeroSpinorError("cannot boost the zero spinor")
+    if built_at.m <= 0.0:
+        raise MasslessError("boost requires m > 0")
+    rest = np.array([[*prov.rest_right, *prov.rest_left]], dtype=complex)
+    return BiSpinor.from_array(parity_batch(
+        rest, *_rows(built_at.m, built_at.pmag, built_at.theta, built_at.phi))[0])
 
 
 def parity_eigen_check(psi: BiSpinor, p: Optional[FourMomentum] = None):
@@ -294,9 +316,10 @@ def dirac_flip_residuals(src, dst, m, pmag, theta, phi) -> np.ndarray:
 
     || v - proj_w v || / ||v|| with v the Dirac image of a row of src and
     w the same row of dst; near zero confirms that the Dirac operator
-    carries src onto the line spanned by dst.  For a dual-helicity spinor
-    the partner with flipped helicity pair and swapped amplitudes makes this
-    vanish in both directions (see :func:`factory.dual_helicity_partner`).
+    carries src onto the line spanned by dst.  The Dirac operator maps each
+    spinor boosted from rest onto m times its parity image, so for a
+    dual-helicity spinor and its :func:`parity_batch` image this vanishes in
+    both directions.
     """
     m, pmag = _pow2_mass(m, pmag)
     e, px, py, pz = momentum_components(m, pmag, theta, phi)
@@ -414,7 +437,7 @@ def symmetry_report(psi: BiSpinor, p: Optional[FourMomentum] = None,
         dminus = dirac_residual(psi, p, -1)
         prov = psi.provenance
         if prov is not None and prov.family == "dual_helicity":
-            flip = dirac_flip_residual(psi, dual_helicity_partner(psi), p)
+            flip = dirac_flip_residual(psi, parity_apply(psi), p)
         if psi.c == 0 and psi.d == 0:
             findings.append("left block is null; theta-link check skipped")
         else:

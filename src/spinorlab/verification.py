@@ -34,7 +34,6 @@ from .factory import (
     BiSpinor,
     boost_bispinor_batch,
     dual_helicity_batch,
-    dual_helicity_partner_batch,
     parity_linked_batch,
     self_conjugate_batch,
     single_helicity_batch,
@@ -46,6 +45,7 @@ from .symmetries import (
     dirac_flip_residuals,
     dirac_matrix_batch,
     dirac_residuals,
+    parity_batch,
     theta_link_residuals,
 )
 from .tolerances import DEFAULT_TOLERANCES, EXACT, Tolerances
@@ -154,7 +154,9 @@ def check_parity_dirac_link(seed: int = 3) -> PropertyResult:
 
 def check_dual_helicity_dirac(seed: int = 4) -> PropertyResult:
     """Dual-helicity spinors never satisfy the Dirac dynamics on either mass
-    branch, while the Dirac operator maps each onto its flipped partner."""
+    branch, while the Dirac operator maps each onto m times its parity
+    image, the spinor with the flipped helicity pair and swapped
+    amplitudes, and its parity image back onto it."""
     count = 10_000
     rng = sampling.rng_for(seed)
     mom = sampling.random_momenta(rng, count, ratio=(1e-3, 1e2))
@@ -164,8 +166,9 @@ def check_dual_helicity_dirac(seed: int = 4) -> PropertyResult:
 
     def extremes(sign, a, c, m, pmag, theta, phi):
         p = (m, pmag, theta, phi)
-        arr = boost_bispinor_batch(dual_helicity_batch(sign, a, c, theta, phi)[0], *p)
-        parr = dual_helicity_partner_batch(sign, a, c, theta, phi, m, pmag)
+        rest = dual_helicity_batch(sign, a, c, theta, phi)[0]
+        arr = boost_bispinor_batch(rest, *p)
+        parr = parity_batch(rest, *p)
         return (np.min(dirac_residuals(arr, *p, 1)),
                 np.min(dirac_residuals(arr, *p, -1)),
                 np.max(dirac_flip_residuals(arr, parr, *p)),

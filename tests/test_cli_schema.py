@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from spinorlab.cli import FAMILIES, SAMPLE_FAMILIES, main
+from test_cli import BOOSTED_DUAL_PIN_JOB, GOLDEN_DIR
 
 SCHEMA = Path(__file__).parent.parent / "docs" / "cli_schema.md"
 
@@ -71,7 +72,8 @@ def _documented_report_fields():
     """The key paths of the "Report fields" table, in order."""
     section = SCHEMA.read_text(encoding="utf-8").split("## Report fields", 1)[1]
     section = section.split("\n## ", 1)[0]
-    return re.findall(r"^\| `((?:sample|verify)\.[^`]+)` \|", section, flags=re.M)
+    return re.findall(r"^\| `((?:sample|verify|symmetries)\.[^`]+)` \|", section,
+                      flags=re.M)
 
 
 def _leaf_paths(value, prefix):
@@ -109,5 +111,13 @@ def test_report_fields_table_mirrors_the_sample_and_verify_reports(tmp_path, cap
                       sample.get("helicity_category_counts", {"none": 20})):
             assert sum(group.values()) == 20, (family, group)
     seen |= _leaf_paths(_report(["--mode", "verify"], capsys)["verify"], "verify")
+    # the class5 golden has no flip residual and no parity; the boosted
+    # dual-helicity spinor has both
+    path.write_text(json.dumps(BOOSTED_DUAL_PIN_JOB), encoding="utf-8")
+    for job in (GOLDEN_DIR / "class5.job.json", path):
+        symmetries = _report(["--job", str(job)], capsys)["symmetries"]
+        seen |= _leaf_paths(symmetries, "symmetries")
+    assert None not in (symmetries["dirac"]["flip_residual"],
+                        symmetries["parity"]["residual"])
     assert sorted(seen - set(documented)) == [], "in a report but not documented"
     assert sorted(set(documented) - seen) == [], "documented but in no report"

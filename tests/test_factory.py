@@ -18,7 +18,7 @@ from spinorlab import (
     build_single_helicity,
     build_singular_form,
     build_weyl,
-    dual_helicity_partner,
+    parity_apply,
     rest_spinor,
 )
 
@@ -338,8 +338,14 @@ class TestParityLinkedAndBoost:
             boost_bispinor(psi, FourMomentum(1.0, 3.0, 1.1, 0.5))
 
     def test_partner_swaps_amplitudes_and_pair(self):
-        psi = build_dual_helicity("+-", 1.0 + 1j, 2.0, 1.0, 0.5)
-        partner = dual_helicity_partner(psi)
-        assert partner.provenance.params["pair"] == "-+"
-        assert partner.provenance.params["a"] == 2.0
-        assert partner.provenance.params["c"] == 1.0 + 1j
+        # the parity image of a dual-helicity spinor is the spinor with the
+        # flipped pair and swapped amplitudes, bit for bit, at rest and boosted
+        a, c, t, f = 1.0 + 1j, 2.0, 1.0, 0.5
+        p = FourMomentum(1.5, 7.0, t, f)
+        psi = build_dual_helicity("+-", a, c, t, f)
+        flipped = build_dual_helicity("-+", c, a, t, f)
+        boosted = boost_bispinor(psi, p)
+        for image, want in ((parity_apply(psi), flipped),
+                            (parity_apply(boosted), boost_bispinor(flipped, p))):
+            np.testing.assert_array_equal(image.array.view(np.uint64),
+                                          want.array.view(np.uint64))

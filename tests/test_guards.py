@@ -19,7 +19,6 @@ from spinorlab import (
     build_weyl,
     dirac_flip_residual,
     dirac_residual,
-    dual_helicity_partner,
     parity_apply,
     parity_eigen_check,
     rest_spinor,
@@ -51,9 +50,6 @@ GUARDS = {
                    "theta must lie in [0, pi], got 4.0"),
     "dual-pair": (lambda: build_dual_helicity("++", 1, 1, 0.5, 0.3), ValueError,
                   "pair must be '+-' or '-+', got '++'"),
-    "partner-of-single": (
-        lambda: dual_helicity_partner(build_single_helicity("++", 1, 1, 0.5, 0.3)),
-        ValueError, "partner is defined for dual_helicity spinors only"),
     "self-conjugate-sign": (lambda: build_self_conjugate(0, 1, 1), ValueError,
                             "sign must be +1 or -1, got 0"),
     "weyl-side": (lambda: build_weyl("up", (1, 0)), ValueError,

@@ -17,16 +17,13 @@ from spinorlab import (
     build_weyl,
     c_eigen_check,
     classify_report,
-    dual_helicity_partner,
+    parity_apply,
     sampling,
 )
 from spinorlab.algebra import momentum_components, unit_vectors
 from spinorlab.classify import CATEGORY_NAMES, analyze
-from spinorlab.factory import (
-    boost_bispinor_batch,
-    dual_helicity_partner_batch,
-    parity_linked_batch,
-)
+from spinorlab.factory import boost_bispinor_batch, parity_linked_batch
+from spinorlab.symmetries import parity_batch
 from spinorlab.tolerances import DEFAULT_TOLERANCES
 
 
@@ -268,13 +265,15 @@ def _bits(x):
 
 def test_scalar_constructors_are_the_batch_rows():
     # the scalar build_* on a row's inputs gives that row bit for bit,
-    # signed zeros included, and so do the boost and the partner; the
-    # direction it records is the row's drawn one, or for a Bloch family
-    # the one whose unit vectors the row's n rounds
+    # signed zeros included, and so do the boost and parity along the
+    # direction it records, which is the row's drawn one or, for a Bloch
+    # family, the one whose unit vectors the row's n rounds
     n = 200
+    momenta = sampling.rng_for(22)
     for family in sampling.FAMILY_PARAMS:
         arr, units, theta, phi, params = oracles.family_draw(
             family, sampling.rng_for(21), n)
+        psis = []
         for i in range(n):
             row = {key: value[i] for key, value in params.items()}
             psi = _scalar_build(family, row, *_direction(theta, phi, i))
@@ -285,24 +284,21 @@ def test_scalar_constructors_are_the_batch_rows():
             np.testing.assert_allclose([x[i] for x in units],
                                        unit_vectors(prov.theta, prov.phi),
                                        rtol=0, atol=1e-15)
+            psis.append(psi)
 
-    rng = sampling.rng_for(22)
-    arr, _, theta, phi, params = oracles.family_draw("dual_helicity", rng, n)
-    m, pmag, _, _ = sampling.random_momenta(rng, n)
-    boosted = boost_bispinor_batch(arr, m, pmag, theta, phi)
-    partners = dual_helicity_partner_batch(params["sign"], params["a"],
-                                           params["c"], theta, phi, m, pmag)
-    linked = parity_linked_batch(params["sign"], m, pmag, theta, phi)
-    for i in range(n):
-        p = FourMomentum(float(m[i]), float(pmag[i]), float(theta[i]), float(phi[i]))
-        row = {key: value[i] for key, value in params.items()}
-        psi = boost_bispinor(
-            _scalar_build("dual_helicity", row, p.theta, p.phi), p)
-        np.testing.assert_array_equal(_bits(psi.array), _bits(boosted[i]))
-        np.testing.assert_array_equal(_bits(dual_helicity_partner(psi).array),
-                                      _bits(partners[i]))
-        np.testing.assert_array_equal(_bits(build_parity_linked(row["sign"].item(), p).array),
-                                      _bits(linked[i]))
+        m, pmag, _, _ = sampling.random_momenta(momenta, n)
+        p = (m, pmag, *np.array([psi.provenance.direction for psi in psis]).T)
+        boosted, images = boost_bispinor_batch(arr, *p), parity_batch(arr, *p)
+        linked = parity_linked_batch(params["sign"], *p) if theta is not None else None
+        for i, psi in enumerate(psis):
+            q = FourMomentum(*(float(x[i]) for x in p))
+            psi = boost_bispinor(psi, q)
+            np.testing.assert_array_equal(_bits(psi.array), _bits(boosted[i]))
+            np.testing.assert_array_equal(_bits(parity_apply(psi).array), _bits(images[i]))
+            if linked is not None:
+                np.testing.assert_array_equal(
+                    _bits(build_parity_linked(params["sign"][i].item(), q).array),
+                    _bits(linked[i]))
 
 
 @pytest.mark.parametrize("family, steer", [

@@ -1,12 +1,16 @@
-"""The peak-RSS gate that CI runs the CLI under."""
+"""The peak-RSS gate that CI runs the CLI under, and the golden generator."""
+import importlib.util
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PEAK_RSS = Path(__file__).parent.parent / "scripts" / "peak_rss.py"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+PEAK_RSS = SCRIPTS / "peak_rss.py"
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 def _gate(limit_mb, *cmd):
@@ -34,3 +38,23 @@ def test_peak_rss_gate_reports_the_childs_minor_faults():
                          proc.stdout)
     assert match, proc.stdout
     assert int(match.group(1)) >= (8 << 20) // 4096
+
+
+def test_generate_goldens_rewrites_the_committed_reports(tmp_path, monkeypatch, capsys):
+    # run as documented, in a checkout where the package is not installed:
+    # the script's child finds it in src/ without a PYTHONPATH of its own
+    spec = importlib.util.spec_from_file_location(
+        "generate_goldens", SCRIPTS / "generate_goldens.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    jobs = sorted(GOLDEN_DIR.glob("*.job.json"))
+    assert len(jobs) == 6
+    for job in jobs:
+        shutil.copy(job, tmp_path)
+    monkeypatch.setattr(script, "GOLDEN_DIR", tmp_path)
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    assert script.main() == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    for job in jobs:
+        report = job.name.replace(".job.json", ".report.json")
+        assert (tmp_path / report).read_bytes() == (GOLDEN_DIR / report).read_bytes(), report
