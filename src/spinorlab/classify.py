@@ -132,10 +132,11 @@ class HelicityProfile:
     A block is a null block when its squared norm is below
     eps_class * psi^dag psi; otherwise it is plus/minus when the relative
     eigen-residual against sigma.n is below eps_helicity, else not-eigen.
-    Residuals are NaN for null blocks.  ``category`` is the name of the
-    :func:`helicity_categories` code of the two blocks.  For a class-6
-    spinor the nonzero block's helicity is still reported per block even
-    though the category stays not-well-defined.
+    When both branches pass, the closer one wins, and plus wins a tie.
+    Each residual is the block's closer branch's, NaN for a null block.
+    ``category`` is the name of the :func:`helicity_categories` code of the
+    two blocks.  For a class-6 spinor the nonzero block's helicity is still
+    reported per block even though the category stays not-well-defined.
     """
 
     right: str
@@ -168,8 +169,10 @@ def helicity_profiles(cols, n, tol: Tolerances = DEFAULT_TOLERANCES):
             rel_m = res_m / nrm
         state = np.full(len(nrm), 2, dtype=np.int8)
         state[null] = 0
-        state[(rel_p < tol.eps_helicity) & ~null] = 1
+        # the closer branch wins, plus a tie: both pass when eps_helicity >
+        # sqrt(2), since rel_p^2 + rel_m^2 = 4 for a unit n
         state[(rel_m < tol.eps_helicity) & ~null] = -1
+        state[(rel_p < tol.eps_helicity) & ~(rel_m < rel_p) & ~null] = 1
         return state, (rel_p, rel_m)
 
     rstate, rrel = _block(rp, rm, rn)
@@ -233,14 +236,9 @@ _STATE_NAME = {0: "null-block", 1: "plus", -1: "minus", 2: "not-eigen"}
 
 
 def _block_residual(state, rel_plus, rel_minus) -> float:
-    """The residual a profile reports for one block in ``state``."""
-    if state == 0:
-        return float("nan")
-    if state == 1:
-        return float(rel_plus)
-    if state == -1:
-        return float(rel_minus)
-    return float(np.minimum(rel_plus, rel_minus))
+    """The residual a profile reports for one block in ``state``: its
+    closer branch's, NaN for a null block."""
+    return float("nan") if state == 0 else float(np.minimum(rel_plus, rel_minus))
 
 
 def helicity_profile(psi: BiSpinor, theta: float, phi: float,

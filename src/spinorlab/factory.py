@@ -10,9 +10,9 @@ self-conjugate, Weyl and singular forms take n from a block's
 returns the components only.  Batch constructors do not validate; their
 rows must meet the preconditions that the scalar ``build_*`` N=1 wrappers
 check.  A wrapper returns a :class:`BiSpinor` carrying a
-:class:`Provenance` record (family name, construction parameters,
-direction, unboosted blocks) so that reports can state how a spinor was
-generated and the parity operation can rebuild it.
+:class:`Provenance` record (family name, direction, build momentum,
+unboosted blocks): the helicity profile reads its direction, a boost checks
+it, and the parity operation rebuilds the spinor from it.
 
 Complex products and quotients are written out in real and imaginary parts
 as Python complex arithmetic evaluates them (numpy's complex loops may fuse
@@ -25,7 +25,7 @@ relative to the construction direction (theta, phi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -55,10 +55,10 @@ DEFAULT_PHASE_MINUS = math.pi
 
 @dataclass(frozen=True, eq=False)
 class Provenance:
-    """How a bispinor was built: family, parameters and unboosted blocks."""
+    """How a bispinor was built: family, direction, build momentum and
+    unboosted blocks."""
 
     family: str
-    params: dict = field(default_factory=dict)
     theta: Optional[float] = None
     phi: Optional[float] = None
     momentum: Optional[FourMomentum] = None
@@ -230,9 +230,7 @@ def build_single_helicity(pair: str, a: complex, c: complex,
     h = _PAIRS_SINGLE[pair]
     _check_pole(h, theta)
     arr = single_helicity_batch(*_rows(h, a, c, theta, phi))[0]
-    return _spinor(
-        arr, family="single_helicity", params={"pair": pair, "a": a, "c": c},
-        theta=theta, phi=phi)
+    return _spinor(arr, family="single_helicity", theta=theta, phi=phi)
 
 
 def build_dual_helicity(pair: str, a: complex, c: complex,
@@ -252,9 +250,7 @@ def build_dual_helicity(pair: str, a: complex, c: complex,
     _check_pole(hr, theta)
     _check_pole(hl, theta)
     arr = dual_helicity_batch(*_rows(hr, a, c, theta, phi))[0]
-    return _spinor(
-        arr, family="dual_helicity", params={"pair": pair, "a": a, "c": c},
-        theta=theta, phi=phi)
+    return _spinor(arr, family="dual_helicity", theta=theta, phi=phi)
 
 
 def _bloch_angles(b0: complex, b1: complex) -> dict:
@@ -290,9 +286,8 @@ def build_singular_form(b: complex, c: complex, d: complex) -> BiSpinor:
         raise ZeroSpinorError("singular form requires c != 0")
     arr, _ = singular_form_batch(*_rows(b, c, d))
     a = complex(arr[0, 0])
-    return _spinor(
-        arr, family="singular_form", params={"b": b, "c": c, "d": d},
-        **(_bloch_angles(a, b) if a or b else _bloch_angles(c, d)))
+    return _spinor(arr, family="singular_form",
+                   **(_bloch_angles(a, b) if a or b else _bloch_angles(c, d)))
 
 
 def self_conjugate_batch(sign, c, d):
@@ -317,9 +312,7 @@ def build_self_conjugate(sign: int, c: complex, d: complex) -> BiSpinor:
     if c == 0 and d == 0:
         raise ZeroSpinorError("left block (c, d) must be nonzero")
     arr, _ = self_conjugate_batch(*_rows(sign, c, d))
-    return _spinor(
-        arr, family="self_conjugate", params={"sign": sign, "c": c, "d": d},
-        **_bloch_angles(c, d))
+    return _spinor(arr, family="self_conjugate", **_bloch_angles(c, d))
 
 
 def weyl_batch(right, b0, b1):
@@ -347,9 +340,7 @@ def build_weyl(which: str, block) -> BiSpinor:
         raise ZeroSpinorError("block must be nonzero")
     b0, b1 = complex(blk[0]), complex(blk[1])
     arr, _ = weyl_batch(*_rows(which == "right", b0, b1))
-    return _spinor(
-        arr, family="weyl", params={"which": which, "block": (b0, b1)},
-        **_bloch_angles(b0, b1))
+    return _spinor(arr, family="weyl", **_bloch_angles(b0, b1))
 
 
 def parity_linked_batch(helicity, m, pmag, theta, phi, phase=None):
@@ -377,8 +368,7 @@ def build_parity_linked(helicity: int, p: FourMomentum,
     rest = tuple(complex(z) for z in rest_spinor(helicity, p.theta, p.phi, p.m, phase))
     arr = parity_linked_batch(*_rows(helicity, p.m, p.pmag, p.theta, p.phi, phase))
     return BiSpinor.from_array(arr[0], Provenance(
-        "parity_linked", {"helicity": helicity, "phase": phase},
-        p.theta, p.phi, p, rest, rest))
+        "parity_linked", p.theta, p.phi, p, rest, rest))
 
 
 def boost_bispinor_batch(psis, m, pmag, theta, phi) -> np.ndarray:

@@ -18,7 +18,10 @@ helicity_residuals(cols, nz, nx, ny)
                                   right then the left block, M = sigma.n,
                                   with n = (nx, ny, nz) a row's unit vector
 dirac_apply_shift(psi, e, m, px, py, pz, shift)
-                               -> (N,4) gamma_mu p^mu psi - shift psi
+                               -> (N,4) gamma_mu p^mu psi - shift psi; the
+                                  one place that writes gamma_mu p^mu:
+                                  symmetries.dirac_matrix_batch reads its
+                                  matrices off this kernel
 
 The Dirac products are compensated because for a Dirac-type spinor an image
 of size E ||psi|| cancels against m psi; plain products would leave a
@@ -180,15 +183,9 @@ def dirac_apply_shift(psi, e, m, px, py, pz, shift):
     Matrix entries E +- pz are evaluated through (m^2 + px^2 + py^2)/(E -+ pz)
     when the direct form would cancel, and every output component is a
     compensated four-term dot product, so the result stays accurate at
-    pmag/m ratios of order 1e3.
+    pmag/m ratios of order 1e3.  The momentum and the shift are (N,)
+    float64 arrays or floats.
     """
-    e = np.asarray(e, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    pz = np.asarray(pz, dtype=np.float64)
-    shift = np.asarray(shift, dtype=np.float64)
-
     ezp, ezm = _e_plus_minus_pz(e, m, px, py, pz)
 
     p0r, p0i, p1r, p1i, p2r, p2i, p3r, p3i = columns(psi)

@@ -251,22 +251,20 @@ def parity_eigen_check(psi: BiSpinor, p: Optional[FourMomentum] = None):
 
 
 def dirac_matrix_batch(m, pmag, theta, phi) -> np.ndarray:
-    """(N, 4, 4) matrices gamma_mu p^mu, with the Dirac kernel's
-    cancellation-free E +- pz entries."""
+    """(N, 4, 4) matrices gamma_mu p^mu for (N,) momenta, read off
+    :func:`kernels.dirac_apply_shift`: column j is its image of the j-th
+    basis spinor, so each matrix has the kernel's cancellation-free
+    E +- pz entries."""
     e, px, py, pz = momentum_components(m, pmag, theta, phi)
-    ezp, ezm = kernels._e_plus_minus_pz(e, m, px, py, pz)
-    pm = px - 1j * py
-    out = np.zeros(np.shape(e) + (4, 4), dtype=complex)
-    out[..., 0, 2], out[..., 0, 3] = ezp, pm
-    out[..., 1, 2], out[..., 1, 3] = np.conj(pm), ezm
-    out[..., 2, 0], out[..., 2, 1] = ezm, -pm
-    out[..., 3, 0], out[..., 3, 1] = -np.conj(pm), ezp
-    return out
+    return np.stack([kernels.dirac_apply_shift(np.broadcast_to(basis, (len(e), 4)),
+                                               e, m, px, py, pz, 0.0)
+                     for basis in np.eye(4, dtype=complex)], axis=-1)
 
 
 def dirac_matrix(p: FourMomentum) -> np.ndarray:
-    """gamma_mu p^mu as an explicit 4x4 matrix."""
-    return dirac_matrix_batch(p.m, p.pmag, p.theta, p.phi)
+    """N=1 form of :func:`dirac_matrix_batch`; an integer mass is read as a
+    float."""
+    return dirac_matrix_batch(*_rows(float(p.m), p.pmag, p.theta, p.phi))[0]
 
 
 def _pow2_scaled(x, dtype=complex) -> np.ndarray:

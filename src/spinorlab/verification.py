@@ -245,7 +245,8 @@ def check_theta_link(seed: int = 6) -> PropertyResult:
 
 
 def check_klein_gordon(seed: int = 7) -> PropertyResult:
-    """(gamma_mu p^mu)^2 equals m^2 times the identity on shell."""
+    """(gamma_mu p^mu)^2 equals m^2 times the identity on shell, for the
+    matrices read off the Dirac kernel that every Dirac residual applies."""
     count = 1_000
     rng = sampling.rng_for(seed)
     m, pmag, theta, phi = sampling.random_momenta(rng, count, ratio=(1e-3, 10.0))

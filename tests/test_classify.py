@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_bispinor
@@ -35,7 +37,7 @@ from spinorlab.classify import (
 )
 from spinorlab.sampling import SAMPLE_BLOCK_ROWS, random_raw_spinors
 from spinorlab.symmetries import c_eigen_residuals, eigen_states
-from spinorlab.tolerances import DEFAULT_TOLERANCES
+from spinorlab.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 class TestLounestoClass:
@@ -155,6 +157,28 @@ class TestHelicityProfile:
     def test_zero_spinor_rejected(self):
         with pytest.raises(ZeroSpinorError):
             helicity_profile(BiSpinor(0, 0, 0, 0), 0.0, 0.0)
+
+    def test_closer_branch_wins_when_both_pass(self):
+        # rel_plus^2 + rel_minus^2 = 4 for a unit n, so above
+        # epsilon_helicity = sqrt(2) a block can pass both branches; the
+        # right block here reads 0.6607 on plus and 1.8877 on minus
+        psi = BiSpinor(1, 0.35, 1, 0)
+        tol = Tolerances(eps_helicity=1.9)
+        rep = classify_report(psi, direction=(0.0, 0.0), tol=tol)
+        assert (rep.helicity.right, rep.helicity.left) == ("plus", "plus")
+        assert rep.helicity.right_residual == pytest.approx(0.6607, abs=1e-4)
+        assert rep.helicity.category == CATEGORY_SINGLE
+        assert rep.findings == ()
+        res = analyze(psi.array[None, :], unit_vectors(0.0, 0.0), tol)
+        assert CATEGORY_NAMES[int(res.categories[0])] == CATEGORY_SINGLE
+        # (1, 1) along z reads sqrt(2) on both branches: a tie goes to plus,
+        # as C's +1 does in symmetries.eigen_states
+        tie = BiSpinor(1, 1, 1j, 1j)
+        *_, (rp, rm), (lp, lm) = helicity_profiles(
+            kernels.columns(tie.array[None, :]), unit_vectors(0.0, 0.0))
+        assert rp == rm == lp == lm == pytest.approx(math.sqrt(2))
+        prof = helicity_profile(tie, 0.0, 0.0, Tolerances(eps_helicity=1.5))
+        assert (prof.right, prof.left, prof.category) == ("plus", "plus", CATEGORY_SINGLE)
 
     def test_category_of_every_block_state_pair(self):
         # block states: 0 null, +1 plus, -1 minus, 2 not-eigen
@@ -394,3 +418,29 @@ def test_block_verdicts_equal_the_full_bilinear_composition(edited_pool, kind, s
         assert singular.all()
     elif size > 1:
         assert 0 < singular.sum() < size
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(-60, 60), seed=st.integers(0, 2**32 - 1))
+def test_verdicts_do_not_depend_on_scale(k, seed):
+    # the bilinears are homogeneous of degree two and the helicity and C
+    # residuals of degree zero, so psi -> 2^k psi moves no verdict; the
+    # scaling is exact, sign of zero included
+    rng = np.random.default_rng(seed)
+    rows = 64
+    theta, phi = sampling.random_directions(rng, rows)
+    blocks = [(random_raw_spinors(rng, rows), unit_vectors(theta, phi))]
+    blocks += [construct(**sampling.FAMILY_PARAMS[family](rng, rows))
+               for family, construct in sampling.FAMILY_CONSTRUCTORS.items()]
+    for psis, n in blocks:
+        scaled = np.ldexp(psis.view(np.float64), k).view(complex)
+        want, got = analyze(psis, n), analyze(scaled, n)
+        for name in ("classes", "categories", "c_states"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        nx, ny, nz = n
+        directions = np.stack([np.arctan2(np.hypot(nx, ny), nz), np.arctan2(ny, nx)], axis=1)
+        for row, big, direction in list(zip(psis, scaled, directions.tolist()))[:2]:
+            want, got = (classify_report(BiSpinor.from_array(x), tuple(direction))
+                         for x in (row, big))
+            assert got.lounesto == want.lounesto
+            assert got.helicity.category == want.helicity.category

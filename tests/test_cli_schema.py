@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from spinorlab.cli import FAMILIES, SAMPLE_FAMILIES, main
-from test_cli import BOOSTED_DUAL_PIN_JOB, GOLDEN_DIR
+from test_cli import BOOSTED_DUAL_PIN_JOB, GOLDEN_DIR, SYMMETRIES_PIN_JOB
 
 SCHEMA = Path(__file__).parent.parent / "docs" / "cli_schema.md"
 
@@ -72,8 +72,7 @@ def _documented_report_fields():
     """The key paths of the "Report fields" table, in order."""
     section = SCHEMA.read_text(encoding="utf-8").split("## Report fields", 1)[1]
     section = section.split("\n## ", 1)[0]
-    return re.findall(r"^\| `((?:sample|verify|symmetries)\.[^`]+)` \|", section,
-                      flags=re.M)
+    return re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
 
 
 def _leaf_paths(value, prefix):
@@ -87,6 +86,13 @@ def _leaf_paths(value, prefix):
     return {prefix}
 
 
+def _report_paths(report):
+    # the keys of a job's spinor form are the "Spinor forms" table's, so
+    # the Report fields table names them as one path
+    return {"job.spinor" if path.startswith("job.spinor.") else path
+            for key, value in report.items() for path in _leaf_paths(value, key)}
+
+
 def _report(argv, capsys):
     assert main(argv) == 0
     captured = capsys.readouterr()
@@ -94,7 +100,20 @@ def _report(argv, capsys):
     return json.loads(captured.out)
 
 
+# classify jobs beyond the goldens: raw components with no momentum, whose
+# helicity is null, and the two forms that no golden builds
+RAW_CLASSIFY_JOB = {"mode": "classify",
+                    "spinor": {"components": [[1, 0], [0.5, 0], [0, 0.2], [0, 0]]}}
+PARITY_LINKED_JOB = {"mode": "classify", "spinor": {"family": "parity_linked",
+                                                    "helicity": -1},
+                     "momentum": {"m": 1.0, "pmag": 3.0, "theta": 0.7, "phi": 0.3}}
+SINGULAR_FORM_JOB = {"mode": "classify", "spinor": {"family": "singular_form",
+                                                    "b": [0.5, 0.1], "c": [1, 0],
+                                                    "d": [0.2, -0.3]}}
+
+
 def test_report_fields_table_mirrors_the_sample_and_verify_reports(tmp_path, capsys):
+    # every section of a report of every mode, the job echo included
     documented = _documented_report_fields()
     assert len(documented) == len(set(documented))
     seen = set()
@@ -102,22 +121,35 @@ def test_report_fields_table_mirrors_the_sample_and_verify_reports(tmp_path, cap
     for family in SAMPLE_FAMILIES:
         path.write_text(json.dumps({"mode": "sample", "family": family, "count": 20}),
                         encoding="utf-8")
-        sample = _report(["--job", str(path)], capsys)["sample"]
-        seen |= _leaf_paths(sample, "sample")
+        report = _report(["--job", str(path)], capsys)
+        seen |= _report_paths(report)
+        sample = report["sample"]
         # each group of counts adds up to the rows drawn, as the doc says
         conjugation = dict(sample["charge_conjugation"])
         del conjugation["involution_max"]
         for group in (sample["class_counts"], conjugation,
                       sample.get("helicity_category_counts", {"none": 20})):
             assert sum(group.values()) == 20, (family, group)
-    seen |= _leaf_paths(_report(["--mode", "verify"], capsys)["verify"], "verify")
+    seen |= _report_paths(_report(["--mode", "verify"], capsys))
+    reports = {}
+    for name, job in [*((f"class{i}", None) for i in range(1, 7)),
+                      ("symmetries-pin", SYMMETRIES_PIN_JOB),
+                      ("boosted-dual", BOOSTED_DUAL_PIN_JOB), ("raw", RAW_CLASSIFY_JOB),
+                      ("parity-linked", PARITY_LINKED_JOB),
+                      ("singular-form", SINGULAR_FORM_JOB)]:
+        if job is None:
+            job_path = GOLDEN_DIR / f"{name}.job.json"
+        else:
+            job_path = tmp_path / f"{name}.json"
+            job_path.write_text(json.dumps(job), encoding="utf-8")
+        reports[name] = _report(["--job", str(job_path)], capsys)
+        seen |= _report_paths(reports[name])
     # the class5 golden has no flip residual and no parity; the boosted
     # dual-helicity spinor has both
-    path.write_text(json.dumps(BOOSTED_DUAL_PIN_JOB), encoding="utf-8")
-    for job in (GOLDEN_DIR / "class5.job.json", path):
-        symmetries = _report(["--job", str(job)], capsys)["symmetries"]
-        seen |= _leaf_paths(symmetries, "symmetries")
+    symmetries = reports["boosted-dual"]["symmetries"]
     assert None not in (symmetries["dirac"]["flip_residual"],
                         symmetries["parity"]["residual"])
+    assert reports["raw"]["helicity"] is None
+    assert reports["parity-linked"]["job"]["spinor"]["phase"] == 3.141592653589793
     assert sorted(seen - set(documented)) == [], "in a report but not documented"
     assert sorted(set(documented) - seen) == [], "documented but in no report"

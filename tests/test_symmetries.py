@@ -1,5 +1,6 @@
 """Charge conjugation, parity, Dirac-operator and theta-link diagnostics."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from spinorlab.symmetries import (
     c_eigen_residuals,
     c_involution_max,
     charge_conjugate_batch,
+    dirac_matrix_batch,
     eigen_states,
     parity_batch,
 )
@@ -354,13 +356,117 @@ def _dirac_image(psi, p):
     return kernels.dirac_apply_shift(psi.array[None, :], e, p.m, px, py, pz, 0.0)[0]
 
 
+# Exact reference for kernels.dirac_apply_shift.  Each real or imaginary
+# part of an output component is a four-term dot product sum a_i b_i of
+# matrix entries a_i (E +- pz, +-px, +-py, -shift) and components b_i.
+# - Only the entries E +- pz are rounded before it.  The direct sum takes
+#   one rounding, and (m^2 + px^2 + py^2)/(E -+ pz) at most five (three on
+#   the positive terms of the numerator, the denominator's sum, the
+#   quotient).  So each is its exact branch value a times (1 + theta_5),
+#   |theta_5| <= gamma_5 (Higham, "Accuracy and Stability of Numerical
+#   Algorithms", 2nd ed., Lemmas 3.1 and 3.3).
+# - The compensated dot product of the rounded entries fl(a_i) is within
+#   u |s| + gamma_4^2 sum |fl(a_i) b_i| of their exact dot product s (Ogita,
+#   Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26,
+#   2005, Dot2).
+# With |fl(a)| <= (1 + gamma_5) |a| and |s| <= sum |fl(a_i) b_i|, the two
+# give |out - exact| <= c u sum |a_i| |b_i|, with
+# c u = (u + gamma_4^2)(1 + gamma_5) + gamma_5, about 6 u.  This holds while
+# no product under- or overflows.
+_U = Fraction(1, 2**53)
+
+
+def _gamma(k):
+    return k * _U / (1 - k * _U)
+
+
+_DIRAC_BOUND = (_U + _gamma(4) ** 2) * (1 + _gamma(5)) + _gamma(5)
+
+
+def _frac(z):
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_dirac_matrix(e, m, px, py, pz):
+    """gamma_mu p^mu from the oracles literals, in exact (re, im) pairs of
+    the kernel's float inputs, each E +- pz entry the value of the branch
+    that the kernel takes; and whether each entry is such an entry."""
+    e, m, px, py, pz = (Fraction(float(x)) for x in (e, m, px, py, pz))
+    mt2 = m * m + (px * px + py * py)
+    mat, branch = [], []
+    for k in range(4):
+        for j in range(4):
+            # E gamma0 - px gamma1 - py gamma2 - pz gamma3: Gaussian-integer
+            # literals times the exact inputs
+            coef = [(int(g[k, j].real), int(g[k, j].imag)) for g in oracles.GAMMAS]
+            terms = list(zip(coef, (e, -px, -py, -pz)))
+            entry = (sum(c[0] * q for c, q in terms), sum(c[1] * q for c, q in terms))
+            branch.append(bool(coef[0][0] and coef[3][0]))
+            if branch[-1]:  # E + sz pz
+                sz = -coef[3][0]
+                entry = (e + sz * pz if sz * pz >= 0 else mt2 / (e - sz * pz), Fraction(0))
+            mat.append(entry)
+    return mat, branch
+
+
+def _dirac_parts(mat, row, shift):
+    """(value, sum |a_i| |b_i|) of the eight real parts of mat psi - shift
+    psi, exactly, for a 4x4 matrix of (re, im) pairs in row order."""
+    psi = [_frac(z) for z in row]
+    out = []
+    for k in range(4):
+        re = im = re_scale = im_scale = Fraction(0)
+        for j in range(4):
+            ar, ai = mat[4 * k + j]
+            if j == k:
+                ar = ar - shift
+            br, bi = psi[j]
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+            re_scale += abs(ar) * abs(br) + abs(ai) * abs(bi)
+            im_scale += abs(ar) * abs(bi) + abs(ai) * abs(br)
+        out += [(re, re_scale), (im, im_scale)]
+    return out
+
+
 class TestDiracOperator:
+    def test_kernel_within_a_rounding_bound_of_the_exact_product(self):
+        rng = sampling.rng_for(29)
+        rows = 300
+        m, pmag, theta, phi = sampling.random_momenta(rng, rows, ratio=(1e-3, 1e6))
+        pmag[:20] = 0.0  # at rest
+        theta[20:40] = 0.0  # on the poles, where pz = +-pmag
+        theta[40:60] = math.pi
+        shift = m * rng.choice([0.0, 1.0, -1.0], rows)
+        psis = random_raw_spinors(rng, rows)
+        e, px, py, pz = momentum_components(m, pmag, theta, phi)
+        assert (pz < 0).sum() > 50 and (pz > 0).sum() > 50
+        got = kernels.dirac_apply_shift(psis, e, m, px, py, pz, shift)
+        # the kernel's rounded entries: its images of the basis spinors,
+        # exact since each has one nonzero product
+        rounded = dirac_matrix_batch(m, pmag, theta, phi)
+        for i in range(rows):
+            exact, branch = _exact_dirac_matrix(e[i], m[i], px[i], py[i], pz[i])
+            entries = [_frac(z) for z in rounded[i].ravel()]
+            for (ar, ai), (fr, fi), rounds in zip(exact, entries, branch):
+                assert abs(fr - ar) <= (_gamma(5) * abs(ar) if rounds else 0), i
+                assert fi == ai, i
+            values = [Fraction(v) for v in got[i].view(np.float64).tolist()]
+            shift_i = Fraction(float(shift[i]))
+            for value, (want, scale), (dot, dot_scale) in zip(
+                    values, _dirac_parts(exact, psis[i], shift_i),
+                    _dirac_parts(entries, psis[i], shift_i)):
+                assert abs(value - dot) <= _U * abs(dot) + _gamma(4) ** 2 * dot_scale, i
+                assert abs(value - want) <= _DIRAC_BOUND * scale, i
+
     def test_matrix_matches_reference(self, rng):
-        for _ in range(50):
-            m = rng.uniform(0.5, 2.0)
-            pm = rng.uniform(0.0, 10.0)
-            t = math.acos(rng.uniform(-1, 1))
-            f = rng.uniform(0, 2 * math.pi)
+        cases = [(rng.uniform(0.5, 2.0), rng.uniform(0.0, 10.0),
+                  math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+                 for _ in range(50)]
+        # at rest, on both poles, and massless
+        cases += [(1.3, 0.0, 0.4, 2.0), (0.7, 4.0, 0.0, 1.0), (0.7, 4.0, math.pi, 5.0),
+                  (0.0, 3.0, 1.1, 0.6)]
+        for m, pm, t, f in cases:
             ours = dirac_matrix(FourMomentum(m, pm, t, f))
             ref = oracles.dirac_operator(m, pm, t, f)
             np.testing.assert_allclose(ours, ref, atol=1e-12 * (m + pm))
@@ -407,6 +513,10 @@ class TestDiracOperator:
         assert dirac_residual(psi, ints, 1) == dirac_residual(psi, floats, 1)
         assert dirac_flip_residual(psi, psi, ints) == dirac_flip_residual(psi, psi, floats)
         assert theta_link_check([1, 2], ints) == theta_link_check([1, 2], floats)
+        # an integer mass whose square leaves int64
+        big_int = FourMomentum(5 * 10**9, 2, 0.3, 0.4)
+        big_float = FourMomentum(5e9, 2.0, 0.3, 0.4)
+        assert dirac_matrix(big_int).tobytes() == dirac_matrix(big_float).tobytes()
 
     def test_zero_spinor_rejected(self):
         with pytest.raises(ZeroSpinorError):
