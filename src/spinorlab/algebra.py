@@ -63,8 +63,10 @@ class FourMomentum:
     """On-shell momentum (m, |p|, theta, phi) with E = sqrt(m^2 + |p|^2);
     :func:`momentum_components` gives its (E, px, py, pz).
 
-    The direction angles are retained even at pmag = 0, matching the
-    rest-limit momentum used to label rest-frame spinors.
+    The four fields are stored as floats once validated, so an integer mass
+    cannot reach the boost entries as an int64 whose square wraps.  The
+    direction angles are retained even at pmag = 0, matching the rest-limit
+    momentum used to label rest-frame spinors.
     """
 
     m: float
@@ -81,6 +83,8 @@ class FourMomentum:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
+        for name in ("m", "pmag", "theta", "phi"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def unit_vectors(theta, phi):

@@ -128,7 +128,8 @@ def _mul(z, wr, wi) -> np.ndarray:
 
 
 def _rows(*values):
-    return [np.array([v]) for v in values]
+    # one-row arrays of the N=1 arguments; None passes through
+    return [None if v is None else np.array([v]) for v in values]
 
 
 def rest_spinor_batch(helicity, theta, phi, m, phase=None) -> np.ndarray:
@@ -150,10 +151,6 @@ def rest_spinor_batch(helicity, theta, phi, m, phase=None) -> np.ndarray:
                     axis=-1)
 
 
-def _default_phase(helicity: int) -> float:
-    return DEFAULT_PHASE_PLUS if helicity > 0 else DEFAULT_PHASE_MINUS
-
-
 def rest_spinor(helicity: int, theta: float, phi: float, m: float,
                 phase: Optional[float] = None) -> np.ndarray:
     """N=1 form of :func:`rest_spinor_batch`; m = 0 has no rest frame."""
@@ -163,8 +160,6 @@ def rest_spinor(helicity: int, theta: float, phi: float, m: float,
         raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
     if m <= 0.0:
         raise MasslessError("rest spinor requires m > 0")
-    if phase is None:
-        phase = _default_phase(helicity)
     return rest_spinor_batch(*_rows(helicity, theta, phi, m, phase))[0]
 
 
@@ -363,8 +358,6 @@ def parity_linked_batch(helicity, m, pmag, theta, phi, phase=None):
 def build_parity_linked(helicity: int, p: FourMomentum,
                         phase: Optional[float] = None) -> BiSpinor:
     """N=1 form of :func:`parity_linked_batch` at momentum p."""
-    if phase is None:
-        phase = _default_phase(helicity)
     rest = tuple(complex(z) for z in rest_spinor(helicity, p.theta, p.phi, p.m, phase))
     arr = parity_linked_batch(*_rows(helicity, p.m, p.pmag, p.theta, p.phi, phase))
     return BiSpinor.from_array(arr[0], Provenance(

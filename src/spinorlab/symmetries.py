@@ -6,7 +6,9 @@ level as gamma0 composed with momentum reflection (intrinsic phase +1).
 Boosting at -p swaps the handedness of the block boosts, B_R(-p) = B_L(p),
 so gamma0 B(-p) psi_rest = B(p) gamma0 psi_rest: parity is the boost, at
 the build momentum, of the rest blocks with the two blocks exchanged
-(:func:`parity_batch`).  For every spinor boosted from rest,
+(:func:`parity_batch`).  Parity and the theta-link apply the chiral boosts
+only through :func:`factory.boost_bispinor_batch` and its N=1 form
+:func:`factory.boost_bispinor`.  For every spinor boosted from rest,
 gamma_mu p^mu psi = m P psi.  Two consequences follow: the Dirac operator
 maps a dual-helicity spinor onto its parity image, the spinor with the
 flipped helicity pair and swapped amplitudes, so the flip defect
@@ -28,15 +30,9 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .algebra import (
-    FourMomentum,
-    angles_match,
-    boost_block_batch,
-    momentum_components,
-    theta_conjugate,
-)
+from .algebra import FourMomentum, angles_match, momentum_components, theta_conjugate
 from .errors import MasslessError, ProvenanceError, ScaleError, ZeroSpinorError
-from .factory import BiSpinor, _rows, boost_bispinor_batch
+from .factory import BiSpinor, _rows, boost_bispinor, boost_bispinor_batch
 from .tolerances import EXACT
 
 
@@ -199,7 +195,9 @@ def parity_batch(rest, m, pmag, theta, phi) -> np.ndarray:
 
 def parity_apply(psi: BiSpinor, p: Optional[FourMomentum] = None) -> BiSpinor:
     """N=1 form of :func:`parity_batch`, on the rest blocks and build
-    momentum stored in the spinor's provenance.
+    momentum stored in the spinor's provenance: the exchanged rest blocks
+    boosted by :func:`factory.boost_bispinor`, whose guards reject a zero
+    spinor and m = 0.
 
     Raw spinors without provenance are rejected, and a supplied momentum
     must be the one the spinor was built at (or rest).  An unboosted spinor
@@ -228,13 +226,7 @@ def parity_apply(psi: BiSpinor, p: Optional[FourMomentum] = None) -> BiSpinor:
     swapped = BiSpinor(*prov.rest_left, *prov.rest_right)
     if built_at is None:
         return swapped  # unboosted: the rest blocks are the components
-    if swapped.is_zero():
-        raise ZeroSpinorError("cannot boost the zero spinor")
-    if built_at.m <= 0.0:
-        raise MasslessError("boost requires m > 0")
-    rest = np.array([[*prov.rest_right, *prov.rest_left]], dtype=complex)
-    return BiSpinor.from_array(parity_batch(
-        rest, *_rows(built_at.m, built_at.pmag, built_at.theta, built_at.phi))[0])
+    return boost_bispinor(swapped, built_at)
 
 
 def parity_eigen_check(psi: BiSpinor, p: Optional[FourMomentum] = None):
@@ -262,9 +254,8 @@ def dirac_matrix_batch(m, pmag, theta, phi) -> np.ndarray:
 
 
 def dirac_matrix(p: FourMomentum) -> np.ndarray:
-    """N=1 form of :func:`dirac_matrix_batch`; an integer mass is read as a
-    float."""
-    return dirac_matrix_batch(*_rows(float(p.m), p.pmag, p.theta, p.phi))[0]
+    """N=1 form of :func:`dirac_matrix_batch`."""
+    return dirac_matrix_batch(*_rows(p.m, p.pmag, p.theta, p.phi))[0]
 
 
 def _pow2_scaled(x, dtype=complex) -> np.ndarray:
@@ -347,19 +338,21 @@ def theta_link_residuals(blocks, zeta, m, pmag, theta, phi) -> np.ndarray:
 
     Boosting a left-handed block and Theta-conjugating must equal
     Theta-conjugating first and boosting with the right-handed factor:
-    zeta Theta conj(B_left block) = B_right (zeta Theta conj(block)).
-    One (N, 2) block, unit phase and momentum per row; each residual is
+    zeta Theta conj(B_left block) = B_right (zeta Theta conj(block)).  Both
+    sides come from one :func:`factory.boost_bispinor_batch` call on the
+    rest rows (zeta Theta conj(block), block): lhs is zeta Theta conj of
+    the boosted lower block, rhs the boosted upper one.  One (N, 2) block,
+    unit phase and momentum per row; each residual is
     || lhs - rhs || / || lhs ||.  Every row needs m > 0.
     """
     blocks = _pow2_scaled(blocks)
     m, pmag = _pow2_mass(m, pmag)
     zeta = np.asarray(zeta, dtype=complex)[..., None]
-    left = boost_block_batch(-1, m, pmag, theta, phi) @ blocks[..., None]
-    lhs = zeta * theta_conjugate(left[..., 0])
-    rhs = boost_block_batch(1, m, pmag, theta, phi) @ (
-        zeta * theta_conjugate(blocks))[..., None]
+    rest = np.concatenate([zeta * theta_conjugate(blocks), blocks], axis=-1)
+    boosted = boost_bispinor_batch(rest, m, pmag, theta, phi)
+    lhs = zeta * theta_conjugate(boosted[:, 2:])
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (np.linalg.norm(lhs - rhs[..., 0], axis=-1)
+        return (np.linalg.norm(lhs - boosted[:, :2], axis=-1)
                 / np.linalg.norm(lhs, axis=-1))
 
 

@@ -1,5 +1,6 @@
 """Lounesto class decision tree and helicity profiling."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from spinorlab import (
     lounesto_class,
 )
 from spinorlab import kernels, sampling
-from spinorlab.algebra import unit_vectors
+from spinorlab.algebra import bloch_direction_batch, unit_vectors
 from spinorlab.bilinears import BilinearSet, fpk_columns
 from spinorlab.classify import (
+    CAT_NON_EIGEN,
     CATEGORY_DUAL,
     CATEGORY_NAMES,
     CATEGORY_NON_EIGEN,
@@ -35,6 +37,7 @@ from spinorlab.classify import (
     helicity_profiles,
     lounesto_classes,
 )
+from spinorlab.factory import singular_form_batch
 from spinorlab.sampling import SAMPLE_BLOCK_ROWS, random_raw_spinors
 from spinorlab.symmetries import c_eigen_residuals, eigen_states
 from spinorlab.tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -196,6 +199,101 @@ class TestHelicityProfile:
         pairs = np.array(list(table), dtype=np.int8)
         codes = helicity_categories(pairs[:, 0], pairs[:, 1])
         assert [CATEGORY_NAMES[int(c)] for c in codes] == list(table.values())
+
+
+# Exact reference for kernels.helicity_residuals: ||M b -+ b||^2 and ||b||^2
+# of each block in rational arithmetic, M = sigma.n from the oracles Pauli
+# literals and the float n as the kernel reads it (|n| need not be 1).
+# - Each component of M b is a sum of three products n_i x_j, and each
+#   term passes through at most three roundings (its product, two
+#   additions), so it is off by at most gamma_3 T, T the sum of the
+#   |n_i x_j|.  By Cauchy-Schwarz T <= |n| times the norm of its three
+#   x_j, and each x_j enters three of the four components, so the four T's
+#   have norm at most sqrt(3) |n| ||b||.
+# - d = M b -+ b takes one more rounding per component, so the rounded d
+#   is within E = u (1 + |n|) ||b|| + (1 + u) gamma_3 sqrt(3) |n| ||b|| of
+#   the exact one, in norm, and ||d|| <= (1 + |n|) ||b||.
+# - The sum of the four squares takes three roundings a term (square, two
+#   additions), which scales its square root by 1 + t, |t| <= g =
+#   gamma_3 / (2 - gamma_3), and the square root one more, u.
+# So |res - ||d||| <= (u (1 + g) + g) (||d|| + E) + E, about 12 u ||b|| for a
+# unit n; the norm, d = b with E = 0, is within (u (1 + g) + g) ||b||, about
+# 2.5 u ||b|| (Higham, "Accuracy and Stability of Numerical Algorithms",
+# 2nd ed., Lemma 3.1).  This holds while no product under- or overflows.
+_U = Fraction(1, 2**53)
+_G3 = 3 * _U / (1 - 3 * _U)
+_G = _G3 / (2 - _G3)
+_SQRT3 = Fraction(17321, 10000)  # above sqrt(3)
+
+
+def _sqrt_bracket(x, bits=200):
+    """(lo, hi) with lo <= sqrt(x) <= hi <= lo + 2^-bits, for a Fraction
+    x >= 0; lo = hi when lo is the root."""
+    lo = Fraction(math.isqrt(x.numerator * 4**bits // x.denominator), 2**bits)
+    return lo, lo if lo * lo == x else lo + Fraction(1, 2**bits)
+
+
+def _exact_helicity_squares(n, x):
+    """(||M b - b||^2, ||M b + b||^2, ||b||^2) of one block b = (x0r, x0i,
+    x1r, x1i), exactly."""
+    pauli = [[(sum(nk * int(p[i, j].real) for nk, p in zip(n, oracles.PAULI)),
+               sum(nk * int(p[i, j].imag) for nk, p in zip(n, oracles.PAULI)))
+              for j in range(2)] for i in range(2)]
+    b = [(x[0], x[1]), (x[2], x[3])]
+    mb = []
+    for row in pauli:
+        mb += [sum(mr * br - mi * bi for (mr, mi), (br, bi) in zip(row, b)),
+               sum(mr * bi + mi * br for (mr, mi), (br, bi) in zip(row, b))]
+    return (sum((m - v) ** 2 for m, v in zip(mb, x)),
+            sum((m + v) ** 2 for m, v in zip(mb, x)), sum(v * v for v in x))
+
+
+@pytest.mark.parametrize("family", ["random_raw", *sampling.FAMILY_PARAMS])
+def test_helicity_kernel_within_a_rounding_bound_of_the_exact_residuals(family):
+    rows = 300
+    rng = sampling.rng_for(17)
+    if family == "random_raw":
+        arr = random_raw_spinors(rng, rows)
+        n = unit_vectors(*sampling.random_directions(rng, rows))
+    else:
+        arr, n = oracles.family_draw(family, rng, rows)[:2]
+    cols = kernels.columns(arr)
+    nx, ny, nz = n
+    got = np.stack(kernels.helicity_residuals(cols, nz, nx, ny), axis=1)
+    for i in range(rows):
+        nv = [Fraction(float(c[i])) for c in (nx, ny, nz)]
+        n_hi = (1 + sum(c * c for c in nv)) / 2  # above |n|
+        for block in (0, 1):  # right, then left
+            x = [Fraction(float(c[i])) for c in cols[4 * block:4 * block + 4]]
+            minus, plus, norm_sq = _exact_helicity_squares(nv, x)
+            b_hi = _sqrt_bracket(norm_sq)[1]
+            err = _U * (1 + n_hi) * b_hi + (1 + _U) * _G3 * _SQRT3 * n_hi * b_hi
+            d_bound = (_U * (1 + _G) + _G) * ((1 + n_hi) * b_hi + err) + err
+            bounds = (d_bound, d_bound, (_U * (1 + _G) + _G) * b_hi)
+            values = got[i, 3 * block:3 * block + 3].tolist()
+            for value, exact, bound in zip(values, (minus, plus, norm_sq), bounds):
+                value = Fraction(value)
+                assert max(abs(value - w) for w in _sqrt_bracket(exact)) <= bound, (
+                    family, i, block)
+
+
+def test_every_singular_spinor_is_dual_except_class_6():
+    # sigma + i omega = 2 <R, L>, so the blocks of a singular spinor are
+    # orthogonal: where both are nonzero they are the +- eigenvectors of
+    # sigma.n along R's Bloch direction, and no regular spinor is dual
+    rng = sampling.rng_for(5)
+    rows = 20000
+    b, c, d = (sampling.random_amplitudes(rng, rows) for _ in range(3))
+    # free amplitudes, |b| = |c| and a null right block
+    cases = {4: b, 5: c * sampling.random_unit_phases(rng, rows), 6: np.zeros(rows, complex)}
+    for cls, amp in cases.items():
+        res = analyze(*singular_form_batch(amp, c, d))
+        assert (res.classes == cls).all(), cls
+        assert (res.categories == CLASS_CATEGORIES[cls]).all(), cls
+    psis = random_raw_spinors(rng, rows)
+    res = analyze(psis, bloch_direction_batch(psis[:, 0], psis[:, 1])[0])
+    assert (res.classes == 1).all()
+    assert (res.categories == CAT_NON_EIGEN).all()
 
 
 class TestClassifyReport:

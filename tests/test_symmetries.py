@@ -32,7 +32,7 @@ from spinorlab import (
     theta_link_check,
 )
 from spinorlab import kernels, sampling
-from spinorlab.algebra import momentum_components
+from spinorlab.algebra import boost_block_batch, momentum_components, theta_conjugate
 from spinorlab.factory import boost_bispinor_batch, singular_form_batch
 from spinorlab.report import symmetry_to_dict
 from spinorlab.sampling import random_raw_spinors
@@ -45,6 +45,7 @@ from spinorlab.symmetries import (
     dirac_matrix_batch,
     eigen_states,
     parity_batch,
+    theta_link_residuals,
 )
 from spinorlab.tolerances import EXACT
 
@@ -513,10 +514,14 @@ class TestDiracOperator:
         assert dirac_residual(psi, ints, 1) == dirac_residual(psi, floats, 1)
         assert dirac_flip_residual(psi, psi, ints) == dirac_flip_residual(psi, psi, floats)
         assert theta_link_check([1, 2], ints) == theta_link_check([1, 2], floats)
-        # an integer mass whose square leaves int64
+        # an integer mass whose square leaves int64, through every N=1 boost
         big_int = FourMomentum(5 * 10**9, 2, 0.3, 0.4)
         big_float = FourMomentum(5e9, 2.0, 0.3, 0.4)
         assert dirac_matrix(big_int).tobytes() == dirac_matrix(big_float).tobytes()
+        for build in (lambda p: boost_bispinor(psi, p),
+                      lambda p: build_parity_linked(1, p),
+                      lambda p: parity_apply(boost_bispinor(psi, p))):
+            assert build(big_int).array.tobytes() == build(big_float).array.tobytes()
 
     def test_zero_spinor_rejected(self):
         with pytest.raises(ZeroSpinorError):
@@ -613,6 +618,22 @@ class TestThetaLink:
             block = rng.normal(size=2) + 1j * rng.normal(size=2)
             worst = max(worst, theta_link_check(block, p, 1.0))
         assert worst < 1e-12
+
+    def test_one_bispinor_boost_equals_the_block_products(self):
+        # the block-wise formula, B_L on the block and B_R on its zeta Theta
+        # conjugate, on the same power-of-two scaled inputs
+        rng = sampling.rng_for(30)
+        rows = 3000
+        m, pmag, theta, phi = sampling.random_momenta(rng, rows, ratio=(1e-3, 1e6))
+        blocks = random_raw_spinors(rng, rows)[:, :2]
+        zeta = sampling.random_unit_phases(rng, rows)
+        got = theta_link_residuals(blocks, zeta, m, pmag, theta, phi)
+        x, (m, pmag), z = _pow2_scaled(blocks), _pow2_mass(m, pmag), zeta[:, None]
+        left = boost_block_batch(-1, m, pmag, theta, phi) @ x[..., None]
+        lhs = z * theta_conjugate(left[..., 0])
+        rhs = boost_block_batch(1, m, pmag, theta, phi) @ (z * theta_conjugate(x))[..., None]
+        want = np.linalg.norm(lhs - rhs[..., 0], axis=-1) / np.linalg.norm(lhs, axis=-1)
+        assert got.tobytes() == want.tobytes()
 
     def test_phase_does_not_change_residual(self):
         p = FourMomentum(1.0, 7.0, 1.2, 0.9)
