@@ -79,13 +79,14 @@ def fpk_columns(sigma, omega, j, k) -> tuple:
     """
     scale = j[0] ** 2
     jj = scale - j[1] ** 2 - j[2] ** 2 - j[3] ** 2
-    jk = j[0] * k[0] - j[1] * k[1] - j[2] * k[2] - j[3] * k[3]
     kk = k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2
-    return (
-        np.abs(jj - (sigma**2 + omega**2)) / scale,
-        np.abs(jk) / scale,
-        np.abs(jj + kk) / scale,
-    )
+    # J.J and K.K are dropped before J.K is formed, so that fewer (N,)
+    # temporaries are alive at once
+    jj_minus = np.abs(jj - (sigma**2 + omega**2)) / scale
+    jj_plus = np.abs(jj + kk) / scale
+    del jj, kk
+    jk = j[0] * k[0] - j[1] * k[1] - j[2] * k[2] - j[3] * k[3]
+    return jj_minus, np.abs(jk) / scale, jj_plus
 
 
 def fpk_residuals(bset: BilinearSet) -> np.ndarray:

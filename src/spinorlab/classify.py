@@ -18,7 +18,7 @@ class  sigma    omega    K      S      annotation
 
 sigma and omega alone decide a regular row (classes 1-3), so the batch path
 evaluates K's and S's zero tests, and S itself, only for the rows where both
-vanish (see :func:`lounesto_classes` and :func:`analyze`).
+vanish (see :func:`lounesto_classes` and :func:`analyze_columns`).
 
 sigma = omega = K = S = 0 with J != 0 is algebraically impossible for a true
 spinor, so that pattern is reported as unclassifiable together with the
@@ -74,6 +74,34 @@ class LounestoClass:
         return CLASS_ANNOTATIONS[self.index or 0]
 
 
+def _regular_classes(sigma, omega, j0, tol: Tolerances):
+    """(classes, rows, scale): classes 1-3 of the regular rows and 0 of the
+    singular ones, where sigma and omega both test zero; the singular rows'
+    selection (all rows, gathered by index, or None for none); and each
+    row's zero threshold eps_class * j0."""
+    with np.errstate(over="ignore"):  # inf at a huge threshold: all test zero
+        scale = tol.eps_class * j0
+    sig0 = np.abs(sigma) <= scale
+    om0 = np.abs(omega) <= scale
+    out = np.zeros(len(sigma), dtype=np.int8)
+    out[~sig0 & ~om0] = 1
+    out[~sig0 & om0] = 2
+    out[sig0 & ~om0] = 3
+    singular = sig0 & om0
+    if singular.all():
+        return out, slice(None), scale
+    return out, (np.flatnonzero(singular) if singular.any() else None), scale
+
+
+def _singular_classes(k0, s0) -> np.ndarray:
+    """Classes 4-6, or 0, of singular rows from K's and S's zero tests."""
+    verdict = np.zeros(len(k0), dtype=np.int8)
+    verdict[~k0 & ~s0] = 4
+    verdict[k0 & ~s0] = 5
+    verdict[~k0 & s0] = 6
+    return verdict
+
+
 def lounesto_classes(sigma, omega, j, k, s,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Vectorized decision tree over the (N,) columns j, k of J and K (as
@@ -85,29 +113,12 @@ def lounesto_classes(sigma, omega, j, k, s,
     those gathered by index when some are.  ``s`` is a function that returns
     S's six columns for such a row selection.
     """
-    with np.errstate(over="ignore"):  # inf at a huge threshold: all test zero
-        scale = tol.eps_class * j[0]
-    sig0 = np.abs(sigma) <= scale
-    om0 = np.abs(omega) <= scale
-    out = np.zeros(len(sigma), dtype=np.int8)
-    out[~sig0 & ~om0] = 1
-    out[~sig0 & om0] = 2
-    out[sig0 & ~om0] = 3
-    singular = sig0 & om0
-    if singular.all():
-        rows = slice(None)
-    elif singular.any():
-        rows = np.flatnonzero(singular)
-    else:
-        return out
-    scale = scale[rows]
-    k0 = kernels._row_max_abs([c[rows] for c in k]) <= scale
-    s0 = kernels._row_max_abs(s(rows)) <= scale
-    verdict = np.zeros(len(scale), dtype=np.int8)
-    verdict[~k0 & ~s0] = 4
-    verdict[k0 & ~s0] = 5
-    verdict[~k0 & s0] = 6
-    out[rows] = verdict
+    out, rows, scale = _regular_classes(sigma, omega, j[0], tol)
+    if rows is not None:
+        scale = scale[rows]
+        out[rows] = _singular_classes(
+            kernels._row_max_abs([c[rows] for c in k]) <= scale,
+            kernels._row_max_abs(s(rows)) <= scale)
     return out
 
 
@@ -197,7 +208,7 @@ def helicity_categories(rstate, lstate) -> np.ndarray:
 
 
 class Analysis(NamedTuple):
-    """Per-row verdicts of :func:`analyze` for an (N, 4) spinor array."""
+    """Per-row verdicts of :func:`analyze_columns` for a block of N rows."""
     classes: np.ndarray               # (N,) int8 class index, 0 = unclassifiable
     categories: Optional[np.ndarray]  # (N,) int8 CAT_* code; None without a direction
     fpk_max: np.ndarray               # (3,) worst constraint residuals
@@ -206,30 +217,44 @@ class Analysis(NamedTuple):
 
 def analyze(psis: np.ndarray, n=None,
             tol: Tolerances = DEFAULT_TOLERANCES) -> Analysis:
-    """Lounesto classes, C eigen states and, along the unit vectors n of
-    :func:`helicity_profiles`, helicity categories of every row: the one
-    pass that turns a block into per-row verdicts.
+    """:func:`analyze_columns` of an (N, 4) spinor array: its
+    :func:`kernels.columns`, transposed once, then the column pass."""
+    return analyze_columns(kernels.columns(psis), n, tol)
 
-    Every verdict reads the block's :func:`kernels.columns`, transposed
-    once.  sigma, omega, J and K are evaluated for every row; S only for
-    the rows whose sigma and omega both test zero (see
-    :func:`lounesto_classes`).  The bilinears are freed before the helicity
-    pass.  The C states cost about a sixth of the pass on a raw block (0.18
-    of 1.07 ms per 8192 rows, one core of a 2-CPU Xeon).
+
+def analyze_columns(cols, n=None,
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> Analysis:
+    """Lounesto classes, C eigen states and, along the unit vectors n of
+    :func:`helicity_profiles`, helicity categories of every row of a block
+    given as its eight :func:`kernels.columns`: the one pass that turns a
+    block into per-row verdicts.
+
+    sigma, omega, J and K are evaluated for every row; S only for the rows
+    whose sigma and omega both test zero (see :func:`lounesto_classes`).
+    After the fpk maxima only J^0 (psi^dag psi for the C states) and K are
+    kept, and K only until its zero test, so the pass holds few (N,)
+    columns at once.
     """
-    cols = kernels.columns(psis)
     sigma, omega, j, k = kernels.bilinears(cols)
-    classes = lounesto_classes(
-        sigma, omega, j, k, lambda rows: kernels.tensor([c[rows] for c in cols]), tol)
     # one column at a time, as in kernels._row_max_abs
     fpk_max = np.array([c.max() for c in fpk_columns(sigma, omega, j, k)])
-    del sigma, omega, j, k
+    j0 = j[0]
+    classes, rows, scale = _regular_classes(sigma, omega, j0, tol)
+    del sigma, omega, j
+    if rows is not None:
+        scale = scale[rows]
+        k0 = kernels._row_max_abs([c[rows] for c in k]) <= scale
+    del k
+    if rows is not None:
+        s0 = kernels._row_max_abs(kernels.tensor([c[rows] for c in cols])) <= scale
+        classes[rows] = _singular_classes(k0, s0)
+    c_states = eigen_states(*c_eigen_residuals(cols, j0))
+    del j0, scale
     categories = None
     if n is not None:
         rstate, lstate, _, _ = helicity_profiles(cols, n, tol)
         categories = helicity_categories(rstate, lstate)
-    return Analysis(classes, categories, fpk_max,
-                    eigen_states(*c_eigen_residuals(psis, cols)))
+    return Analysis(classes, categories, fpk_max, c_states)
 
 
 _STATE_NAME = {0: "null-block", 1: "plus", -1: "minus", 2: "not-eigen"}

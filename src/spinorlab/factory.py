@@ -1,15 +1,17 @@
 """Constructors for every bispinor family the workbench analyzes.
 
 Each family has one batch constructor, ``<family>_batch``, taking (N,)
-parameter arrays and returning ``(components, n)``: an (N, 4) complex
-array, one spinor per row, and the unit vectors n = (nx, ny, nz) of each
-row's direction, which the helicity analysis reads.  The helicity families
-are built along :func:`algebra.unit_vectors` of their (theta, phi); the
+parameter arrays and returning ``(cols, n)``: the rows' eight float
+:func:`kernels.columns`, built with no (N, 4) array, and the unit vectors
+n = (nx, ny, nz) of each row's direction, which the helicity analysis
+reads.  A caller that needs the (N, 4) form takes
+:func:`kernels.components` of the columns.  The helicity families are
+built along :func:`algebra.unit_vectors` of their (theta, phi); the
 self-conjugate, Weyl and singular forms take n from a block's
-:func:`algebra.bloch_direction_batch`.  :func:`parity_linked_batch`
-returns the components only.  Batch constructors do not validate; their
-rows must meet the preconditions that the scalar ``build_*`` N=1 wrappers
-check.  A wrapper returns a :class:`BiSpinor` carrying a
+:func:`algebra.bloch_direction_batch`.  :func:`parity_linked_batch`,
+whose rows only the Dirac residuals read, returns (N, 4) components only.
+Batch constructors do not validate; their rows must meet the
+preconditions that the scalar ``build_*`` N=1 wrappers check.  A wrapper returns a :class:`BiSpinor` carrying a
 :class:`Provenance` record (family name, direction, build momentum,
 unboosted blocks): the helicity profile reads its direction, a boost checks
 it, and the parity operation rebuilds the spinor from it.
@@ -30,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .algebra import (
     FourMomentum,
     angles_match,
@@ -119,12 +122,12 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
-def _mul(z, wr, wi) -> np.ndarray:
-    # z * (wr + i wi) without fused multiply-add, as CPython rounds it; out
-    # of range, a product comes out inf or nan without a warning, and the
-    # callers' finiteness guards name it
+def _mul(zr, zi, wr, wi):
+    # (re, im) of (zr + i zi) * (wr + i wi) without fused multiply-add, as
+    # CPython rounds it; out of range, a product comes out inf or nan
+    # without a warning, and the callers' finiteness guards name it
     with np.errstate(over="ignore", invalid="ignore"):
-        return _complex(z.real * wr - z.imag * wi, z.real * wi + z.imag * wr)
+        return zr * wr - zi * wi, zr * wi + zi * wr
 
 
 def _rows(*values):
@@ -146,9 +149,9 @@ def rest_spinor_batch(helicity, theta, phi, m, phase=None) -> np.ndarray:
     er, ei = np.cos(0.5 * phi), np.sin(0.5 * phi)
     u = np.where(helicity > 0, ch, sh)
     v = np.where(helicity > 0, sh, -ch)
-    pref = _complex(np.sqrt(m) * np.cos(phase), np.sqrt(m) * np.sin(phase))
-    return np.stack([_mul(pref, u * er, -(u * ei)), _mul(pref, v * er, v * ei)],
-                    axis=-1)
+    pref = (np.sqrt(m) * np.cos(phase), np.sqrt(m) * np.sin(phase))
+    return np.stack([_complex(*_mul(*pref, u * er, -(u * ei))),
+                     _complex(*_mul(*pref, v * er, v * ei))], axis=-1)
 
 
 def rest_spinor(helicity: int, theta: float, phi: float, m: float,
@@ -171,6 +174,12 @@ def _helicity_fraction(sign, n):
     return sign * nx / den, sign * ny / den
 
 
+def _eigenblock(z, fraction):
+    # the four columns of the block (z, z * fraction)
+    z = np.asarray(z, dtype=complex)
+    return (z.real, z.imag, *_mul(z.real, z.imag, *fraction))
+
+
 def _check_pole(sign: int, theta: float):
     pole = math.pi if sign > 0 else 0.0
     if theta == pole or 1.0 + sign * math.cos(theta) == 0.0:
@@ -185,10 +194,9 @@ def single_helicity_batch(sign, a, c, theta, phi):
     dependent components follow the eigenvector ratio.  Rows must avoid the
     pole of their form (theta = pi for +1, theta = 0 for -1).
     """
-    a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
     n = unit_vectors(theta, phi)
-    tr, ti = _helicity_fraction(sign, n)
-    return np.stack([a, _mul(a, tr, ti), c, _mul(c, tr, ti)], axis=1), n
+    fraction = _helicity_fraction(sign, n)
+    return (*_eigenblock(a, fraction), *_eigenblock(c, fraction)), n
 
 
 def dual_helicity_batch(sign, a, c, theta, phi):
@@ -196,17 +204,15 @@ def dual_helicity_batch(sign, a, c, theta, phi):
 
     Rows must avoid both poles and have a, c nonzero.
     """
-    a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
     n = unit_vectors(theta, phi)
-    rr, ri = _helicity_fraction(sign, n)
-    lr, li = _helicity_fraction(-sign, n)
-    return np.stack([a, _mul(a, rr, ri), c, _mul(c, lr, li)], axis=1), n
+    return (*_eigenblock(a, _helicity_fraction(sign, n)),
+            *_eigenblock(c, _helicity_fraction(-sign, n))), n
 
 
-def _spinor(arr, **prov) -> BiSpinor:
-    """Row 0 of ``arr`` as an unboosted BiSpinor; ``prov`` fills its
-    Provenance, whose rest blocks are the row itself."""
-    a, b, c, d = (complex(z) for z in arr[0])
+def _spinor(cols, **prov) -> BiSpinor:
+    """Row 0 of the columns ``cols`` as an unboosted BiSpinor; ``prov``
+    fills its Provenance, whose rest blocks are the row itself."""
+    a, b, c, d = (complex(z) for z in kernels.components(cols)[0])
     return BiSpinor(a, b, c, d, Provenance(rest_right=(a, b), rest_left=(c, d), **prov))
 
 
@@ -224,8 +230,8 @@ def build_single_helicity(pair: str, a: complex, c: complex,
         raise ZeroSpinorError("at least one of a, c must be nonzero")
     h = _PAIRS_SINGLE[pair]
     _check_pole(h, theta)
-    arr = single_helicity_batch(*_rows(h, a, c, theta, phi))[0]
-    return _spinor(arr, family="single_helicity", theta=theta, phi=phi)
+    cols, _ = single_helicity_batch(*_rows(h, a, c, theta, phi))
+    return _spinor(cols, family="single_helicity", theta=theta, phi=phi)
 
 
 def build_dual_helicity(pair: str, a: complex, c: complex,
@@ -244,8 +250,8 @@ def build_dual_helicity(pair: str, a: complex, c: complex,
     hr, hl = _PAIRS_DUAL[pair]
     _check_pole(hr, theta)
     _check_pole(hl, theta)
-    arr = dual_helicity_batch(*_rows(hr, a, c, theta, phi))[0]
-    return _spinor(arr, family="dual_helicity", theta=theta, phi=phi)
+    cols, _ = dual_helicity_batch(*_rows(hr, a, c, theta, phi))
+    return _spinor(cols, family="dual_helicity", theta=theta, phi=phi)
 
 
 def _bloch_angles(b0: complex, b1: complex) -> dict:
@@ -266,12 +272,12 @@ def singular_form_batch(b, c, d):
     b, c, d = (np.asarray(x, dtype=complex) for x in (b, c, d))
     # out of range, a comes out inf or nan without a warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y = _mul(_mul(-b, c.real, c.imag), d.real, -d.imag)
+        yr, yi = _mul(*_mul(-b.real, -b.imag, c.real, c.imag), d.real, -d.imag)
         n2 = np.hypot(c.real, c.imag) ** 2
-        a = _complex(y.real / n2, y.imag / n2)
+        a = _complex(yr / n2, yi / n2)
     right = (a != 0) | (b != 0)
     n, _ = bloch_direction_batch(np.where(right, a, c), np.where(right, b, d))
-    return np.stack([a, b, c, d], axis=1), n
+    return (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag), n
 
 
 def build_singular_form(b: complex, c: complex, d: complex) -> BiSpinor:
@@ -279,9 +285,9 @@ def build_singular_form(b: complex, c: complex, d: complex) -> BiSpinor:
     b, c, d = complex(b), complex(c), complex(d)
     if c == 0:
         raise ZeroSpinorError("singular form requires c != 0")
-    arr, _ = singular_form_batch(*_rows(b, c, d))
-    a = complex(arr[0, 0])
-    return _spinor(arr, family="singular_form",
+    cols, _ = singular_form_batch(*_rows(b, c, d))
+    a = complex(cols[0][0], cols[1][0])
+    return _spinor(cols, family="singular_form",
                    **(_bloch_angles(a, b) if a or b else _bloch_angles(c, d)))
 
 
@@ -294,9 +300,9 @@ def self_conjugate_batch(sign, c, d):
     direction.  Rows need (c, d) nonzero.
     """
     c, d = np.asarray(c, dtype=complex), np.asarray(d, dtype=complex)
-    a = _complex(-sign * d.imag, -sign * d.real)
-    b = _complex(sign * c.imag, sign * c.real)
-    return np.stack([a, b, c, d], axis=1), bloch_direction_batch(c, d)[0]
+    cols = (-sign * d.imag, -sign * d.real, sign * c.imag, sign * c.real,
+            c.real, c.imag, d.real, d.imag)
+    return cols, bloch_direction_batch(c, d)[0]
 
 
 def build_self_conjugate(sign: int, c: complex, d: complex) -> BiSpinor:
@@ -306,8 +312,8 @@ def build_self_conjugate(sign: int, c: complex, d: complex) -> BiSpinor:
     c, d = complex(c), complex(d)
     if c == 0 and d == 0:
         raise ZeroSpinorError("left block (c, d) must be nonzero")
-    arr, _ = self_conjugate_batch(*_rows(sign, c, d))
-    return _spinor(arr, family="self_conjugate", **_bloch_angles(c, d))
+    cols, _ = self_conjugate_batch(*_rows(sign, c, d))
+    return _spinor(cols, family="self_conjugate", **_bloch_angles(c, d))
 
 
 def weyl_batch(right, b0, b1):
@@ -317,11 +323,11 @@ def weyl_batch(right, b0, b1):
     The direction is the block's Bloch direction, along which it has
     helicity +1.  Rows need (b0, b1) nonzero.
     """
-    blk = np.stack([b0, b1], axis=1).astype(complex)
-    on_right = np.asarray(right)[:, None]
-    arr = np.concatenate([np.where(on_right, blk, 0), np.where(on_right, 0, blk)],
-                         axis=1)
-    return arr, bloch_direction_batch(blk[:, 0], blk[:, 1])[0]
+    b0, b1 = np.asarray(b0, dtype=complex), np.asarray(b1, dtype=complex)
+    parts = (b0.real, b0.imag, b1.real, b1.imag)
+    cols = (*(np.where(right, x, 0.0) for x in parts),
+            *(np.where(right, 0.0, x) for x in parts))
+    return cols, bloch_direction_batch(b0, b1)[0]
 
 
 def build_weyl(which: str, block) -> BiSpinor:
@@ -334,8 +340,8 @@ def build_weyl(which: str, block) -> BiSpinor:
     if blk[0] == 0 and blk[1] == 0:
         raise ZeroSpinorError("block must be nonzero")
     b0, b1 = complex(blk[0]), complex(blk[1])
-    arr, _ = weyl_batch(*_rows(which == "right", b0, b1))
-    return _spinor(arr, family="weyl", **_bloch_angles(b0, b1))
+    cols, _ = weyl_batch(*_rows(which == "right", b0, b1))
+    return _spinor(cols, family="weyl", **_bloch_angles(b0, b1))
 
 
 def parity_linked_batch(helicity, m, pmag, theta, phi, phase=None):
@@ -368,10 +374,13 @@ def boost_bispinor_batch(psis, m, pmag, theta, phi) -> np.ndarray:
     """(N, 4) spinors with the chiral block boosts applied row by row; an
     out-of-range boost gives inf or nan components without a warning."""
     psis = np.asarray(psis, dtype=complex)
+    out = np.empty(psis.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        right = boost_block_batch(1, m, pmag, theta, phi) @ psis[:, :2, None]
-        left = boost_block_batch(-1, m, pmag, theta, phi) @ psis[:, 2:, None]
-    return np.concatenate([right, left], axis=1)[:, :, 0]
+        np.matmul(boost_block_batch(1, m, pmag, theta, phi), psis[:, :2, None],
+                  out=out[:, :2, None])
+        np.matmul(boost_block_batch(-1, m, pmag, theta, phi), psis[:, 2:, None],
+                  out=out[:, 2:, None])
+    return out
 
 
 def _require_finite_direction(theta, phi):

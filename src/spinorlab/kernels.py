@@ -1,13 +1,18 @@
 """Numpy batch kernels: the one implementation behind every analysis path.
 
-Each kernel takes an (N, 4) complex128 array, one spinor per row, or its
-eight :func:`columns`, and expands complex products into explicit real and
-imaginary parts.  The evaluation order is part of the output format: the
-golden reports and the sample bytes depend on it.
+A block of N spinors is carried as its eight float :func:`columns` (re0,
+im0, ..., re3, im3), which the batch constructors build directly; only the
+Dirac kernel takes the (N, 4) complex128 form.  Kernels expand complex
+products into explicit real and imaginary parts.  The evaluation order is
+part of the output format: the golden reports and the sample bytes depend
+on it.
 
 Kernel contracts
 ----------------
-columns(psi)                   -> the 8 contiguous float columns of psi
+columns(psi)                   -> the 8 contiguous float columns of an
+                                  (N, 4) complex array
+components(cols)               -> the (N, 4) complex128 array of 8 columns;
+                                  the one inverse of columns
 bilinears(cols)                -> sigma, omega (N,); j, k as tuples of 4
                                   (N,) columns
 tensor(cols)                   -> the 6 (N,) columns of S, from any rows'
@@ -84,6 +89,11 @@ def columns(psi):
     return tuple(np.ascontiguousarray(x.T))
 
 
+def components(cols):
+    """The (N, 4) complex128 array whose :func:`columns` are ``cols``."""
+    return np.stack(cols, axis=1).view(np.complex128)
+
+
 def bilinears(cols):
     """sigma, omega, J and K of every row, from the rows' :func:`columns`."""
     ar, ai, br, bi, cr, ci, dr, di = cols
@@ -95,16 +105,16 @@ def bilinears(cols):
     sigma = 2.0 * ((ar * cr + ai * ci) + (br * dr + bi * di))
     omega = 2.0 * ((ar * ci - ai * cr) + (br * di - bi * dr))
 
+    # J = R - L and K = R + L, from the block sums R and L; J^0 and K^0
+    # flip the roles
     r, r3 = _sum_diff(ar * ar + ai * ai, br * br + bi * bi)
     l, l3 = _sum_diff(cr * cr + ci * ci, dr * dr + di * di)
-    r1 = 2.0 * (ar * br + ai * bi)
-    r2 = 2.0 * (ar * bi - ai * br)
-    l1 = 2.0 * (cr * dr + ci * di)
-    l2 = 2.0 * (cr * di - ci * dr)
-
-    j = (r + l, r1 - l1, r2 - l2, r3 - l3)
-    k = (r - l, r1 + l1, r2 + l2, r3 + l3)
-    return sigma, omega, j, k
+    j0, k0 = _sum_diff(r, l)
+    k3, j3 = _sum_diff(r3, l3)
+    del r, r3, l, l3
+    k1, j1 = _sum_diff(2.0 * (ar * br + ai * bi), 2.0 * (cr * dr + ci * di))
+    k2, j2 = _sum_diff(2.0 * (ar * bi - ai * br), 2.0 * (cr * di - ci * dr))
+    return sigma, omega, (j0, j1, j2, j3), (k0, k1, k2, k3)
 
 
 def tensor(cols):

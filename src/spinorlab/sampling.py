@@ -16,7 +16,8 @@ documented in one place and a (seed, count) pair reproduces a run exactly:
 ``FAMILY_PARAMS`` maps each constructor family to its parameter draw, which
 returns the batch constructor's per-row arguments as (N,) arrays keyed by
 argument name; both helicity families share :func:`single_helicity_params`.
-``FAMILY_CONSTRUCTORS`` maps the family to that constructor (rows and n).
+Signs are drawn as int8.  ``FAMILY_CONSTRUCTORS`` maps the family to that
+constructor, which returns a block's eight float columns and n.
 :func:`campaign` is the one engine over them, behind sample mode and every
 sampled verify campaign of raw or constructed spinors: it draws
 ``RAW_DRAW_ROWS`` raw or ``DRAW_ROWS`` constructed rows at a time,
@@ -25,9 +26,12 @@ up one class x helicity-category x charge-conjugation-state count table and
 the constraint maxima.  A constructed row does not depend on the rows built
 with it, and a raw row does not depend on the chunk it is drawn in.
 Each block's row verdicts (class, helicity category and C state) come from
-one :func:`classify.analyze` pass, which evaluates S only for the singular
-rows, where sigma and omega both test zero: a random_raw or single_helicity
-block, all regular, skips it.
+one :func:`classify.analyze_columns` pass over its columns, which evaluates
+S only for the singular rows, where sigma and omega both test zero: a
+random_raw or single_helicity block, all regular, skips it.  A constructed
+block never exists as an (N, 4) array.  A raw chunk is drawn row after row,
+in the order that fixes its bits, so each raw block is transposed into its
+columns with :func:`kernels.columns`.
 """
 from __future__ import annotations
 
@@ -35,7 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import CATEGORY_NAMES, analyze
+from . import kernels
+from .classify import CATEGORY_NAMES, analyze_columns
 from .factory import (
     dual_helicity_batch,
     self_conjugate_batch,
@@ -106,8 +111,8 @@ def random_raw_spinors(rng, count: int) -> np.ndarray:
         return x.view(np.complex128)
 
     def keep(psi):
-        # |psi|^2 as c_eigen_residuals forms it, on the (n, 8) float view,
-        # with no (n, 4) temporaries.  The (n,) sums are formed whole: a
+        # |psi|^2 as c_eigen_check forms it, on the (n, 8) float view, with
+        # no (n, 4) temporaries.  The (n,) sums are formed whole: a
         # block-wise bool mask took the same 7.5k minor page faults at 1e6
         # rows in chunks of RAW_DRAW_ROWS, and more in chunks of DRAW_ROWS
         # (11k instead of 6.7k).
@@ -185,7 +190,8 @@ def steered_amplitudes(rng, count: int, target_class: int):
 
 
 def _random_signs(rng, count: int) -> np.ndarray:
-    return np.where(rng.integers(0, 2, size=count) == 0, 1, -1)
+    # int8: the constructors only multiply by a sign, exactly in any dtype
+    return np.where(rng.integers(0, 2, size=count) == 0, np.int8(1), np.int8(-1))
 
 
 def single_helicity_params(rng, count: int, steer: int | None = None) -> dict:
@@ -266,18 +272,18 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
             construct = FAMILY_CONSTRUCTORS[family]
         for start in range(0, rows, SAMPLE_BLOCK_ROWS):
             if raw:
-                block, n = chunk[start:start + SAMPLE_BLOCK_ROWS], None
+                cols, n = kernels.columns(chunk[start:start + SAMPLE_BLOCK_ROWS]), None
             else:
-                block, n = construct(**{
+                cols, n = construct(**{
                     key: value[start:start + SAMPLE_BLOCK_ROWS]
                     for key, value in params.items()})
-            res = analyze(block, n, tol)
+            res = analyze_columns(cols, n, tol)
+            del cols, n
             cells = res.classes if raw else res.classes * joint.shape[1] + res.categories
             cells = cells * 3 + res.c_states
             joint += np.bincount(cells, minlength=joint.size).reshape(joint.shape)
             fpk_max = np.maximum(fpk_max, res.fpk_max)
-            del block
-        # release the chunk before the next one is drawn; a raw block is a
-        # view of it, so the block above goes first
+        # release the chunk before the next one is drawn; a constructed
+        # block's columns may be views of it, so they went first
         chunk = params = None
     return Campaign(joint, fpk_max)

@@ -72,12 +72,12 @@ def eigen_states(res_plus, res_minus):
 _EIGENVALUES = (1, -1, None)  # eigenvalue of each eigen_states code
 
 
-def c_eigen_residuals(psis: np.ndarray, cols=None) -> tuple[np.ndarray, np.ndarray]:
+def c_eigen_residuals(cols, norm_sq) -> tuple[np.ndarray, np.ndarray]:
     """(res_plus, res_minus): ||C psi -+ psi|| / ||psi|| for each nonzero
-    (N, 4) row; ``cols`` are its :func:`kernels.columns` when the caller
-    holds them already.
+    row, from its :func:`kernels.columns` and its psi^dag psi, ``norm_sq``
+    (J^0 of :func:`kernels.bilinears`, or any other sum of the squares).
 
-    Computed in real arithmetic on the (N, 8) float view, with no complex
+    Computed in real arithmetic on the columns, with no complex
     temporaries.  Components 0 and 3 of C psi -+ psi have equal moduli, and
     so do components 1 and 2, so
     ||C psi -+ psi||^2 = 2 [(a_r +- d_i)^2 + (a_i +- d_r)^2
@@ -85,9 +85,7 @@ def c_eigen_residuals(psis: np.ndarray, cols=None) -> tuple[np.ndarray, np.ndarr
     A row built as an eigenspinor of either sign reads exactly 0 on its
     branch.
     """
-    x = np.ascontiguousarray(psis, dtype=complex).view(np.float64)
-    ar, ai, br, bi, cr, ci, dr, di = x.T if cols is None else cols
-    norm_sq = np.einsum("ij,ij->i", x, x)
+    ar, ai, br, bi, cr, ci, dr, di = cols
 
     def residual(ad, bc):
         total = np.square(ad(ar, di))
@@ -164,10 +162,12 @@ def c_eigen_check(psi: BiSpinor) -> CEigenCheck:
     if psi.is_zero():
         raise ZeroSpinorError("conjugacy of the zero spinor is undefined")
     arr = _pow2_scaled(psi.array[None, :])
+    x = arr.view(np.float64)
     # a component of inf or nan leaves a residual nan, which _finite reports
     with np.errstate(invalid="ignore"):
-        res_plus, res_minus = (_finite(float(res[0]), "C residual")
-                               for res in c_eigen_residuals(arr))
+        res_plus, res_minus = (
+            _finite(float(res[0]), "C residual")
+            for res in c_eigen_residuals(x.T, np.einsum("ij,ij->i", x, x)))
     eigenvalue = _EIGENVALUES[int(eigen_states(res_plus, res_minus))]
     scaled = BiSpinor.from_array(arr[0])
     a, b, c, d = scaled.a, scaled.b, scaled.c, scaled.d

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sampling
+from . import kernels, sampling
 from .algebra import boost_block_batch, gamma, gamma5
 from .classify import CLASS_CATEGORIES
 from .factory import (
@@ -166,7 +166,7 @@ def check_dual_helicity_dirac(seed: int = 4) -> PropertyResult:
 
     def extremes(sign, a, c, m, pmag, theta, phi):
         p = (m, pmag, theta, phi)
-        rest = dual_helicity_batch(sign, a, c, theta, phi)[0]
+        rest = kernels.components(dual_helicity_batch(sign, a, c, theta, phi)[0])
         arr = boost_bispinor_batch(rest, *p)
         parr = parity_batch(rest, *p)
         return (np.min(dirac_residuals(arr, *p, 1)),
@@ -196,12 +196,15 @@ def check_charge_conjugation(seed: int = 5) -> PropertyResult:
     raw = sampling.random_raw_spinors(rng, count)
     invol = c_involution_max(raw)
 
+    def c_residuals(cols):  # psi^dag psi as J^0, as analyze_columns takes it
+        return c_eigen_residuals(cols, kernels.bilinears(cols)[2][0])
+
     params = sampling.self_conjugate_params(rng, count)
-    res_plus, res_minus = c_eigen_residuals(self_conjugate_batch(**params)[0])
+    res_plus, res_minus = c_residuals(self_conjugate_batch(**params)[0])
     eigen_worst = float(np.max(np.where(params["sign"] == 1, res_plus, res_minus)))
 
-    sarr = single_helicity_batch(**sampling.single_helicity_params(rng, count))[0]
-    single_min = float(np.min(np.minimum(*c_eigen_residuals(sarr))))
+    scols = single_helicity_batch(**sampling.single_helicity_params(rng, count))[0]
+    single_min = float(np.min(np.minimum(*c_residuals(scols))))
 
     fixture = BiSpinor(-2j, 1j, 1.0, 1.0)
     check = c_eigen_check(fixture)

@@ -10,7 +10,7 @@ against, and :func:`boost_block`, the N=1 form of
 """
 import numpy as np
 
-from spinorlab import sampling
+from spinorlab import kernels, sampling
 from spinorlab.algebra import boost_block_batch
 
 GAMMA0 = np.array(
@@ -135,12 +135,13 @@ def dirac_operator(m, pmag, theta, phi):
 def family_draw(family, rng, count, **extra):
     """(components, n, theta, phi, params) of ``count`` rows of a
     constructor family: its parameter draw then its batch constructor over
-    every row at once.  theta and phi are the drawn directions of a helicity
-    family and None for a Bloch family, which derives its n; ``params``
-    holds the drawn arguments other than the direction."""
+    every row at once, its columns as one (N, 4) array.  theta and phi are
+    the drawn directions of a helicity family and None for a Bloch family,
+    which derives its n; ``params`` holds the drawn arguments other than the
+    direction."""
     params = sampling.FAMILY_PARAMS[family](rng, count, **extra)
-    arr, n = sampling.FAMILY_CONSTRUCTORS[family](**params)
-    return arr, n, params.get("theta"), params.get("phi"), {
+    cols, n = sampling.FAMILY_CONSTRUCTORS[family](**params)
+    return kernels.components(cols), n, params.get("theta"), params.get("phi"), {
         key: value for key, value in params.items() if key not in ("theta", "phi")}
 
 

@@ -15,6 +15,7 @@ from spinorlab import (
 )
 from spinorlab.algebra import (
     SIGMA,
+    angles_match,
     bloch_direction_batch,
     boost_factor_batch,
     momentum_components,
@@ -266,3 +267,25 @@ class TestBlochDirection:
     def test_poles(self):
         assert bloch_direction_batch(1 + 0j, 0j) == ((0.0, 0.0, 1.0),) * 2
         assert bloch_direction_batch(0j, 1 + 0j) == ((0.0, 0.0, -1.0),) * 2
+
+
+class TestAnglesMatch:
+    @pytest.mark.parametrize("pole", [0.0, math.pi])
+    def test_azimuth_is_immaterial_at_a_pole(self, pole):
+        # at theta = 0 or pi every phi names the same direction, within the
+        # 1e-12 tolerance of the pole too
+        near = 5e-13 if pole == 0.0 else math.pi - 5e-13
+        for p1, p2 in ((0.0, 1.0), (1.0, 4.0), (-3.0, 2.5)):
+            assert angles_match(pole, p1, pole, p2)
+            assert angles_match(pole, p1, near, p2)
+            assert angles_match(near, p1, pole, p2)
+
+    def test_azimuth_matters_off_the_poles(self):
+        for theta in (1e-11, 1.0, math.pi - 1e-11):
+            assert not angles_match(theta, 0.0, theta, 1.0)
+            # phi is compared modulo 2 pi
+            assert angles_match(theta, 0.25, theta, 0.25 + 2.0 * math.pi)
+
+    def test_polar_angles_must_agree(self):
+        assert not angles_match(math.pi, 0.0, math.pi - 1e-9, 0.0)
+        assert not angles_match(0.0, 0.0, 1e-9, 0.0)

@@ -222,3 +222,18 @@ def test_kernels_within_a_rounding_bound_of_the_exact_bilinears(family):
         j0, exact = _exact_bilinears(row)
         for value, want in zip(values.tolist(), exact):
             assert abs(Fraction(value) - want) <= _BOUND * j0, (family, value, float(want))
+
+
+def test_components_invert_columns_bit_for_bit():
+    # the one helper back to the (N, 4) form keeps every bit, signed zeros
+    # and NaN included, and the columns of its result are the columns given
+    psis = sampling.random_raw_spinors(sampling.rng_for(13), 1000)
+    x = psis.view(np.float64)
+    x[::7, 3] = -0.0
+    x[::11, 6] = np.nan
+    cols = kernels.columns(psis)
+    back = kernels.components(cols)
+    assert back.shape == (1000, 4) and back.dtype == np.complex128
+    assert back.tobytes() == psis.tobytes()
+    for got, want in zip(kernels.columns(back), cols):
+        assert got.tobytes() == want.tobytes()

@@ -33,6 +33,7 @@ from spinorlab.classify import (
     CATEGORY_SINGLE,
     CLASS_CATEGORIES,
     analyze,
+    analyze_columns,
     helicity_categories,
     helicity_profiles,
     lounesto_classes,
@@ -287,7 +288,7 @@ def test_every_singular_spinor_is_dual_except_class_6():
     # free amplitudes, |b| = |c| and a null right block
     cases = {4: b, 5: c * sampling.random_unit_phases(rng, rows), 6: np.zeros(rows, complex)}
     for cls, amp in cases.items():
-        res = analyze(*singular_form_batch(amp, c, d))
+        res = analyze_columns(*singular_form_batch(amp, c, d))
         assert (res.classes == cls).all(), cls
         assert (res.categories == CLASS_CATEGORIES[cls]).all(), cls
     psis = random_raw_spinors(rng, rows)
@@ -442,11 +443,11 @@ def edited_pool():
         params = sampling.single_helicity_params(rng, rows, steer=steer)
         parts.append(sampling.single_helicity_batch(**params))
     theta, phi = sampling.random_directions(rng, rows)
-    parts.append((random_raw_spinors(rng, rows), unit_vectors(theta, phi)))
+    parts.append((kernels.columns(random_raw_spinors(rng, rows)), unit_vectors(theta, phi)))
     for family in ("dual_helicity", "self_conjugate", "weyl"):
         params = sampling.FAMILY_PARAMS[family](rng, rows)
         parts.append(sampling.FAMILY_CONSTRUCTORS[family](**params))
-    psis = np.concatenate([part[0] for part in parts])
+    psis = np.concatenate([kernels.components(part[0]) for part in parts])
     n = np.concatenate([np.stack(part[1], axis=1) for part in parts])
     x = psis.view(np.float64)
     edited = rng.permutation(len(psis))[:2400].reshape(6, 400)
@@ -503,7 +504,9 @@ def test_block_verdicts_equal_the_full_bilinear_composition(edited_pool, kind, s
         _reference_classes(sigma, omega, *(np.stack(c, axis=1) for c in (j, k, s))))
     want_fpk = np.max(np.stack(fpk_columns(sigma, omega, j, k), axis=1), axis=0)
     rstate, lstate, _, _ = helicity_profiles(cols, n)
-    want_c = eigen_states(*c_eigen_residuals(psis))
+    # psi^dag psi summed as the N=1 check sums it, not as J^0
+    x = psis.view(np.float64)
+    want_c = eigen_states(*c_eigen_residuals(cols, np.einsum("ij,ij->i", x, x)))
 
     assert res.classes.tobytes() == want_classes.tobytes()
     assert res.categories.tobytes() == helicity_categories(rstate, lstate).tobytes()
@@ -528,8 +531,8 @@ def test_verdicts_do_not_depend_on_scale(k, seed):
     rows = 64
     theta, phi = sampling.random_directions(rng, rows)
     blocks = [(random_raw_spinors(rng, rows), unit_vectors(theta, phi))]
-    blocks += [construct(**sampling.FAMILY_PARAMS[family](rng, rows))
-               for family, construct in sampling.FAMILY_CONSTRUCTORS.items()]
+    blocks += [oracles.family_draw(family, rng, rows)[:2]
+               for family in sampling.FAMILY_PARAMS]
     for psis, n in blocks:
         scaled = np.ldexp(psis.view(np.float64), k).view(complex)
         want, got = analyze(psis, n), analyze(scaled, n)

@@ -863,6 +863,22 @@ def test_boosted_dual_helicity_symmetries_bytes_pinned(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_weyl_boost_along_the_south_pole_with_any_azimuth(tmp_path, capsys):
+    # the block (0, 1) points along theta = pi, whose azimuth is immaterial,
+    # so a boost along theta = pi at phi = 1 matches its construction
+    # direction
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "mode": "classify", "boost": True,
+        "spinor": {"family": "weyl", "side": "right", "block": [[0, 0], [1, 0]]},
+        "momentum": {"m": 1, "pmag": 2, "theta": math.pi, "phi": 1.0},
+    }), encoding="utf-8")
+    assert main(["--job", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["lounesto"]["index"] == 6
+    assert captured.err == ""
+
+
 def test_goldens_round_trip_their_job_echo():
     for i in range(1, 7):
         report = json.loads((GOLDEN_DIR / f"class{i}.report.json").read_text())

@@ -122,7 +122,8 @@ class TestChargeConjugation:
         raw = random_raw_spinors(rng, 4096)
         conj, *_, params = oracles.family_draw("self_conjugate", rng, 4096)
         rows = np.concatenate([raw, conj])
-        res_plus, res_minus = c_eigen_residuals(rows)
+        cols = kernels.columns(rows)
+        res_plus, res_minus = c_eigen_residuals(cols, kernels.bilinears(cols)[2][0])
 
         image = charge_conjugate_batch(rows)
         nrm = np.linalg.norm(rows, axis=1)
@@ -561,8 +562,9 @@ class TestDiracFlip:
         assert np.max(self._identity_defects(raw, *mom)) < 1e-11
         draws = [oracles.family_draw(family, rng, 10_000)[:2]
                  for family in sampling.FAMILY_PARAMS]
-        draws.append(singular_form_batch(*(sampling.random_amplitudes(rng, 10_000)
-                                           for _ in range(3))))
+        cols, n = singular_form_batch(*(sampling.random_amplitudes(rng, 10_000)
+                                        for _ in range(3)))
+        draws.append((kernels.components(cols), n))
         for rest, (nx, ny, nz) in draws:
             # each row boosted along its own direction
             theta, phi = np.arctan2(np.hypot(nx, ny), nz), np.arctan2(ny, nx)
