@@ -36,8 +36,7 @@ from .algebra import unit_vectors
 from .bilinears import BilinearSet, bilinear_set, fpk_columns, fpk_residuals
 from .errors import ZeroSpinorError
 from .factory import BiSpinor
-from .symmetries import c_eigen_residuals, eigen_states
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, EXACT, Tolerances
 
 CATEGORY_SINGLE = "single"
 CATEGORY_DUAL = "dual"
@@ -207,12 +206,19 @@ def helicity_categories(rstate, lstate) -> np.ndarray:
     return out
 
 
+def eigen_states(res_plus, res_minus):
+    """Codes of the +-1 eigen verdict from the residuals of both branches:
+    0 for +1 when ``res_plus <= EXACT`` (+1 wins a tie), else 1 for -1
+    when ``res_minus <= EXACT``, else 2 for neither (NaN included)."""
+    return np.where(res_plus <= EXACT, 0, np.where(res_minus <= EXACT, 1, 2))
+
+
 class Analysis(NamedTuple):
     """Per-row verdicts of :func:`analyze_columns` for a block of N rows."""
     classes: np.ndarray               # (N,) int8 class index, 0 = unclassifiable
     categories: Optional[np.ndarray]  # (N,) int8 CAT_* code; None without a direction
     fpk_max: np.ndarray               # (3,) worst constraint residuals
-    c_states: np.ndarray              # (N,) C state code of symmetries.eigen_states
+    c_states: np.ndarray              # (N,) C state code of eigen_states
 
 
 def analyze(psis: np.ndarray, n=None,
@@ -248,7 +254,7 @@ def analyze_columns(cols, n=None,
     if rows is not None:
         s0 = kernels._row_max_abs(kernels.tensor([c[rows] for c in cols])) <= scale
         classes[rows] = _singular_classes(k0, s0)
-    c_states = eigen_states(*c_eigen_residuals(cols, j0))
+    c_states = eigen_states(*kernels.c_eigen_residuals(cols, j0))
     del j0, scale
     categories = None
     if n is not None:

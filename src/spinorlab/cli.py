@@ -25,7 +25,6 @@ from typing import Callable, NamedTuple, NoReturn, Optional
 # the package keep their own BLAS settings.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import sampling
 from .algebra import FourMomentum
 from .classify import CATEGORY_NAMES, classify_report
 from .errors import JobError, SpinorError
@@ -49,10 +48,7 @@ from .report import (
     emit_structured,
     symmetry_to_dict,
 )
-from .symmetries import symmetry_report
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-
-SAMPLE_FAMILIES = ("random_raw", *sampling.FAMILY_PARAMS)
 
 # Keys a job may carry in each mode.  The common ones are valid everywhere
 # because flags (--seed, --count, ...) and the normalized echo set them in
@@ -296,12 +292,17 @@ def parse_job(doc: dict) -> JobSpec:
             _fail("momentum", "required to build a boosted spinor")
         if boost and _boosted(spinor_spec):
             _fail("boost", f"{spinor_spec['family']} spinors are built boosted already")
+        if mode == "symmetries":
+            from . import symmetries  # noqa: F401  (loaded with the job, as sampling)
     elif mode == "sample":
+        # loaded with the job, never in the block loop: an import there moved
+        # the allocation order and a 1e6-row sample's peak by 0.6 MB
+        from . import sampling
+        families = ("random_raw", *sampling.FAMILY_PARAMS)
         family = doc.get("family")
-        if family not in SAMPLE_FAMILIES:
+        if family not in families:
             _fail("family",
-                  f"sample mode requires one of {', '.join(SAMPLE_FAMILIES)}, "
-                  f"got {family!r}")
+                  f"sample mode requires one of {', '.join(families)}, got {family!r}")
         if count < 1:
             _fail("count", "must be at least 1 in sample mode")
 
@@ -398,6 +399,7 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
     findings = list(section.pop("findings"))
     report.update(section)
     if job.mode == "symmetries":
+        from .symmetries import symmetry_report
         sym = symmetry_to_dict(symmetry_report(psi, p, job.zeta1))
         findings.extend(sym.pop("findings"))
         sym["phases"] = job.normalized["phases"]
@@ -408,6 +410,7 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
 
 def _run_sample(job: JobSpec) -> dict:
     """The `sample` section of the job's campaign."""
+    from . import sampling  # loaded by parse_job
     result = sampling.campaign(job.family, sampling.rng_for(job.seed), job.count,
                                job.tolerances)
     class_counts = result.joint.sum(axis=(1, 2))
@@ -537,7 +540,13 @@ def run(argv=None) -> NoReturn:
     spinorlab loaded.  A closed standard output (a reader that has gone
     away) ends in exit 1 with nothing on stderr: nothing flushes stdout
     again at exit.
+
+    No job hashes, yet ``numpy.random`` imports ``secrets``, whose ``hmac``
+    would map OpenSSL through ``_hashlib`` (3.3 MB resident): with ``_hashlib``
+    blocked, hashlib and hmac use CPython's built-in hashes.  One already
+    loaded is kept.
     """
+    sys.modules.setdefault("_hashlib", None)
     try:
         code = main(argv)
         sys.stdout.flush()

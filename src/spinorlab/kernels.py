@@ -18,6 +18,9 @@ bilinears(cols)                -> sigma, omega (N,); j, k as tuples of 4
 tensor(cols)                   -> the 6 (N,) columns of S, from any rows'
                                   columns; callers evaluate it only for the
                                   rows whose sigma and omega both test zero
+c_eigen_residuals(cols, norm_sq)
+                               -> ||C psi - psi||, ||C psi + psi|| (N,),
+                                  each over sqrt(norm_sq) = ||psi||
 helicity_residuals(cols, nz, nx, ny)
                                -> ||M b - b||, ||M b + b||, ||b|| for the
                                   right then the left block, M = sigma.n,
@@ -134,6 +137,29 @@ def tensor(cols):
         -2.0 * q_im,   # S^{13}
         2.0 * w1_re,   # S^{23}
     )
+
+
+def c_eigen_residuals(cols, norm_sq):
+    """(res_plus, res_minus): ||C psi -+ psi|| / ||psi|| for each nonzero
+    row, C the charge conjugation, from the rows' :func:`columns` and
+    psi^dag psi, ``norm_sq`` (such as J^0 of :func:`bilinears`).  Components
+    0 and 3 of C psi -+ psi have equal moduli, as do 1 and 2, so
+    ||C psi -+ psi||^2 = 2 [(a_r +- d_i)^2 + (a_i +- d_r)^2
+                            + (b_r -+ c_i)^2 + (b_i -+ c_r)^2],
+    in real arithmetic; an eigenspinor of either sign reads exactly 0 on its
+    branch."""
+    ar, ai, br, bi, cr, ci, dr, di = cols
+
+    def residual(ad, bc):
+        total = np.square(ad(ar, di))
+        total += np.square(ad(ai, dr))
+        total += np.square(bc(br, ci))
+        total += np.square(bc(bi, cr))
+        total *= 2.0
+        total /= norm_sq
+        return np.sqrt(total, out=total)
+
+    return residual(np.add, np.subtract), residual(np.subtract, np.add)
 
 
 def helicity_residuals(cols, nz, nx, ny):

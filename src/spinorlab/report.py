@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .classify import ClassifyReport
-from .symmetries import SymmetryReport
+
+if TYPE_CHECKING:  # symmetries jobs alone load the module
+    from .symmetries import SymmetryReport
 
 CONVENTIONS = {
     "metric": "+---",

@@ -25,8 +25,9 @@ constructs and analyses one ``SAMPLE_BLOCK_ROWS`` block at a time, and adds
 up one class x helicity-category x charge-conjugation-state count table and
 the constraint maxima.  A constructed row does not depend on the rows built
 with it, and a raw row does not depend on the chunk it is drawn in.
-Each block's row verdicts (class, helicity category and C state) come from
-one :func:`classify.analyze_columns` pass over its columns, which evaluates
+Each block's row verdicts (class, helicity category and the C state code
+of :func:`classify.eigen_states`) come from one
+:func:`classify.analyze_columns` pass over its columns, which evaluates
 S only for the singular rows, where sigma and omega both test zero: a
 random_raw or single_helicity block, all regular, skips it.  A constructed
 block never exists as an (N, 4) array.  A raw chunk is drawn row after row,

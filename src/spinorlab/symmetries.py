@@ -31,8 +31,10 @@ import numpy as np
 
 from . import kernels
 from .algebra import FourMomentum, angles_match, momentum_components, theta_conjugate
+from .classify import eigen_states
 from .errors import MasslessError, ProvenanceError, ScaleError, ZeroSpinorError
 from .factory import BiSpinor, _rows, boost_bispinor, boost_bispinor_batch
+from .kernels import c_eigen_residuals
 from .tolerances import EXACT
 
 
@@ -62,41 +64,7 @@ def c_involution_max(psis: np.ndarray) -> float:
     return float(np.max(np.abs(charge_conjugate_batch(charge_conjugate_batch(psis)) - psis)))
 
 
-def eigen_states(res_plus, res_minus):
-    """Codes of the +-1 eigen verdict from the residuals of both branches:
-    0 for +1 when ``res_plus <= EXACT`` (+1 wins a tie), else 1 for -1
-    when ``res_minus <= EXACT``, else 2 for neither (NaN included)."""
-    return np.where(res_plus <= EXACT, 0, np.where(res_minus <= EXACT, 1, 2))
-
-
 _EIGENVALUES = (1, -1, None)  # eigenvalue of each eigen_states code
-
-
-def c_eigen_residuals(cols, norm_sq) -> tuple[np.ndarray, np.ndarray]:
-    """(res_plus, res_minus): ||C psi -+ psi|| / ||psi|| for each nonzero
-    row, from its :func:`kernels.columns` and its psi^dag psi, ``norm_sq``
-    (J^0 of :func:`kernels.bilinears`, or any other sum of the squares).
-
-    Computed in real arithmetic on the columns, with no complex
-    temporaries.  Components 0 and 3 of C psi -+ psi have equal moduli, and
-    so do components 1 and 2, so
-    ||C psi -+ psi||^2 = 2 [(a_r +- d_i)^2 + (a_i +- d_r)^2
-                            + (b_r -+ c_i)^2 + (b_i -+ c_r)^2].
-    A row built as an eigenspinor of either sign reads exactly 0 on its
-    branch.
-    """
-    ar, ai, br, bi, cr, ci, dr, di = cols
-
-    def residual(ad, bc):
-        total = np.square(ad(ar, di))
-        total += np.square(ad(ai, dr))
-        total += np.square(bc(br, ci))
-        total += np.square(bc(bi, cr))
-        total *= 2.0
-        total /= norm_sq
-        return np.sqrt(total, out=total)
-
-    return residual(np.add, np.subtract), residual(np.subtract, np.add)
 
 
 @dataclass(frozen=True)

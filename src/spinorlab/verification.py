@@ -40,7 +40,6 @@ from .factory import (
 )
 from .symmetries import (
     c_eigen_check,
-    c_eigen_residuals,
     c_involution_max,
     dirac_flip_residuals,
     dirac_matrix_batch,
@@ -197,7 +196,7 @@ def check_charge_conjugation(seed: int = 5) -> PropertyResult:
     invol = c_involution_max(raw)
 
     def c_residuals(cols):  # psi^dag psi as J^0, as analyze_columns takes it
-        return c_eigen_residuals(cols, kernels.bilinears(cols)[2][0])
+        return kernels.c_eigen_residuals(cols, kernels.bilinears(cols)[2][0])
 
     params = sampling.self_conjugate_params(rng, count)
     res_plus, res_minus = c_residuals(self_conjugate_batch(**params)[0])

@@ -595,6 +595,13 @@ JOB_INPUT_ERRORS = {
                               "boost: parity_linked spinors are built boosted already"),
     "sample-count-zero": ({"mode": "sample", "family": "weyl", "count": 0},
                           "count: must be at least 1 in sample mode"),
+    "sample-unknown-family": ({"mode": "sample", "family": "majorana"},
+                              "family: sample mode requires one of random_raw, "
+                              "single_helicity, dual_helicity, self_conjugate, weyl, "
+                              "got 'majorana'"),
+    "sample-no-family": ({"mode": "sample"},
+                         "family: sample mode requires one of random_raw, "
+                         "single_helicity, dual_helicity, self_conjugate, weyl, got None"),
     "three-components": (_spinor_job({"components": [[1, 0], [0, 0], [1, 0]]}),
                          "spinor.components: expected four [re, im] pairs"),
     "unknown-family": (_spinor_job({"family": "majorana"}),

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from spinorlab.cli import FAMILIES, SAMPLE_FAMILIES, main
+from spinorlab.cli import FAMILIES, main
+from spinorlab.sampling import FAMILY_PARAMS
 from test_cli import BOOSTED_DUAL_PIN_JOB, GOLDEN_DIR, SYMMETRIES_PIN_JOB
 
 SCHEMA = Path(__file__).parent.parent / "docs" / "cli_schema.md"
+SAMPLE_FAMILIES = ("random_raw", *FAMILY_PARAMS)
 
 
 def _worked_examples():

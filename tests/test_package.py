@@ -95,10 +95,70 @@ def test_package_import_loads_no_numpy_and_keeps_the_environment():
 
 
 def test_cli_import_leaves_the_property_suite_unloaded():
-    # only verify jobs import spinorlab.verification
+    # only verify jobs import spinorlab.verification, and only sample jobs
+    # (and verify) the sampling engine
     got = _fresh(
         "import json, sys\n"
         "import spinorlab.cli\n"
         "print(json.dumps({'verification': 'spinorlab.verification' in sys.modules,\n"
         "                  'sampling': 'spinorlab.sampling' in sys.modules}))\n")
-    assert got == {"verification": False, "sampling": True}
+    assert got == {"verification": False, "sampling": False}
+
+
+WATCHED = ("spinorlab.sampling", "spinorlab.symmetries", "spinorlab.verification",
+           "_hashlib")
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+# The child runs the process entry point with its report on /dev/null and
+# os._exit wrapped, so that it can say, as the process ends, which of the
+# WATCHED modules are loaded; a None entry in sys.modules is a module
+# blocked from loading, not a loaded one.
+_RUN_TO_EXIT = (
+    "import json, os, sys\n"
+    "{preload}"
+    "import spinorlab.cli\n"
+    "real_exit, out = os._exit, sys.stdout\n"
+    "sys.stdout = open(os.devnull, 'w')\n"
+    "def report(code):\n"
+    "    got = {{'code': code, 'loaded': sorted(\n"
+    "        name for name in {watched!r} if sys.modules.get(name) is not None)}}\n"
+    "    if 'preloaded' in globals():\n"
+    "        got['kept'] = sys.modules.get('_hashlib') is preloaded\n"
+    "    out.write(json.dumps(got))\n"
+    "    out.flush()\n"
+    "    real_exit(0)\n"
+    "os._exit = report\n"
+    "spinorlab.cli.run({argv!r})\n"
+)
+
+
+def _run_to_exit(argv, preload: str = "") -> dict:
+    return _fresh(_RUN_TO_EXIT.format(preload=preload, watched=WATCHED,
+                                      argv=[str(a) for a in argv]))
+
+
+@pytest.mark.parametrize("mode, loaded", [
+    ("classify", []),
+    ("symmetries", ["spinorlab.symmetries"]),
+    ("sample", ["spinorlab.sampling"]),
+    ("verify", ["spinorlab.sampling", "spinorlab.symmetries", "spinorlab.verification"]),
+])
+def test_each_mode_loads_only_what_it_runs(mode, loaded, tmp_path):
+    # no CLI process loads OpenSSL's _hashlib, although sample and verify
+    # jobs load numpy.random, whose secrets module imports hmac
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"mode": "sample", "family": "random_raw", "count": 10}),
+                   encoding="utf-8")
+    argv = {"classify": ["--job", GOLDENS / "class1.job.json"],
+            "symmetries": ["--job", GOLDENS / "class5.job.json"],
+            "sample": ["--job", job],
+            "verify": ["--mode", "verify"]}[mode]
+    assert _run_to_exit(argv) == {"code": 0, "loaded": loaded}
+
+
+def test_run_keeps_an_already_loaded_hashlib():
+    got = _run_to_exit(["--mode", "verify"],
+                       preload="import _hashlib\npreloaded = _hashlib\n")
+    assert got == {"code": 0, "kept": True,
+                   "loaded": ["_hashlib", "spinorlab.sampling", "spinorlab.symmetries",
+                              "spinorlab.verification"]}

@@ -143,6 +143,43 @@ class TestChargeConjugation:
             assert np.count_nonzero(got <= exact) == np.count_nonzero(want <= exact)
         assert np.count_nonzero(res_plus <= exact) == np.count_nonzero(sign == 1)
 
+    def test_residual_kernel_within_a_rounding_bound_of_the_exact_ratio(self):
+        # Each branch of kernels.c_eigen_residuals squares four rounded sums
+        # x +- y (two roundings a term), adds the squares in three more
+        # (nonnegative terms, so at most five roundings a term in all),
+        # doubles exactly and divides by J^0 of kernels.bilinears, itself a
+        # sum of eight squares with four roundings a term, before a rounded
+        # square root.  So res^2 / Q lies in [(1-u)^8 / (1+u)^4,
+        # (1+u)^8 / (1-u)^4] for the exact ratio Q = ||C psi -+ psi||^2 /
+        # psi^dag psi, while nothing under- or overflows, and res = 0 exactly
+        # when Q = 0 (Higham, "Accuracy and Stability of Numerical
+        # Algorithms", 2nd ed., Lemma 3.1).
+        lo, hi = (1 - _U) ** 8 / (1 + _U) ** 4, (1 + _U) ** 8 / (1 - _U) ** 4
+        rng = sampling.rng_for(41)
+        raw = kernels.columns(random_raw_spinors(rng, 400))
+        ar, ai, br, bi = (c[:200] for c in raw[:4])
+        # exact eigenspinors, (a, b, +-i conj(b), -+i conj(a)), of each sign
+        plus = (ar, ai, br, bi, bi, br, -ai, -ar)
+        minus = (ar, ai, br, bi, -bi, -br, ai, ar)
+        # and the same rows a little off, where x +- y cancels
+        nudge = [c.copy() for c in plus]
+        nudge[7] += rng.uniform(-1e-9, 1e-9, 200)
+        cols = tuple(np.concatenate(parts) for parts in zip(raw, plus, minus, nudge))
+        res_plus, res_minus = kernels.c_eigen_residuals(cols, kernels.bilinears(cols)[2][0])
+        assert np.all(res_plus[400:600] == 0.0) and np.all(res_minus[600:800] == 0.0)
+        assert res_minus[400:600].min() > 0.0 and res_plus[600:800].min() > 0.0
+        for i in range(len(cols[0])):
+            a, b, c, d = ((Fraction(float(cols[2 * j][i])), Fraction(float(cols[2 * j + 1][i])))
+                          for j in range(4))
+            norm_sq = sum(x * x + y * y for x, y in (a, b, c, d))
+            # C psi = (-i conj(d), i conj(c), i conj(b), -i conj(a))
+            image = ((-d[1], -d[0]), (c[1], c[0]), (b[1], b[0]), (-a[1], -a[0]))
+            for sign, got in ((1, res_plus[i]), (-1, res_minus[i])):
+                ratio = sum((x - sign * p) ** 2 + (y - sign * q) ** 2
+                            for (x, y), (p, q) in zip(image, (a, b, c, d))) / norm_sq
+                value = Fraction(float(got)) ** 2
+                assert ratio * lo <= value <= ratio * hi, (i, sign)
+
     @pytest.mark.parametrize("rows, expected", [
         ([[-0.0, 5e-324, complex(0.0, -5e-324), complex(-0.0, -0.0)]], 0.0),
         ([[complex(0.5, -0.0), complex(-0.0, 5e-324), 2.0, -1j]], 0.0),
