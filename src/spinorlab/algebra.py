@@ -9,14 +9,16 @@ Bloch direction of a block.  Conventions used throughout the package:
 * gamma0 = offdiag(I, I), gamma^k = [[0, -sigma_k], [sigma_k, 0]]
 * gamma5 = i gamma0 gamma1 gamma2 gamma3 = diag(+1, +1, -1, -1)
 
-Boost entries are evaluated through cancellation-free forms (``E - p`` is
-rewritten as ``m^2 / (E + p)`` and friends) so that boosted spinors stay
-accurate up to momentum/mass ratios of order 1e3.
+A block's momenta become one :class:`Frame` (:func:`momentum_frame`), which
+every boost and Dirac operand reads.  Its E +- pz, the boost diagonals and
+factors take E + q from one cancellation-free form, :func:`e_plus` (E - p as
+m^2 / (E + p)), so boosted spinors stay accurate up to pmag/m of order 1e3.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +63,7 @@ def theta_conjugate(block: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class FourMomentum:
     """On-shell momentum (m, |p|, theta, phi) with E = sqrt(m^2 + |p|^2);
-    :func:`momentum_components` gives its (E, px, py, pz).
+    :meth:`frame` gives its one-row :class:`Frame`.
 
     The four fields are stored as floats once validated, so an integer mass
     cannot reach the boost entries as an int64 whose square wraps.  The
@@ -86,6 +88,9 @@ class FourMomentum:
         for name in ("m", "pmag", "theta", "phi"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
+    def frame(self) -> Frame:
+        return momentum_frame(*np.array([[self.m], [self.pmag], [self.theta], [self.phi]]))
+
 
 def unit_vectors(theta, phi):
     """(nx, ny, nz) = (sin theta cos phi, sin theta sin phi, cos theta) of
@@ -94,40 +99,66 @@ def unit_vectors(theta, phi):
     return st * np.cos(phi), st * np.sin(phi), np.cos(theta)
 
 
-def momentum_components(m, pmag, theta, phi):
-    """(E, px, py, pz) of on-shell momenta given as (N,) arrays or scalars."""
-    nx, ny, nz = unit_vectors(theta, phi)
-    return np.hypot(m, pmag), pmag * nx, pmag * ny, pmag * nz
+class Frame(NamedTuple):
+    """A block's momenta as the boosts and the Dirac kernel read them: each
+    row's (m, pmag) times the power of two 2**-exp that puts the larger in
+    [0.5, 1), exact and moving nothing of degree 0; n from (theta, phi); the
+    scaled (e, px, py, pz); and (ezp, ezm), E +- pz by :func:`e_plus`."""
+
+    m: np.ndarray
+    pmag: np.ndarray
+    exp: np.ndarray
+    n: tuple
+    e: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
+    pz: np.ndarray
+    ezp: np.ndarray
+    ezm: np.ndarray
 
 
-def _diag_entry(q, e, m, pxy2):
-    # 1 + q/(E+m) for q in [-pmag, pmag]; for negative q the naive form
-    # cancels at high boost, so use (E + m + q)/(E + m) with
-    # E + q = (m^2 + pxy2)/(E - q), pxy2 = pmag^2 - q^2.
+def momentum_frame(m, pmag, theta, phi) -> Frame:
+    """The :class:`Frame` of on-shell momenta given as (N,) arrays."""
+    exp = np.frexp(np.maximum(m, pmag))[1]
+    m, pmag = np.ldexp(m, -exp), np.ldexp(pmag, -exp)
+    n = unit_vectors(theta, phi)
+    e, px, py, pz = np.hypot(m, pmag), pmag * n[0], pmag * n[1], pmag * n[2]
+    mt2 = m * m + (px * px + py * py)
+    return Frame(m, pmag, exp, n, e, px, py, pz, e_plus(e, pz, mt2), e_plus(e, -pz, mt2))
+
+
+def e_plus(e, q, mt2):
+    """E + q for |q| <= pmag, as mt2/(E - q), mt2 = E^2 - q^2, where the sum
+    would cancel (q < 0); the discarded branch may divide by zero, silently."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(q >= 0.0, 1.0 + q / (e + m),
-                        (m + (m * m + pxy2) / (e - q)) / (e + m))
+        return np.where(q >= 0.0, e + q, mt2 / (e - q))
 
 
-def boost_block_batch(sign, m, pmag, theta, phi) -> np.ndarray:
-    """(N, 2, 2) chiral block boosts; sign is +1 (right) or -1 (left).
+def _diag_entry(q, e, m, e_plus_q):
+    # 1 + q/(E+m), |q| <= pmag, which cancels for q < 0: there (m + E + q)/(E+m)
+    return np.where(q >= 0.0, 1.0 + q / (e + m), (m + e_plus_q) / (e + m))
+
+
+def boost_block_batch(sign, frame: Frame) -> np.ndarray:
+    """(N, 2, 2) chiral block boosts at the momenta of ``frame``; sign is +1
+    (right) or -1 (left).
 
     sqrt((E+m)/2m) (I + sign sigma.p/(E+m)), with the diagonal entries in
     cancellation-free form.  Every row needs m > 0.  Entries that leave the
-    float64 range come out inf or nan without a warning; the bilinear and
-    residual guards downstream turn them into a ScaleError.
+    float64 range (as where a scaled m underflows) come out inf or nan
+    without a warning; the guards downstream turn them into a ScaleError.
     """
-    e, px, py, pz = momentum_components(m, pmag, theta, phi)
+    m, e, px, py, pz = frame.m, frame.e, frame.px, frame.py, frame.pz
+    ezq = (frame.ezp, frame.ezm)[::sign]  # E + sign pz, E - sign pz
     out = np.empty(np.shape(e) + (2, 2), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pxy2 = px * px + py * py
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pref = np.sqrt((e + m) / (2.0 * m))
         ox = pref * (sign * px / (e + m))
         oy = pref * (sign * py / (e + m))
-        out[..., 0, 0] = pref * _diag_entry(sign * pz, e, m, pxy2)
+        out[..., 0, 0] = pref * _diag_entry(sign * pz, e, m, ezq[0])
         out[..., 0, 1] = ox - 1j * oy
         out[..., 1, 0] = ox + 1j * oy
-        out[..., 1, 1] = pref * _diag_entry(-sign * pz, e, m, pxy2)
+        out[..., 1, 1] = pref * _diag_entry(-sign * pz, e, m, ezq[1])
     return out
 
 
@@ -138,10 +169,10 @@ def boost_factor_batch(sign, helicity, m, pmag) -> np.ndarray:
     multiplication by sqrt((E+m)/2m) (1 +- helicity pmag/(E+m)).  Like
     :func:`boost_block_batch`, it returns inf or nan out of range silently.
     """
-    e = np.hypot(m, pmag)
+    e, q = np.hypot(m, pmag), sign * helicity * pmag
     with np.errstate(over="ignore", invalid="ignore"):
         return (np.sqrt((e + m) / (2.0 * m))
-                * _diag_entry(sign * helicity * pmag, e, m, 0.0))
+                * _diag_entry(q, e, m, e_plus(e, q, m * m)))
 
 
 def bloch_direction_batch(b0, b1):

@@ -370,16 +370,17 @@ def build_parity_linked(helicity: int, p: FourMomentum,
         "parity_linked", p.theta, p.phi, p, rest, rest))
 
 
-def boost_bispinor_batch(psis, m, pmag, theta, phi) -> np.ndarray:
-    """(N, 4) spinors with the chiral block boosts applied row by row; an
-    out-of-range boost gives inf or nan components without a warning."""
+def boost_bispinor_batch(psis, frame) -> np.ndarray:
+    """(..., N, 4) spinors boosted row by row at the :class:`algebra.Frame`
+    rows, leading axes sharing its two block boosts; an out-of-range boost
+    gives inf or nan components without a warning."""
     psis = np.asarray(psis, dtype=complex)
     out = np.empty(psis.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(boost_block_batch(1, m, pmag, theta, phi), psis[:, :2, None],
-                  out=out[:, :2, None])
-        np.matmul(boost_block_batch(-1, m, pmag, theta, phi), psis[:, 2:, None],
-                  out=out[:, 2:, None])
+        np.matmul(boost_block_batch(1, frame), psis[..., :2, None],
+                  out=out[..., :2, None])
+        np.matmul(boost_block_batch(-1, frame), psis[..., 2:, None],
+                  out=out[..., 2:, None])
     return out
 
 
@@ -411,7 +412,7 @@ def boost_bispinor(psi: BiSpinor, p: FourMomentum) -> BiSpinor:
             )
     if p.m <= 0.0:
         raise MasslessError("boost requires m > 0")
-    arr = boost_bispinor_batch(psi.array[None, :], *_rows(p.m, p.pmag, p.theta, p.phi))
+    arr = boost_bispinor_batch(psi.array[None, :], p.frame())
     if prov is not None:
         prov = replace(prov, momentum=p, rest_right=(psi.a, psi.b),
                        rest_left=(psi.c, psi.d))

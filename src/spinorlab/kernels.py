@@ -25,11 +25,11 @@ helicity_residuals(cols, nz, nx, ny)
                                -> ||M b - b||, ||M b + b||, ||b|| for the
                                   right then the left block, M = sigma.n,
                                   with n = (nx, ny, nz) a row's unit vector
-dirac_apply_shift(psi, e, m, px, py, pz, shift)
-                               -> (N,4) gamma_mu p^mu psi - shift psi; the
-                                  one place that writes gamma_mu p^mu:
-                                  symmetries.dirac_matrix_batch reads its
-                                  matrices off this kernel
+dirac_apply_shift(psi, frame, shift)
+                               -> (N,4) gamma_mu p^mu psi - shift psi at the
+                                  rows of an algebra.Frame; the one place
+                                  that writes gamma_mu p^mu (and so
+                                  symmetries.dirac_matrix_batch)
 
 The Dirac products are compensated because for a Dirac-type spinor an image
 of size E ||psi|| cancels against m psi; plain products would leave a
@@ -203,27 +203,14 @@ def _row_max_abs(cols):
     return out
 
 
-def _e_plus_minus_pz(e, m, px, py, pz):
-    """(E + pz, E - pz), each through (m^2 + px^2 + py^2)/(E -+ pz) where
-    the direct form would cancel.  The branch np.where discards may divide
-    by zero at a pole; it is silenced, never used."""
-    mt2 = m * m + (px * px + py * py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (np.where(pz >= 0.0, e + pz, mt2 / (e - pz)),
-                np.where(pz <= 0.0, e - pz, mt2 / (e + pz)))
-
-
-def dirac_apply_shift(psi, e, m, px, py, pz, shift):
-    """gamma_mu p^mu psi - shift psi, one momentum per row.
-
-    Matrix entries E +- pz are evaluated through (m^2 + px^2 + py^2)/(E -+ pz)
-    when the direct form would cancel, and every output component is a
-    compensated four-term dot product, so the result stays accurate at
-    pmag/m ratios of order 1e3.  The momentum and the shift are (N,)
-    float64 arrays or floats.
+def dirac_apply_shift(psi, frame, shift):
+    """gamma_mu p^mu psi - shift psi, one momentum per row: a row of
+    ``frame`` (an :class:`algebra.Frame`), whose entries E +- pz are
+    cancellation-free.  Every output component is a compensated four-term
+    dot product, so the result stays accurate at pmag/m ratios of order 1e3.
+    The shift is an (N,) float64 array or a float, on the frame's scale.
     """
-    ezp, ezm = _e_plus_minus_pz(e, m, px, py, pz)
-
+    ezp, ezm, px, py = frame.ezp, frame.ezm, frame.px, frame.py
     p0r, p0i, p1r, p1i, p2r, p2i, p3r, p3i = columns(psi)
 
     out = np.empty((len(p0r), 4), dtype=np.complex128)

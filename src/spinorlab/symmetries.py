@@ -15,11 +15,12 @@ flipped helicity pair and swapped amplitudes, so the flip defect
 vanishes; and the Dirac equation holds exactly for P-even spinors, with
 -m for P-odd ones.
 
-All Dirac-operator residuals are normalized by m ||psi|| so that one
-threshold covers every momentum scale.  Being homogeneous of degree 0 in
-the spinor and in (m, pmag), the parity, Dirac, flip and theta-link
-residuals are evaluated on inputs scaled near 1 by exact powers of two, so
-nothing under- or overflows.
+The batch forms take a block's momenta as one :class:`algebra.Frame`, built
+once per block (N=1 forms: :meth:`FourMomentum.frame`).  Dirac residuals
+are normalized by m ||psi||, so one threshold covers every scale.  Being
+homogeneous of degree 0 in the spinor and in (m, pmag), the parity, Dirac,
+flip and theta-link residuals read spinors scaled near 1 by exact powers of
+two and the frame's scaled (m, pmag), so nothing under- or overflows.
 """
 from __future__ import annotations
 
@@ -30,10 +31,10 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .algebra import FourMomentum, angles_match, momentum_components, theta_conjugate
+from .algebra import FourMomentum, angles_match, theta_conjugate
 from .classify import eigen_states
 from .errors import MasslessError, ProvenanceError, ScaleError, ZeroSpinorError
-from .factory import BiSpinor, _rows, boost_bispinor, boost_bispinor_batch
+from .factory import BiSpinor, boost_bispinor, boost_bispinor_batch
 from .kernels import c_eigen_residuals
 from .tolerances import EXACT
 
@@ -151,14 +152,14 @@ def c_eigen_check(psi: BiSpinor) -> CEigenCheck:
     return CEigenCheck(eigenvalue, res_plus, res_minus, constraints)
 
 
-def parity_batch(rest, m, pmag, theta, phi) -> np.ndarray:
-    """Parity images of (N, 4) rest rows, each boosted at its build momentum:
-    the two blocks of each row exchanged (gamma0), then boosted with
-    :func:`factory.boost_bispinor_batch`, which equals boosting each block
-    with the opposite-handed factor at the reflected momentum.  Every row
-    needs m > 0."""
+def parity_batch(rest, frame) -> np.ndarray:
+    """Parity images of (..., N, 4) rest rows, boosted at their build momenta,
+    a row of ``frame``: the two blocks of each row exchanged (gamma0), then
+    boosted with :func:`factory.boost_bispinor_batch`, which equals boosting
+    each block with the opposite-handed factor at the reflected momentum.
+    Every row needs m > 0."""
     rest = np.asarray(rest, dtype=complex)
-    return boost_bispinor_batch(rest[:, [2, 3, 0, 1]], m, pmag, theta, phi)
+    return boost_bispinor_batch(rest[..., [2, 3, 0, 1]], frame)
 
 
 def parity_apply(psi: BiSpinor, p: Optional[FourMomentum] = None) -> BiSpinor:
@@ -199,9 +200,9 @@ def parity_apply(psi: BiSpinor, p: Optional[FourMomentum] = None) -> BiSpinor:
 
 def parity_eigen_check(psi: BiSpinor, p: Optional[FourMomentum] = None):
     """(eigenvalue or None, residual) of psi under the parity operation."""
-    par = parity_apply(psi, p).array
     if psi.is_zero():
         raise ZeroSpinorError("parity eigencheck of the zero spinor is undefined")
+    par = parity_apply(psi, p).array
     par, arr = _pow2_scaled(np.concatenate([par, psi.array])[None, :])[0].reshape(2, 4)
     nrm = float(np.linalg.norm(arr))
     res_plus = float(np.linalg.norm(par - arr)) / nrm
@@ -210,50 +211,42 @@ def parity_eigen_check(psi: BiSpinor, p: Optional[FourMomentum] = None):
     return _EIGENVALUES[state], (res_plus, res_minus, min(res_plus, res_minus))[state]
 
 
-def dirac_matrix_batch(m, pmag, theta, phi) -> np.ndarray:
-    """(N, 4, 4) matrices gamma_mu p^mu for (N,) momenta, read off
-    :func:`kernels.dirac_apply_shift`: column j is its image of the j-th
+def dirac_matrix_batch(frame) -> np.ndarray:
+    """(N, 4, 4) matrices gamma_mu p^mu at the momenta of ``frame``, read
+    off :func:`kernels.dirac_apply_shift`: column j is its image of the j-th
     basis spinor, so each matrix has the kernel's cancellation-free
-    E +- pz entries."""
-    e, px, py, pz = momentum_components(m, pmag, theta, phi)
-    return np.stack([kernels.dirac_apply_shift(np.broadcast_to(basis, (len(e), 4)),
-                                               e, m, px, py, pz, 0.0)
+    E +- pz entries, times 2**exp: the matrix is of degree one in (m, pmag)."""
+    mats = np.stack([kernels.dirac_apply_shift(np.broadcast_to(basis, (len(frame.e), 4)),
+                                               frame, 0.0)
                      for basis in np.eye(4, dtype=complex)], axis=-1)
+    return np.ldexp(mats.view(np.float64), frame.exp[:, None, None]).view(complex)
 
 
 def dirac_matrix(p: FourMomentum) -> np.ndarray:
     """N=1 form of :func:`dirac_matrix_batch`."""
-    return dirac_matrix_batch(*_rows(p.m, p.pmag, p.theta, p.phi))[0]
+    return dirac_matrix_batch(p.frame())[0]
 
 
-def _pow2_scaled(x, dtype=complex) -> np.ndarray:
-    """Each row of x, as ``dtype``, times the power of two that puts its
+def _pow2_scaled(x) -> np.ndarray:
+    """Each row of x, as complex, times the power of two that puts its
     largest real or imaginary part in [0.5, 1); exact for normal entries."""
-    flat = np.ascontiguousarray(x, dtype=dtype).view(np.float64)
+    flat = np.ascontiguousarray(x, dtype=complex).view(np.float64)
     exp = np.frexp(kernels._row_max_abs(flat.T)[..., None])[1]
-    return np.ldexp(flat, -exp).view(dtype)
+    return np.ldexp(flat, -exp).view(complex)
 
 
-def _pow2_mass(m, pmag):
-    # each row's (m, pmag) times one common power of two
-    mp = _pow2_scaled(np.stack([m, pmag], axis=-1), float)
-    return mp[..., 0], mp[..., 1]
-
-
-def dirac_residuals(psis, m, pmag, theta, phi, sign=1) -> np.ndarray:
+def dirac_residuals(psis, frame, sign=1) -> np.ndarray:
     """|| gamma_mu p^mu psi - sign m psi || / (m ||psi||) for each (N, 4) row
-    at its own momentum.
+    at its own momentum, a row of ``frame``.
 
     Zero for spinors obeying the Dirac dynamics with the chosen mass branch;
     at least one for dual-helicity spinors, whose Dirac image is orthogonal
     to them.  Every row needs m > 0.
     """
     arr = _pow2_scaled(psis)
-    m, pmag = _pow2_mass(m, pmag)
-    e, px, py, pz = momentum_components(m, pmag, theta, phi)
-    out = kernels.dirac_apply_shift(arr, e, m, px, py, pz, sign * m)
+    out = kernels.dirac_apply_shift(arr, frame, sign * frame.m)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.linalg.norm(out, axis=1) / (m * np.linalg.norm(arr, axis=1))
+        return np.linalg.norm(out, axis=1) / (frame.m * np.linalg.norm(arr, axis=1))
 
 
 def dirac_residual(psi: BiSpinor, p: FourMomentum, sign: int = 1) -> float:
@@ -264,11 +257,11 @@ def dirac_residual(psi: BiSpinor, p: FourMomentum, sign: int = 1) -> float:
         raise MasslessError("Dirac residual requires m > 0")
     if psi.is_zero():
         raise ZeroSpinorError("Dirac residual of the zero spinor is undefined")
-    res = dirac_residuals(psi.array[None, :], p.m, p.pmag, p.theta, p.phi, sign)
+    res = dirac_residuals(psi.array[None, :], p.frame(), sign)
     return _finite(float(res[0]), "Dirac residual")
 
 
-def dirac_flip_residuals(src, dst, m, pmag, theta, phi) -> np.ndarray:
+def dirac_flip_residuals(src, dst, frame) -> np.ndarray:
     """Collinearity defects of gamma_mu p^mu src against dst, row by row.
 
     || v - proj_w v || / ||v|| with v the Dirac image of a row of src and
@@ -278,9 +271,7 @@ def dirac_flip_residuals(src, dst, m, pmag, theta, phi) -> np.ndarray:
     dual-helicity spinor and its :func:`parity_batch` image this vanishes in
     both directions.
     """
-    m, pmag = _pow2_mass(m, pmag)
-    e, px, py, pz = momentum_components(m, pmag, theta, phi)
-    v = kernels.dirac_apply_shift(_pow2_scaled(src), e, m, px, py, pz, 0.0)
+    v = kernels.dirac_apply_shift(_pow2_scaled(src), frame, 0.0)
     w = _pow2_scaled(dst)
     coeff = np.sum(np.conj(w) * v, axis=1) / np.sum(np.conj(w) * w, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -297,11 +288,11 @@ def dirac_flip_residual(psi_from: BiSpinor, psi_onto: BiSpinor,
         raise MasslessError("flip residual requires m > 0 (the image vanishes "
                             "on the light cone)")
     res = dirac_flip_residuals(psi_from.array[None, :], psi_onto.array[None, :],
-                               p.m, p.pmag, p.theta, p.phi)
+                               p.frame())
     return _finite(float(res[0]), "flip residual")
 
 
-def theta_link_residuals(blocks, zeta, m, pmag, theta, phi) -> np.ndarray:
+def theta_link_residuals(blocks, zeta, frame) -> np.ndarray:
     """Residuals of the Theta-conjugation route between the chiral spaces.
 
     Boosting a left-handed block and Theta-conjugating must equal
@@ -310,14 +301,13 @@ def theta_link_residuals(blocks, zeta, m, pmag, theta, phi) -> np.ndarray:
     sides come from one :func:`factory.boost_bispinor_batch` call on the
     rest rows (zeta Theta conj(block), block): lhs is zeta Theta conj of
     the boosted lower block, rhs the boosted upper one.  One (N, 2) block,
-    unit phase and momentum per row; each residual is
+    unit phase and ``frame`` row per row; each residual is
     || lhs - rhs || / || lhs ||.  Every row needs m > 0.
     """
     blocks = _pow2_scaled(blocks)
-    m, pmag = _pow2_mass(m, pmag)
     zeta = np.asarray(zeta, dtype=complex)[..., None]
     rest = np.concatenate([zeta * theta_conjugate(blocks), blocks], axis=-1)
-    boosted = boost_bispinor_batch(rest, m, pmag, theta, phi)
+    boosted = boost_bispinor_batch(rest, frame)
     lhs = zeta * theta_conjugate(boosted[:, 2:])
     with np.errstate(divide="ignore", invalid="ignore"):
         return (np.linalg.norm(lhs - boosted[:, :2], axis=-1)
@@ -331,14 +321,15 @@ def theta_link_check(phi_left_rest, p: FourMomentum, zeta: complex = 1.0) -> flo
     residual.
     """
     block = np.asarray(phi_left_rest, dtype=complex)
+    if block.shape != (2,):
+        raise ValueError("block must have two components")
     if block[0] == 0 and block[1] == 0:
         raise ZeroSpinorError("theta-link check needs a nonzero block")
     if abs(abs(complex(zeta)) - 1.0) > 1e-12:
         raise ValueError("zeta must be a unit phase")
     if p.m <= 0.0:
         raise MasslessError("boost requires m > 0")
-    res = theta_link_residuals(block[None, :], [complex(zeta)],
-                               *_rows(p.m, p.pmag, p.theta, p.phi))
+    res = theta_link_residuals(block[None, :], [complex(zeta)], p.frame())
     return _finite(float(res[0]), "theta-link residual")
 
 
@@ -402,16 +393,6 @@ def symmetry_report(psi: BiSpinor, p: Optional[FourMomentum] = None,
         else:
             theta_link = theta_link_check(psi.left, p, zeta)
 
-    return SymmetryReport(
-        parity_eigenvalue=parity_eigenvalue,
-        parity_residual=parity_residual,
-        c_eigenvalue=cres.eigenvalue,
-        c_residual=cres.residual,
-        c_constraints=cres.constraints,
-        c_involution_residual=involution,
-        dirac_residual_plus=dplus,
-        dirac_residual_minus=dminus,
-        dirac_flip_residual=flip,
-        theta_link_residual=theta_link,
-        findings=tuple(findings),
-    )
+    return SymmetryReport(parity_eigenvalue, parity_residual, cres.eigenvalue,
+                          cres.residual, cres.constraints, involution, dplus,
+                          dminus, flip, theta_link, tuple(findings))

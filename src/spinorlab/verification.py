@@ -2,13 +2,13 @@
 
 Each check draws a seeded random campaign of a size fixed in its body,
 measures the worst residual (or violation count) against a pinned threshold,
-and reports a PropertyResult.
-The campaigns over raw or constructed spinors (fpk-identities and the two
-class checks) run through :func:`sampling.campaign` and read its
-aggregates.  The momentum checks (parity-dirac-dynamics,
-dual-helicity-dirac and theta-link) draw their momenta and amplitudes
-whole, then construct, boost and take residuals ``MOMENTUM_BLOCK_ROWS`` rows
-at a time, so no campaign's working set grows with its size.
+and reports a PropertyResult.  The campaigns over raw or constructed
+spinors (fpk-identities and the two class checks) run through
+:func:`sampling.campaign` and read its aggregates.  The momentum checks
+(parity-dirac-dynamics, dual-helicity-dirac and theta-link) draw their
+momenta and amplitudes whole, then construct, boost and take residuals
+``MOMENTUM_BLOCK_ROWS`` rows at a time, each block at one
+:func:`algebra.momentum_frame`, so no working set grows with the campaign.
 Campaign momentum ranges are chosen so that the thresholds sit well above
 the float64 rounding floor of the quantity under test:
 
@@ -28,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, sampling
-from .algebra import boost_block_batch, gamma, gamma5
+from .algebra import boost_block_batch, gamma, gamma5, momentum_frame
 from .classify import CLASS_CATEGORIES
 from .factory import (
     BiSpinor,
-    boost_bispinor_batch,
     dual_helicity_batch,
     parity_linked_batch,
     self_conjugate_batch,
@@ -146,7 +145,7 @@ def check_parity_dirac_link(seed: int = 3) -> PropertyResult:
     rng = sampling.rng_for(seed)
     mom = sampling.random_momenta(rng, count)
     hel = sampling._random_signs(rng, count)
-    worst = [np.max(dirac_residuals(parity_linked_batch(h, *p), *p))
+    worst = [np.max(dirac_residuals(parity_linked_batch(h, *p), momentum_frame(*p)))
              for h, *p in _row_blocks(hel, *mom)]
     return _below("parity-dirac-dynamics", worst, 1e-12, count)
 
@@ -164,14 +163,15 @@ def check_dual_helicity_dirac(seed: int = 4) -> PropertyResult:
     c = sampling.random_amplitudes(rng, count)
 
     def extremes(sign, a, c, m, pmag, theta, phi):
-        p = (m, pmag, theta, phi)
+        f = momentum_frame(m, pmag, theta, phi)
         rest = kernels.components(dual_helicity_batch(sign, a, c, theta, phi)[0])
-        arr = boost_bispinor_batch(rest, *p)
-        parr = parity_batch(rest, *p)
-        return (np.min(dirac_residuals(arr, *p, 1)),
-                np.min(dirac_residuals(arr, *p, -1)),
-                np.max(dirac_flip_residuals(arr, parr, *p)),
-                np.max(dirac_flip_residuals(parr, arr, *p)))
+        # the rows' parity images and, since parity exchanges the rest
+        # blocks, the boosted rows themselves, from one pair of block boosts
+        parr, arr = parity_batch(np.stack([rest, rest[:, [2, 3, 0, 1]]]), f)
+        return (np.min(dirac_residuals(arr, f, 1)),
+                np.min(dirac_residuals(arr, f, -1)),
+                np.max(dirac_flip_residuals(arr, parr, f)),
+                np.max(dirac_flip_residuals(parr, arr, f)))
 
     per_block = np.array([extremes(*rows) for rows in _row_blocks(sign, a, c, *mom)])
     min_plus, min_minus = (float(x) for x in np.min(per_block[:, :2], axis=0))
@@ -241,7 +241,7 @@ def check_theta_link(seed: int = 6) -> PropertyResult:
         axis=1,
     )
     zetas = sampling.random_unit_phases(rng, count)
-    worst = [np.max(theta_link_residuals(b, z, *p))
+    worst = [np.max(theta_link_residuals(b, z, momentum_frame(*p)))
              for b, z, *p in _row_blocks(blocks, zetas, *mom)]
     return _below("theta-link", worst, 1e-12, count)
 
@@ -252,7 +252,7 @@ def check_klein_gordon(seed: int = 7) -> PropertyResult:
     count = 1_000
     rng = sampling.rng_for(seed)
     m, pmag, theta, phi = sampling.random_momenta(rng, count, ratio=(1e-3, 10.0))
-    mats = dirac_matrix_batch(m, pmag, theta, phi)
+    mats = dirac_matrix_batch(momentum_frame(m, pmag, theta, phi))
     dev = np.abs(mats @ mats - (m * m)[:, None, None] * np.eye(4))
     return _below("klein-gordon", np.max(dev, axis=(1, 2)) / m**2, 1e-12, count)
 
@@ -278,8 +278,8 @@ def check_boost_inverse(seed: int = 8) -> PropertyResult:
     count = 1_000
     rng = sampling.rng_for(seed)
     m, pmag, theta, phi = sampling.random_momenta(rng, count)
-    prod = (boost_block_batch(1, m, pmag, theta, phi)
-            @ boost_block_batch(-1, m, pmag, theta, phi))
+    f = momentum_frame(m, pmag, theta, phi)
+    prod = boost_block_batch(1, f) @ boost_block_batch(-1, f)
     return _below("boost-inverse", np.abs(prod - np.eye(2)), 1e-12, count)
 
 

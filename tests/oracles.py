@@ -149,4 +149,4 @@ def boost_block(handedness, p):
     """The 2x2 boost of the "right" or "left" chiral block at the momentum p;
     like :func:`family_draw`, it wraps production code."""
     sign = 1 if handedness == "right" else -1
-    return boost_block_batch(sign, p.m, p.pmag, p.theta, p.phi)
+    return boost_block_batch(sign, p.frame())[0]

@@ -18,7 +18,7 @@ from spinorlab.algebra import (
     angles_match,
     bloch_direction_batch,
     boost_factor_batch,
-    momentum_components,
+    momentum_frame,
     unit_vectors,
 )
 
@@ -181,7 +181,8 @@ class TestBoost:
     def test_matches_naive_formula_at_moderate_boost(self, rng):
         # cancellation-free entries agree with the textbook expression
         p = FourMomentum(1.0, 3.0, 2.2, 5.1)
-        e, px, py, pz = momentum_components(p.m, p.pmag, p.theta, p.phi)
+        f = p.frame()
+        e, px, py, pz = (float(np.ldexp(x, f.exp)[0]) for x in (f.e, f.px, f.py, f.pz))
         naive = math.sqrt((e + 1) / 2.0) * (
             np.eye(2) + (px * np.array([[0, 1], [1, 0]])
                          + py * np.array([[0, -1j], [1j, 0]])
@@ -231,13 +232,12 @@ class TestRotation:
 
 class TestFourMomentum:
     def test_on_shell_by_construction(self):
-        p = FourMomentum(1.5, 2.5, 0.7, 0.1)
-        e = momentum_components(p.m, p.pmag, p.theta, p.phi)[0]
-        assert math.isclose(e**2 - p.pmag**2, p.m**2, rel_tol=1e-14)
+        f = FourMomentum(1.5, 2.5, 0.7, 0.1).frame()
+        assert math.isclose(f.e[0]**2 - f.pmag[0]**2, f.m[0]**2, rel_tol=1e-14)
 
     def test_vector_components(self):
-        p = FourMomentum(1.0, 2.0, math.pi / 2, 0.0)
-        e, *vector = momentum_components(p.m, p.pmag, p.theta, p.phi)
+        f = FourMomentum(1.0, 2.0, math.pi / 2, 0.0).frame()
+        e, *vector = (float(np.ldexp(x, f.exp)[0]) for x in (f.e, f.px, f.py, f.pz))
         np.testing.assert_allclose(vector, [2.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(e, math.hypot(1.0, 2.0))
 
@@ -249,6 +249,45 @@ class TestFourMomentum:
     def test_invalid_inputs(self, kwargs):
         with pytest.raises(ValueError):
             FourMomentum(**{"theta": 0.0, "phi": 0.0, **kwargs})
+
+
+class TestMomentumFrame:
+    def test_scaled_by_one_power_of_two_along_one_direction(self, rng):
+        rows = 2000
+        m = 10.0 ** rng.uniform(-5, 5, rows)
+        pmag = m * 10.0 ** rng.uniform(-12, 12, rows)
+        pmag[:50] = 0.0
+        theta, phi = np.arccos(rng.uniform(-1, 1, rows)), rng.uniform(0, 2 * math.pi, rows)
+        f = momentum_frame(m, pmag, theta, phi)
+        assert np.array_equal(np.ldexp(f.m, f.exp), m)
+        assert np.array_equal(np.ldexp(f.pmag, f.exp), pmag)
+        top = np.maximum(f.m, f.pmag)
+        assert np.all((top >= 0.5) & (top < 1.0))
+        assert all(np.array_equal(got, want) for got, want in zip(f.n, unit_vectors(theta, phi)))
+        for got, nk in zip((f.px, f.py, f.pz), f.n):
+            assert np.array_equal(got, f.pmag * nk)
+        assert np.array_equal(f.e, np.hypot(f.m, f.pmag))
+
+    def test_e_plus_minus_pz_multiply_to_the_transverse_mass(self, rng):
+        # (E + pz)(E - pz) = m^2 + px^2 + py^2: within a few roundings on both
+        # branches, where E - pz or E + pz alone would cancel at high boost
+        rows = 2000
+        m = np.ones(rows)
+        pmag = 10.0 ** rng.uniform(-3, 8, rows)
+        theta = np.concatenate([rng.uniform(0, 0.1, rows // 2),
+                                rng.uniform(math.pi - 0.1, math.pi, rows // 2)])
+        f = momentum_frame(m, pmag, theta, rng.uniform(0, 2 * math.pi, rows))
+        mt2 = f.m * f.m + (f.px * f.px + f.py * f.py)
+        assert np.all(np.abs(f.ezp * f.ezm - mt2) <= 8 * np.finfo(float).eps * mt2)
+        direct = f.pz >= 0
+        assert np.array_equal(f.ezp[direct], f.e[direct] + f.pz[direct])
+        assert np.array_equal(f.ezm[~direct], f.e[~direct] - f.pz[~direct])
+
+    def test_one_row_frame_of_a_four_momentum(self):
+        p = FourMomentum(3, 4, 0.5, 0.2)
+        want = momentum_frame(*(np.array([x]) for x in (3.0, 4.0, 0.5, 0.2)))
+        for got, w in zip(p.frame(), want):
+            assert np.asarray(got).tobytes() == np.asarray(w).tobytes()
 
 
 class TestBlochDirection:

@@ -16,6 +16,7 @@ from spinorlab import (
     kernels,
     sampling,
 )
+from spinorlab.bilinears import fpk_columns
 
 
 class TestDiracAdjoint:
@@ -222,6 +223,59 @@ def test_kernels_within_a_rounding_bound_of_the_exact_bilinears(family):
         j0, exact = _exact_bilinears(row)
         for value, want in zip(values.tolist(), exact):
             assert abs(Fraction(value) - want) <= _BOUND * j0, (family, value, float(want))
+
+
+# Exact reference for bilinears.fpk_columns, evaluated on the same float
+# sigma, omega, J and K.  Each numerator is a signed sum whose terms are
+# rounded products:
+# - J.J - (sigma^2 + omega^2): J.J a four-term dot product, within
+#   gamma_4 J2 of its value (J2 = sum j_i^2), sigma^2 + omega^2 within
+#   gamma_2 S2 (S2 = sigma^2 + omega^2), and their difference one more
+#   rounding, so within gamma_5 (J2 + S2);
+# - J.J + K.K: likewise within gamma_5 (J2 + K2), K2 = sum k_i^2;
+# - J.K: a four-term dot product, within gamma_4 sum |j_i k_i|.
+# (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+# section 3.1.)  Taking |.| is exact, and dividing by the rounded square of
+# j0 puts the quotient within gamma_2 of the exact one.  With T the sum of
+# a numerator's term magnitudes, which bounds its exact value,
+# |fl - exact| <= (gamma_5 (1 + gamma_2) + gamma_2) T / j0^2, about 7 u,
+# while no square under- or overflows.
+def _gamma(k):
+    return k * _U / (1 - k * _U)
+
+
+_FPK_BOUND = _gamma(5) * (1 + _gamma(2)) + _gamma(2)
+
+
+def _exact_fpk(sigma, omega, j, k):
+    """The three fpk_columns residuals and their term sums T, exactly."""
+    sigma, omega = Fraction(sigma), Fraction(omega)
+    j, k = [Fraction(x) for x in j], [Fraction(x) for x in k]
+    sign = (1, -1, -1, -1)
+    jj = sum(s * x * x for s, x in zip(sign, j))
+    kk = sum(s * x * x for s, x in zip(sign, k))
+    jk = sum(s * x * y for s, x, y in zip(sign, j, k))
+    j2, k2, s2 = sum(x * x for x in j), sum(x * x for x in k), sigma**2 + omega**2
+    jk_terms = sum(abs(x * y) for x, y in zip(j, k))
+    scale = j[0] ** 2
+    return ((abs(jj - s2) / scale, abs(jk) / scale, abs(jj + kk) / scale),
+            ((j2 + s2) / scale, jk_terms / scale, (j2 + k2) / scale))
+
+
+@pytest.mark.parametrize("family", ["random_raw", *sampling.FAMILY_PARAMS])
+def test_fpk_columns_within_a_rounding_bound_of_the_exact_residuals(family):
+    rows = 300
+    rng = sampling.rng_for(17)
+    if family == "random_raw":
+        arr = sampling.random_raw_spinors(rng, rows)
+    else:
+        arr = oracles.family_draw(family, rng, rows)[0]
+    sigma, omega, j, k = kernels.bilinears(kernels.columns(arr))
+    got = np.stack(fpk_columns(sigma, omega, j, k), axis=1)
+    for i, values in enumerate(got.tolist()):
+        exact, terms = _exact_fpk(sigma[i], omega[i], [x[i] for x in j], [x[i] for x in k])
+        for value, want, t in zip(values, exact, terms):
+            assert abs(Fraction(value) - want) <= _FPK_BOUND * t, (family, i, value)
 
 
 def test_components_invert_columns_bit_for_bit():

@@ -870,6 +870,40 @@ def test_boosted_dual_helicity_symmetries_bytes_pinned(tmp_path, capsys):
     assert captured.err == ""
 
 
+# sha256 of the structured stdout of two symmetries jobs at pmag/m = 1e3 and
+# theta = 2.5, where pz < 0: the boost diagonals, the boost factors of the
+# parity-linked constructor and the Dirac entries E + pz all take their
+# cancellation-free branch.
+PZ_NEGATIVE_PIN_JOBS = {
+    "boosted-single-helicity": {
+        "mode": "symmetries", "boost": True,
+        "spinor": {"family": "single_helicity", "pair": "++", "a": [0.8, -0.3],
+                   "c": [0.2, 0.6], "theta": 2.5, "phi": 1.2},
+        "momentum": {"m": 1.0, "pmag": 1000.0},
+    },
+    "parity-linked": {
+        "mode": "symmetries",
+        "spinor": {"family": "parity_linked", "helicity": -1},
+        "momentum": {"m": 1.0, "pmag": 1000.0, "theta": 2.5, "phi": 0.4},
+    },
+}
+PZ_NEGATIVE_BYTES_SHA256 = {
+    "boosted-single-helicity":
+        "8f9f5286165e3ad408c845585ce315975516ba5c7afb5a340668914c11836ff3",
+    "parity-linked": "f46c5b2c6573c78fe7e2e2b1bb774b7fbb5936cf9462123178a615db20345799",
+}
+
+
+@pytest.mark.parametrize("name", PZ_NEGATIVE_PIN_JOBS)
+def test_negative_pz_symmetries_bytes_pinned(name, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(PZ_NEGATIVE_PIN_JOBS[name]), encoding="utf-8")
+    assert main(["--job", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == PZ_NEGATIVE_BYTES_SHA256[name]
+    assert captured.err == ""
+
+
 def test_weyl_boost_along_the_south_pole_with_any_azimuth(tmp_path, capsys):
     # the block (0, 1) points along theta = pi, whose azimuth is immaterial,
     # so a boost along theta = pi at phi = 1 matches its construction

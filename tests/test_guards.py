@@ -70,6 +70,10 @@ GUARDS = {
         MasslessError, "boost requires m > 0"),
     "parity-zero": (lambda: parity_eigen_check(_ZERO_BUILT), ZeroSpinorError,
                     "parity eigencheck of the zero spinor is undefined"),
+    "parity-zero-boosted": (
+        lambda: parity_eigen_check(BiSpinor(0, 0, 0, 0, Provenance(
+            "raw", momentum=_P, rest_right=(0j, 0j), rest_left=(0j, 0j)))),
+        ZeroSpinorError, "parity eigencheck of the zero spinor is undefined"),
     "flip-zero": (lambda: dirac_flip_residual(_ZERO, _RAW, _P), ZeroSpinorError,
                   "flip residual needs two nonzero spinors"),
     "report-zero": (lambda: symmetry_report(_ZERO, _P), ZeroSpinorError,
@@ -80,6 +84,14 @@ GUARDS = {
                         "theta-link check needs a nonzero block"),
     "theta-link-massless": (lambda: theta_link_check([1, 0], _MASSLESS),
                             MasslessError, "boost requires m > 0"),
+    "theta-link-phase": (lambda: theta_link_check([1, 0], _P, 1.0 + 1.5e-12),
+                         ValueError, "zeta must be a unit phase"),
+    "theta-link-three-components": (lambda: theta_link_check([1, 0, 0], _P),
+                                    ValueError, "block must have two components"),
+    "theta-link-matrix": (lambda: theta_link_check([[1, 0], [0, 1]], _P),
+                          ValueError, "block must have two components"),
+    "theta-link-one-component": (lambda: theta_link_check([1], _P),
+                                 ValueError, "block must have two components"),
 }
 
 

@@ -22,7 +22,7 @@ from spinorlab import (
     parity_apply,
     sampling,
 )
-from spinorlab.algebra import momentum_components, unit_vectors
+from spinorlab.algebra import momentum_frame, unit_vectors
 from spinorlab.classify import CATEGORY_NAMES, analyze
 from spinorlab.factory import boost_bispinor_batch, parity_linked_batch
 from spinorlab.symmetries import parity_batch
@@ -180,8 +180,8 @@ def test_momenta_on_shell_and_in_range():
     assert np.all((m >= lo) & (m <= hi))
     ratio = pmag / m
     assert np.all((ratio >= 1e-2) & (ratio <= 1e2))
-    e, _, _, _ = momentum_components(m, pmag, theta, phi)
-    assert np.all(np.abs(e**2 - pmag**2 - m**2) < 1e-12 * e**2)
+    f = momentum_frame(m, pmag, theta, phi)
+    assert np.all(np.abs(f.e**2 - f.pmag**2 - f.m**2) < 1e-12 * f.e**2)
 
 
 def test_steered_amplitudes_patterns():
@@ -296,7 +296,8 @@ def test_scalar_constructors_are_the_batch_rows():
 
         m, pmag, _, _ = sampling.random_momenta(momenta, n)
         p = (m, pmag, *np.array([psi.provenance.direction for psi in psis]).T)
-        boosted, images = boost_bispinor_batch(arr, *p), parity_batch(arr, *p)
+        f = momentum_frame(*p)
+        boosted, images = boost_bispinor_batch(arr, f), parity_batch(arr, f)
         linked = parity_linked_batch(params["sign"], *p) if theta is not None else None
         for i, psi in enumerate(psis):
             q = FourMomentum(*(float(x[i]) for x in p))

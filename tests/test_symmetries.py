@@ -32,12 +32,11 @@ from spinorlab import (
     theta_link_check,
 )
 from spinorlab import kernels, sampling
-from spinorlab.algebra import boost_block_batch, momentum_components, theta_conjugate
+from spinorlab.algebra import boost_block_batch, momentum_frame, theta_conjugate
 from spinorlab.factory import boost_bispinor_batch, singular_form_batch
 from spinorlab.report import symmetry_to_dict
 from spinorlab.sampling import random_raw_spinors
 from spinorlab.symmetries import (
-    _pow2_mass,
     _pow2_scaled,
     c_eigen_residuals,
     c_involution_max,
@@ -276,16 +275,19 @@ class TestPow2Scaling:
             self._same(_pow2_scaled(psis), _reference_pow2_scaled(psis))
 
     def test_real_rows(self, rng):
-        mp = rng.choice(self.SPECIALS, size=(3000, 2))
+        # a momentum frame's (m, pmag): one power of two per row
+        mp = np.abs(rng.choice(self.SPECIALS, size=(3000, 2)))
         mp = np.concatenate([mp, [[0.0, 3.0], [3.0, 0.0], [1e-300, 1e300]]])
-        with np.errstate(invalid="ignore"):
-            self._same(_pow2_scaled(mp, float), _reference_pow2_scaled(mp, float))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan rows
+            frame = momentum_frame(mp[:, 0], mp[:, 1], 0.0, 0.0)
+        got = np.stack([frame.m, frame.pmag], axis=-1)
+        self._same(got, _reference_pow2_scaled(mp, float))
 
     @pytest.mark.parametrize("m,pmag", [(1.0, 2.0), (1e-300, 1e300), (3.0, 0.0),
                                         (0.0, 5e-324)])
     def test_scalar_mass(self, m, pmag):
         want = _reference_pow2_scaled(np.stack([m, pmag], axis=-1), float)
-        got_m, got_p = _pow2_mass(m, pmag)
+        got_m, got_p, *_ = momentum_frame(m, pmag, 0.0, 0.0)
         self._same(np.asarray(got_m), want[..., 0])
         self._same(np.asarray(got_p), want[..., 1])
 
@@ -390,9 +392,10 @@ class TestParity:
 
 
 def _dirac_image(psi, p):
-    # gamma_mu p^mu psi through the compensated kernel
-    e, px, py, pz = momentum_components(p.m, p.pmag, p.theta, p.phi)
-    return kernels.dirac_apply_shift(psi.array[None, :], e, p.m, px, py, pz, 0.0)[0]
+    # gamma_mu p^mu psi through the compensated kernel, at the scale of p
+    f = p.frame()
+    image = kernels.dirac_apply_shift(psi.array[None, :], f, 0.0)[0]
+    return np.ldexp(image.view(np.float64), f.exp[0]).view(complex)
 
 
 # Exact reference for kernels.dirac_apply_shift.  Each real or imaginary
@@ -476,14 +479,15 @@ class TestDiracOperator:
         pmag[:20] = 0.0  # at rest
         theta[20:40] = 0.0  # on the poles, where pz = +-pmag
         theta[40:60] = math.pi
-        shift = m * rng.choice([0.0, 1.0, -1.0], rows)
+        frame = momentum_frame(m, pmag, theta, phi)
+        shift = frame.m * rng.choice([0.0, 1.0, -1.0], rows)
         psis = random_raw_spinors(rng, rows)
-        e, px, py, pz = momentum_components(m, pmag, theta, phi)
+        e, m, px, py, pz = frame.e, frame.m, frame.px, frame.py, frame.pz
         assert (pz < 0).sum() > 50 and (pz > 0).sum() > 50
-        got = kernels.dirac_apply_shift(psis, e, m, px, py, pz, shift)
+        got = kernels.dirac_apply_shift(psis, frame, shift)
         # the kernel's rounded entries: its images of the basis spinors,
-        # exact since each has one nonzero product
-        rounded = dirac_matrix_batch(m, pmag, theta, phi)
+        # exact since each has one nonzero product, at the frame's scale
+        rounded = dirac_matrix_batch(frame._replace(exp=np.zeros(rows, dtype=int)))
         for i in range(rows):
             exact, branch = _exact_dirac_matrix(e[i], m[i], px[i], py[i], pz[i])
             entries = [_frac(z) for z in rounded[i].ravel()]
@@ -516,8 +520,7 @@ class TestDiracOperator:
             p = FourMomentum(1.0, float(rng.uniform(0, 5)), 1.1, 0.3)
             fast = _dirac_image(psi, p)
             slow = dirac_matrix(p) @ psi.array
-            e = momentum_components(p.m, p.pmag, p.theta, p.phi)[0]
-            np.testing.assert_allclose(fast, slow, atol=1e-13 * e)
+            np.testing.assert_allclose(fast, slow, atol=1e-13 * math.hypot(p.m, p.pmag))
 
     def test_rest_frame_dirac_spinor_residual_exactly_zero(self):
         psi = BiSpinor(1, 0, 1, 0, provenance=None)
@@ -577,12 +580,13 @@ class TestDiracFlip:
 
     @staticmethod
     def _identity_defects(rest, m, pmag, theta, phi):
-        # || gamma_mu p^mu psi - m P psi || / (m ||psi||), psi the boosted rows
-        psis = boost_bispinor_batch(rest, m, pmag, theta, phi)
-        e, px, py, pz = momentum_components(m, pmag, theta, phi)
-        image = kernels.dirac_apply_shift(psis, e, m, px, py, pz, 0.0)
-        diff = image - m[:, None] * parity_batch(rest, m, pmag, theta, phi)
-        return np.linalg.norm(diff, axis=1) / (m * np.linalg.norm(psis, axis=1))
+        # || gamma_mu p^mu psi - m P psi || / (m ||psi||), psi the boosted
+        # rows, at the frame's scale
+        frame = momentum_frame(m, pmag, theta, phi)
+        psis = boost_bispinor_batch(rest, frame)
+        image = kernels.dirac_apply_shift(psis, frame, 0.0)
+        diff = image - frame.m[:, None] * parity_batch(rest, frame)
+        return np.linalg.norm(diff, axis=1) / (frame.m * np.linalg.norm(psis, axis=1))
 
     def test_dirac_image_is_m_times_the_parity_image(self):
         # gamma_mu p^mu psi = m P psi for any rest spinor boosted in any
@@ -666,11 +670,12 @@ class TestThetaLink:
         m, pmag, theta, phi = sampling.random_momenta(rng, rows, ratio=(1e-3, 1e6))
         blocks = random_raw_spinors(rng, rows)[:, :2]
         zeta = sampling.random_unit_phases(rng, rows)
-        got = theta_link_residuals(blocks, zeta, m, pmag, theta, phi)
-        x, (m, pmag), z = _pow2_scaled(blocks), _pow2_mass(m, pmag), zeta[:, None]
-        left = boost_block_batch(-1, m, pmag, theta, phi) @ x[..., None]
+        frame = momentum_frame(m, pmag, theta, phi)
+        got = theta_link_residuals(blocks, zeta, frame)
+        x, z = _pow2_scaled(blocks), zeta[:, None]
+        left = boost_block_batch(-1, frame) @ x[..., None]
         lhs = z * theta_conjugate(left[..., 0])
-        rhs = boost_block_batch(1, m, pmag, theta, phi) @ (z * theta_conjugate(x))[..., None]
+        rhs = boost_block_batch(1, frame) @ (z * theta_conjugate(x))[..., None]
         want = np.linalg.norm(lhs - rhs[..., 0], axis=-1) / np.linalg.norm(lhs, axis=-1)
         assert got.tobytes() == want.tobytes()
 
