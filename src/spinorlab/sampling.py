@@ -20,10 +20,10 @@ Signs are drawn as int8.  ``FAMILY_CONSTRUCTORS`` maps the family to that
 constructor, which returns a block's eight float columns and n.
 :func:`campaign` is the one engine over them, behind sample mode and every
 sampled verify campaign of raw or constructed spinors: it draws
-``RAW_DRAW_ROWS`` raw or ``DRAW_ROWS`` constructed rows at a time,
-constructs and analyses one ``SAMPLE_BLOCK_ROWS`` block at a time, and adds
-up one class x helicity-category x charge-conjugation-state count table and
-the constraint maxima.  A constructed row does not depend on the rows built
+``DRAW_ROWS`` rows of any family at a time, constructs and analyses one
+``SAMPLE_BLOCK_ROWS`` block at a time, and adds up one class x
+helicity-category x charge-conjugation-state count table and the
+constraint maxima.  A constructed row does not depend on the rows built
 with it, and a raw row does not depend on the chunk it is drawn in.
 Each block's row verdicts (class, helicity category and the C state code
 of :func:`classify.eigen_states`) come from one
@@ -60,24 +60,24 @@ MASS_RANGE = (0.1, 10.0)
 # norm test and the analysis run one block at a time, which keeps their
 # per-row temporaries in cache and bounds their memory, whatever the count.
 SAMPLE_BLOCK_ROWS = 8192
-# Constructor-family rows drawn at a time in a campaign, from its one
-# generator, so that memory does not grow with the count.  A family draws
-# all of a chunk's arguments in turn, so the chunk fixes the order of its
-# RNG calls: another size would move the reports of counts above it.
-DRAW_ROWS = 16 * SAMPLE_BLOCK_ROWS
-# Rows drawn at a time for random_raw, whose rows do not depend on the chunk
-# (the generator fills them one after another, and the rejection keeps them
-# in stream order): 2 MB of components, which fits one core's 2 MB L2 on
-# the 2-CPU Xeon it was measured on.  Chunks of DRAW_ROWS, 8 MB, took a
-# 1e6-row sample's peak RSS 6 MB higher.  Chunks
-# of several blocks keep glibc from returning the blocks' freed memory to
-# the OS after every block: its dynamic mmap and trim thresholds follow the
-# size of the last large free, and freeing a chunk is that free, so each
-# chunk is a fresh allocation on purpose.  At 1e6 rows, four blocks a chunk
-# took 7.5k minor page faults; two blocks peaked 1 MB lower but took 42k
-# and ran slower, and one block took 66k.  Drawing every chunk into one
-# reused buffer (Generator.random(out=...), the same bits) took 33k.
-RAW_DRAW_ROWS = 4 * SAMPLE_BLOCK_ROWS
+# Rows drawn at a time in a campaign, from its one generator, so that memory
+# does not grow with the count: 2 MB of random_raw components, which fits
+# one core's 2 MB L2 on the 2-CPU Xeon it was measured on, or 1.5 MiB of a
+# constructor family's arguments (chunks of 16 blocks, 6 to 8 MB, took a
+# 1e6-row sample's peak RSS 6 MB higher).  A constructor family draws all of
+# a chunk's arguments in turn, so the chunk fixes the order of its RNG calls
+# and another size would move the reports of counts above it; raw rows do
+# not depend on it (the generator fills them one after another, and the
+# rejection keeps them in stream order).  glibc's dynamic mmap and trim
+# thresholds follow the size of the last large free.  A raw chunk is one
+# such free, so a campaign first frees one raw chunk's worth, untouched:
+# without it a constructor family's largest array, 512 KiB, left a 1 MiB
+# trim threshold, below a block's working set, and a 1e6-row sample took
+# 31k minor faults instead of 5.7k.  At 1e6 raw rows, four blocks a chunk
+# took 7.5k; two blocks peaked 1 MB lower but took 42k and ran slower, and
+# one block took 66k.  Drawing every chunk into one reused buffer
+# (Generator.random(out=...), the same bits) took 33k.
+DRAW_ROWS = 4 * SAMPLE_BLOCK_ROWS
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -115,8 +115,8 @@ def random_raw_spinors(rng, count: int) -> np.ndarray:
         # |psi|^2 as c_eigen_check forms it, on the (n, 8) float view, with
         # no (n, 4) temporaries.  The (n,) sums are formed whole: a
         # block-wise bool mask took the same 7.5k minor page faults at 1e6
-        # rows in chunks of RAW_DRAW_ROWS, and more in chunks of DRAW_ROWS
-        # (11k instead of 6.7k).
+        # rows in chunks of four blocks, and more in chunks of 16 (11k
+        # instead of 6.7k).
         x = psi.view(np.float64)
         return np.einsum("ij,ij->i", x, x) >= MIN_RAW_NORM_SQ
 
@@ -250,8 +250,7 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
              steer: int | None = None) -> Campaign:
     """Draw, construct and analyse ``count`` rows of ``family`` from ``rng``.
 
-    Rows are drawn in chunks, RAW_DRAW_ROWS at a time for random_raw and
-    DRAW_ROWS for a constructor family, and built and analysed one
+    Rows are drawn DRAW_ROWS at a time, and built and analysed one
     SAMPLE_BLOCK_ROWS block at a time, so memory does not grow with
     ``count``; counts add up and maxima combine in any order, so no aggregate
     depends on the block size.  random_raw rows do not depend on the chunk
@@ -263,9 +262,9 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
     extra = {} if steer is None else {"steer": steer}
     joint = np.zeros((7, 1 if raw else len(CATEGORY_NAMES), 3), dtype=np.int64)
     fpk_max = np.full(3, -np.inf)
-    draw_rows = RAW_DRAW_ROWS if raw else DRAW_ROWS
-    for offset in range(0, count, draw_rows):
-        rows = min(draw_rows, count - offset)
+    np.empty((DRAW_ROWS, 8))  # one large free, for glibc: see DRAW_ROWS
+    for offset in range(0, count, DRAW_ROWS):
+        rows = min(DRAW_ROWS, count - offset)
         if raw:
             chunk = random_raw_spinors(rng, rows)
         else:

@@ -979,13 +979,14 @@ def test_sample_bytes_pinned(family, tmp_path, capsys):
     assert digest == SAMPLE_BYTES_SHA256[family]
 
 
-# sha256 of the structured `sample` stdout at seed 7 and count 2 * DRAW_ROWS + 5:
-# three draw chunks of dual_helicity (nine RAW_DRAW_ROWS chunks of random_raw),
-# the last one partial, so the bytes cover the chunk boundaries that the
-# count-20000 pins never reach.
+# sha256 of the structured `sample` stdout at seed 7 and count 262149
+# (2 * 131072 + 5): nine 32768-row draw chunks, the last one of 5 rows, so
+# the bytes cover the chunk boundaries that the count-20000 pins never reach.
+# The count is a literal: random_raw rows do not depend on the chunk size,
+# so its pin holds at any DRAW_ROWS.
 MULTI_CHUNK_SAMPLE_BYTES_SHA256 = {
     "random_raw": "a00be9e5ab72c3b4a06d7b2116126d42f6d69ce16bfb11fc0a585f19a91c7764",
-    "dual_helicity": "d42f48d3b3240358b0d2b6951b1eebc19203e34da33a98b01ef010fa4b1b0087",
+    "dual_helicity": "d079381636e09968272ac3f30368c1081d33e57b5c3b804a6cf0a39287538c67",
 }
 
 
@@ -993,7 +994,7 @@ MULTI_CHUNK_SAMPLE_BYTES_SHA256 = {
 def test_multi_chunk_sample_bytes_pinned(family, tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"mode": "sample", "family": family, "seed": 7,
-                                "count": 2 * DRAW_ROWS + 5}), encoding="utf-8")
+                                "count": 262149}), encoding="utf-8")
     assert main(["--job", str(path)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == MULTI_CHUNK_SAMPLE_BYTES_SHA256[family]
@@ -1074,8 +1075,9 @@ def test_chunked_sample_equals_one_pass_over_the_chunkwise_draws(family):
         assert sample == _whole_array_sample(job)
 
 
-def _peak_rss_bytes(*args):
-    """Peak RSS of a fresh `spinorlab` process with ``args``.
+def _peak_rss(*args):
+    """Peak RSS in bytes and minor page faults of a fresh `spinorlab`
+    process with ``args``.
     scripts/peak_rss.py spawns it: a child's ru_maxrss starts at the RSS of
     the process that spawned it, and this test process's RSS can be above
     the CLI's own peak."""
@@ -1083,28 +1085,29 @@ def _peak_rss_bytes(*args):
                            "-m", "spinorlab", *args],
                           stdin=subprocess.DEVNULL, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    return float(re.search(r"peak RSS (\S+) MB", proc.stdout).group(1)) * 2**20
+    match = re.search(r"peak RSS (\S+) MB, (\d+) minor faults", proc.stdout)
+    return float(match.group(1)) * 2**20, int(match.group(2))
 
 
-def _sample_peak_rss_bytes(tmp_path, family, count):
-    """Peak RSS of a fresh `sample` process."""
+def _sample_peak_rss(tmp_path, family, count):
+    """Peak RSS and minor faults of a fresh `sample` process."""
     path = tmp_path / f"job-{family}-{count}.json"
     path.write_text(json.dumps({"mode": "sample", "family": family,
                                 "seed": 1, "count": count}), encoding="utf-8")
-    return _peak_rss_bytes("--job", str(path))
+    return _peak_rss("--job", str(path))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is read in KiB, as Linux reports it")
 def test_sample_peak_rss_grows_only_with_the_drawn_rows(tmp_path):
-    # Nothing is held whole: rows are drawn in fixed chunks (RAW_DRAW_ROWS
-    # for random_raw, DRAW_ROWS for a constructor family), and both ends of
-    # the range draw several chunks, so peak RSS should not grow.
+    # Nothing is held whole: rows are drawn in fixed chunks of DRAW_ROWS,
+    # and both ends of the range draw several chunks, so peak RSS should not
+    # grow.
     # Both families measure 0 to 4 B/row; drawing the whole sample at once
     # took 64 (random_raw) and 84 (dual_helicity) B/row.
     for family, bound in (("random_raw", 16), ("dual_helicity", 16)):
-        slope = (_sample_peak_rss_bytes(tmp_path, family, 800_000)
-                 - _sample_peak_rss_bytes(tmp_path, family, 200_000)) / 600_000
+        slope = (_sample_peak_rss(tmp_path, family, 800_000)[0]
+                 - _sample_peak_rss(tmp_path, family, 200_000)[0]) / 600_000
         assert slope < bound, f"{family}: peak RSS grows by {slope:.0f} B per sampled row"
 
 
@@ -1114,10 +1117,27 @@ def test_sample_raw_working_set_is_bounded(tmp_path):
     # A 1-row sample peaks at the floor: the interpreter, numpy and
     # numpy.random.  Above it, a 1e6-row random_raw sample holds one 2 MB
     # draw chunk and the blocks' temporaries: 3.5 MB measured, against
-    # 9.4 MB when raw rows were drawn in 8 MB chunks of DRAW_ROWS.
-    extra = (_sample_peak_rss_bytes(tmp_path, "random_raw", 1_000_000)
-             - _sample_peak_rss_bytes(tmp_path, "random_raw", 1))
+    # 9.4 MB when raw rows were drawn in 8 MB chunks of 131072 rows.
+    extra = (_sample_peak_rss(tmp_path, "random_raw", 1_000_000)[0]
+             - _sample_peak_rss(tmp_path, "random_raw", 1)[0])
     assert extra < 6 * 2**20, f"a 1e6-row sample peaks {extra / 2**20:.1f} MB above the floor"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is read in KiB, as Linux reports it")
+def test_sample_constructor_working_set_is_bounded(tmp_path):
+    # Above the 1-row floor, a 1e6-row single_helicity sample holds one
+    # 1.5 MiB draw chunk of arguments and the blocks' temporaries: 3.3 MB
+    # measured, against 9.6 MB when its arguments were drawn 131072 rows
+    # (6 MiB) at a time.  glibc keeps them in the heap for reuse once the
+    # campaign's first large free has raised its trim threshold: 0.7k
+    # minor faults above the floor, against 26k without that free and 15k
+    # in chunks of 131072 rows.
+    rss, faults = _sample_peak_rss(tmp_path, "single_helicity", 1_000_000)
+    floor_rss, floor_faults = _sample_peak_rss(tmp_path, "random_raw", 1)
+    extra = rss - floor_rss
+    assert extra < 6 * 2**20, f"a 1e6-row sample peaks {extra / 2**20:.1f} MB above the floor"
+    assert faults - floor_faults < 4000, f"{faults - floor_faults} minor faults above the floor"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -1127,8 +1147,8 @@ def test_verify_working_set_is_bounded(tmp_path):
     # sampling.campaign, the momentum ones MOMENTUM_BLOCK_ROWS rows at a time.
     # Above the 1-row sample's floor, the suite measured 4.9 MB; with the
     # momentum checks' 10,000 rows taken whole it measured 7.7 MB.
-    extra = (_peak_rss_bytes("--mode", "verify")
-             - _sample_peak_rss_bytes(tmp_path, "random_raw", 1))
+    extra = (_peak_rss("--mode", "verify")[0]
+             - _sample_peak_rss(tmp_path, "random_raw", 1)[0])
     assert extra < 6 * 2**20, f"the verify suite peaks {extra / 2**20:.1f} MB above the floor"
 
 

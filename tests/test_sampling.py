@@ -52,19 +52,19 @@ def test_raw_draws_do_not_depend_on_the_chunk_size(monkeypatch):
     # refills its rejections; the rows kept are the stream's accepted rows
     # in order, however the draw is split
     monkeypatch.setattr(sampling, "MIN_RAW_NORM_SQ", 2.0)
-    count = sampling.RAW_DRAW_ROWS + 5
+    count = sampling.DRAW_ROWS + 5
     whole = sampling.random_raw_spinors(sampling.rng_for(13), count)
-    for rows in (1, 7, sampling.SAMPLE_BLOCK_ROWS, sampling.RAW_DRAW_ROWS):
+    for rows in (1, 7, sampling.SAMPLE_BLOCK_ROWS, sampling.DRAW_ROWS):
         rng = sampling.rng_for(13)
         parts = [sampling.random_raw_spinors(rng, min(rows, count - start))
                  for start in range(0, count, rows)]
         np.testing.assert_array_equal(np.concatenate(parts).view(np.uint64),
                                       whole.view(np.uint64))
     # so a raw campaign's aggregates do not depend on its chunk size either
-    count = sampling.DRAW_ROWS + 5
+    count = 4 * sampling.DRAW_ROWS + 5
     results = []
-    for rows in (sampling.RAW_DRAW_ROWS, sampling.SAMPLE_BLOCK_ROWS, sampling.DRAW_ROWS):
-        monkeypatch.setattr(sampling, "RAW_DRAW_ROWS", rows)
+    for rows in (sampling.DRAW_ROWS, sampling.SAMPLE_BLOCK_ROWS, 4 * sampling.DRAW_ROWS):
+        monkeypatch.setattr(sampling, "DRAW_ROWS", rows)
         results.append(sampling.campaign("random_raw", sampling.rng_for(13), count,
                                          DEFAULT_TOLERANCES))
     for result in results[1:]:
@@ -359,11 +359,13 @@ def test_campaign_steers_every_row_across_draw_chunks(steer):
 
 # Traced peak of a constructor-family campaign of 100,000 rows, in MiB: one
 # draw chunk's parameters, one block's columns and the verdict pass's
-# working set.  With numpy 2.4.6 the peaks read 6.26, 6.26, 4.73 and 4.98
-# MiB; they read 7.81, 8.15, 6.63 and 5.96 when each block was built as an
-# (N, 4) array, copied into columns, and the signs were drawn as int64.
-CAMPAIGN_PEAK_MIB = {"single_helicity": 6.4, "dual_helicity": 6.4,
-                     "self_conjugate": 4.9, "weyl": 5.1}
+# working set.  With numpy 2.4.6 the peaks read 3.12, 3.12, 2.62 and 2.87
+# MiB in chunks of 32768 rows; they read 6.26, 6.26, 4.73 and 4.98 in
+# chunks of 131072 rows, and 7.81, 8.15, 6.63 and 5.96 when, in addition,
+# each block was built as an (N, 4) array, copied into columns, and the
+# signs were drawn as int64.
+CAMPAIGN_PEAK_MIB = {"single_helicity": 3.2, "dual_helicity": 3.2,
+                     "self_conjugate": 2.7, "weyl": 2.95}
 
 
 @pytest.mark.parametrize("family", CAMPAIGN_PEAK_MIB)
