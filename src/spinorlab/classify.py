@@ -18,7 +18,8 @@ class  sigma    omega    K      S      annotation
 
 sigma and omega alone decide a regular row (classes 1-3), so the batch path
 evaluates K's and S's zero tests, and S itself, only for the rows where both
-vanish (see :func:`lounesto_classes` and :func:`analyze_columns`).
+vanish (see :func:`analyze_columns`; :func:`lounesto_class` takes the same
+steps for one spinor).
 
 sigma = omega = K = S = 0 with J != 0 is algebraically impossible for a true
 spinor, so that pattern is reported as unclassifiable together with the
@@ -101,45 +102,23 @@ def _singular_classes(k0, s0) -> np.ndarray:
     return verdict
 
 
-def lounesto_classes(sigma, omega, j, k, s,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Vectorized decision tree over the (N,) columns j, k of J and K (as
-    :func:`kernels.bilinears` returns them, or an array's ``.T``); returns
-    (N,) int8, 0 = unclassifiable.
-
-    sigma and omega decide every regular row, so K and S are read only for
-    the rows where both test zero: all rows when every row is singular,
-    those gathered by index when some are.  ``s`` is a function that returns
-    S's six columns for such a row selection.
-    """
-    out, rows, scale = _regular_classes(sigma, omega, j[0], tol)
-    if rows is not None:
-        scale = scale[rows]
-        out[rows] = _singular_classes(
-            kernels._row_max_abs([c[rows] for c in k]) <= scale,
-            kernels._row_max_abs(s(rows)) <= scale)
-    return out
-
-
 def lounesto_class(bset: BilinearSet,
                    tol: Tolerances = DEFAULT_TOLERANCES) -> LounestoClass:
-    """Class of one spinor's bilinear set; total and deterministic."""
-    idx = lounesto_classes(
-        np.array([bset.sigma]),
-        np.array([bset.omega]),
-        bset.j[:, None],
-        bset.k[:, None],
-        lambda rows: bset.s[:, None][:, rows],
-        tol,
-    )[0]
-    return LounestoClass(int(idx) if idx != 0 else None)
+    """Class of one spinor's bilinear set, by the zero tests of
+    :func:`analyze_columns` on one row; total and deterministic."""
+    out, rows, scale = _regular_classes(
+        np.array([bset.sigma]), np.array([bset.omega]), bset.j[:1], tol)
+    if rows is not None:
+        out = _singular_classes(kernels._row_max_abs(bset.k[:, None]) <= scale,
+                                kernels._row_max_abs(bset.s[:, None]) <= scale)
+    return LounestoClass(int(out[0]) or None)
 
 
 @dataclass(frozen=True)
 class HelicityProfile:
     """Helicity verdict of each chiral block along a supplied direction.
 
-    A block is a null block when its squared norm is below
+    A block is a null block when its squared norm is at most
     eps_class * psi^dag psi; otherwise it is plus/minus when the relative
     eigen-residual against sigma.n is below eps_helicity, else not-eigen.
     When both branches pass, the closer one wins, and plus wins a tie.
@@ -166,10 +145,9 @@ def helicity_profiles(cols, n, tol: Tolerances = DEFAULT_TOLERANCES):
     block's (rel_plus, rel_minus) pair of eigen-residuals relative to its
     norm; they mean nothing for a null block.
     """
-    nx, ny, nz = n
-    rp, rm, rn, lp, lm, ln = kernels.helicity_residuals(cols, nz, nx, ny)
+    rp, rm, rn, lp, lm, ln = kernels.helicity_residuals(cols, n)
     total = rn**2 + ln**2
-    with np.errstate(over="ignore"):  # as in lounesto_classes
+    with np.errstate(over="ignore"):  # as in _regular_classes
         null_scale = np.sqrt(tol.eps_class * total)
 
     def _block(res_p, res_m, nrm):
@@ -236,7 +214,7 @@ def analyze_columns(cols, n=None,
     block into per-row verdicts.
 
     sigma, omega, J and K are evaluated for every row; S only for the rows
-    whose sigma and omega both test zero (see :func:`lounesto_classes`).
+    whose sigma and omega both test zero (see :func:`_regular_classes`).
     After the fpk maxima only J^0 (psi^dag psi for the C states) and K are
     kept, and K only until its zero test, so the pass holds few (N,)
     columns at once.

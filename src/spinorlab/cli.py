@@ -395,13 +395,13 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
     if psi.provenance is None and p is not None:
         direction = (p.theta, p.phi)
     crep = classify_report(psi, direction, job.tolerances)
-    section = classify_to_dict(crep)
-    findings = list(section.pop("findings"))
-    report.update(section)
+    report.update(classify_to_dict(crep))
+    findings = list(crep.findings)
     if job.mode == "symmetries":
         from .symmetries import symmetry_report
-        sym = symmetry_to_dict(symmetry_report(psi, p, job.zeta1))
-        findings.extend(sym.pop("findings"))
+        srep = symmetry_report(psi, p, job.zeta1)
+        sym = symmetry_to_dict(srep)
+        findings.extend(srep.findings)
         sym["phases"] = job.normalized["phases"]
         report["symmetries"] = sym
     report["findings"] = findings

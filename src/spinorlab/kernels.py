@@ -21,10 +21,10 @@ tensor(cols)                   -> the 6 (N,) columns of S, from any rows'
 c_eigen_residuals(cols, norm_sq)
                                -> ||C psi - psi||, ||C psi + psi|| (N,),
                                   each over sqrt(norm_sq) = ||psi||
-helicity_residuals(cols, nz, nx, ny)
-                               -> ||M b - b||, ||M b + b||, ||b|| for the
+helicity_residuals(cols, n)    -> ||M b - b||, ||M b + b||, ||b|| for the
                                   right then the left block, M = sigma.n,
-                                  with n = (nx, ny, nz) a row's unit vector
+                                  with n = (nx, ny, nz) the rows' unit
+                                  vectors
 dirac_apply_shift(psi, frame, shift)
                                -> (N,4) gamma_mu p^mu psi - shift psi at the
                                   rows of an algebra.Frame; the one place
@@ -162,14 +162,15 @@ def c_eigen_residuals(cols, norm_sq):
     return residual(np.add, np.subtract), residual(np.subtract, np.add)
 
 
-def helicity_residuals(cols, nz, nx, ny):
+def helicity_residuals(cols, n):
     """Eigen-residual numerators of sigma.n on each chiral block.
 
-    ``cols`` are the rows' :func:`columns` and (nx, ny, nz) their unit
-    vectors n, as the batch constructors hand them on.  Returns ||M b - b||,
+    ``cols`` are the rows' :func:`columns` and n = (nx, ny, nz) their unit
+    vectors, as the batch constructors hand them on.  Returns ||M b - b||,
     ||M b + b|| and ||b|| for the right block, then the same three for the
     left block (all 2-norms).
     """
+    nx, ny, nz = n
     out = []
     for lo in (0, 4):
         x0r, x0i, x1r, x1i = cols[lo:lo + 4]

@@ -95,7 +95,6 @@ def classify_to_dict(rep: ClassifyReport) -> dict:
             "annotation": rep.lounesto.annotation,
         },
         "helicity": None,
-        "findings": list(rep.findings),
     }
     if rep.helicity is not None:
         res_r = rep.helicity.right_residual
@@ -129,7 +128,6 @@ def symmetry_to_dict(rep: SymmetryReport) -> dict:
             "flip_residual": rep.dirac_flip_residual,
         },
         "theta_link_residual": rep.theta_link_residual,
-        "findings": list(rep.findings),
     }
 
 

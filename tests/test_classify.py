@@ -11,6 +11,7 @@ import oracles
 from conftest import random_bispinor
 from spinorlab import (
     BiSpinor,
+    ScaleError,
     ZeroSpinorError,
     bilinear_set,
     build_dual_helicity,
@@ -36,7 +37,6 @@ from spinorlab.classify import (
     analyze_columns,
     helicity_categories,
     helicity_profiles,
-    lounesto_classes,
 )
 from spinorlab.factory import singular_form_batch
 from spinorlab.sampling import SAMPLE_BLOCK_ROWS, random_raw_spinors
@@ -184,6 +184,20 @@ class TestHelicityProfile:
         prof = helicity_profile(tie, 0.0, 0.0, Tolerances(eps_helicity=1.5))
         assert (prof.right, prof.left, prof.category) == ("plus", "plus", CATEGORY_SINGLE)
 
+    def test_block_thresholds_at_equality(self):
+        # along n = x each block of (1, 0, 1, 0) has norm 1 and reads
+        # exactly fl(sqrt(2)) on both branches: a residual equal to
+        # epsilon_helicity fails it, and a squared norm equal to
+        # eps_class * psi^dag psi (here 0.5 * 2) is null
+        cols = kernels.columns(BiSpinor(1, 0, 1, 0).array[None, :])
+        n = (np.ones(1), np.zeros(1), np.zeros(1))
+        rstate, lstate, (rp, rm), _ = helicity_profiles(
+            cols, n, Tolerances(eps_helicity=math.sqrt(2)))
+        assert rp[0] == rm[0] == math.sqrt(2)
+        assert (rstate[0], lstate[0]) == (2, 2)
+        rstate, lstate, _, _ = helicity_profiles(cols, n, Tolerances(eps_class=0.5))
+        assert (rstate[0], lstate[0]) == (0, 0)
+
     def test_category_of_every_block_state_pair(self):
         # block states: 0 null, +1 plus, -1 minus, 2 not-eigen
         table = {
@@ -259,10 +273,9 @@ def test_helicity_kernel_within_a_rounding_bound_of_the_exact_residuals(family):
     else:
         arr, n = oracles.family_draw(family, rng, rows)[:2]
     cols = kernels.columns(arr)
-    nx, ny, nz = n
-    got = np.stack(kernels.helicity_residuals(cols, nz, nx, ny), axis=1)
+    got = np.stack(kernels.helicity_residuals(cols, n), axis=1)
     for i in range(rows):
-        nv = [Fraction(float(c[i])) for c in (nx, ny, nz)]
+        nv = [Fraction(float(c[i])) for c in n]
         n_hi = (1 + sum(c * c for c in nv)) / 2  # above |n|
         for block in (0, 1):  # right, then left
             x = [Fraction(float(c[i])) for c in cols[4 * block:4 * block + 4]]
@@ -353,7 +366,10 @@ def _reference_classes(sigma, omega, j, k, s, tol=DEFAULT_TOLERANCES):
 
 class TestColumnPasses:
     """The K and S zero tests and the fpk maxima run as passes over the
-    columns; they must agree bit for bit with numpy's row reductions."""
+    columns; they must agree bit for bit with numpy's row reductions.  The
+    zero tests are checked through :func:`lounesto_class`, one row at a
+    time; :func:`test_block_verdicts_equal_the_full_bilinear_composition`
+    ties it to the block pass."""
 
     SCALE = DEFAULT_TOLERANCES.eps_class
     SPECIALS = np.array([
@@ -382,8 +398,8 @@ class TestColumnPasses:
         return np.array(k_rows), np.array(s_rows)
 
     def _check(self, sigma, omega, j, k, s):
-        got = lounesto_classes(sigma, omega, j.T, k.T, lambda rows: s.T[:, rows])
-        assert got.dtype == np.int8
+        got = np.array([lounesto_class(BilinearSet(*row)).index or 0
+                         for row in zip(sigma, omega, j, k, s)])
         np.testing.assert_array_equal(got, _reference_classes(sigma, omega, j, k, s))
         return got
 
@@ -408,12 +424,11 @@ class TestColumnPasses:
         omega = np.where(rng.random(n) < 0.7, -0.0, pick(n))
         self._check(sigma, omega, j, pick(n, 4), pick(n, 6))
 
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_zero_and_one_row(self, n):
-        j = np.ones((n, 4))
-        k = np.full((n, 4), np.nextafter(self.SCALE, np.inf))
-        s = np.full((n, 6), -0.0)
-        assert self._check(np.zeros(n), np.zeros(n), j, k, s).shape == (n,)
+    def test_one_row(self):
+        j = np.ones((1, 4))
+        k = np.full((1, 4), np.nextafter(self.SCALE, np.inf))
+        s = np.full((1, 6), -0.0)
+        assert self._check(np.zeros(1), np.zeros(1), j, k, s).tolist() == [6]
 
     @pytest.mark.filterwarnings("error")
     def test_fpk_max_matches_the_row_reduction(self, rng):
@@ -497,11 +512,8 @@ def test_block_verdicts_equal_the_full_bilinear_composition(edited_pool, kind, s
     cols = kernels.columns(psis)
     sigma, omega, j, k = kernels.bilinears(cols)
     s = kernels.tensor(cols)
-    want_classes = lounesto_classes(sigma, omega, j, k,
-                                    lambda rows: [c[rows] for c in s])
-    np.testing.assert_array_equal(
-        want_classes,
-        _reference_classes(sigma, omega, *(np.stack(c, axis=1) for c in (j, k, s))))
+    want_classes = _reference_classes(
+        sigma, omega, *(np.stack(c, axis=1) for c in (j, k, s)))
     want_fpk = np.max(np.stack(fpk_columns(sigma, omega, j, k), axis=1), axis=0)
     rstate, lstate, _, _ = helicity_profiles(cols, n)
     # psi^dag psi summed as the N=1 check sums it, not as J^0
@@ -519,6 +531,16 @@ def test_block_verdicts_equal_the_full_bilinear_composition(edited_pool, kind, s
         assert singular.all()
     elif size > 1:
         assert 0 < singular.sum() < size
+    if size < SAMPLE_BLOCK_ROWS:
+        # the kernels are elementwise, so one row's bilinears have the
+        # block's bits and the N=1 path gives the block's class; it refuses
+        # a row holding NaN, whose psi^dag psi is NaN
+        for row, want in zip(psis, res.classes):
+            if np.isnan(row).any():
+                with pytest.raises(ScaleError):
+                    bilinear_set(BiSpinor(*row))
+            else:
+                assert (lounesto_class(bilinear_set(BiSpinor(*row))).index or 0) == want
 
 
 @settings(max_examples=50, deadline=None)

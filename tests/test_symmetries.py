@@ -714,7 +714,10 @@ class TestSymmetryReport:
         # a rest spinor with provenance: parity runs without a momentum,
         # and both momentum-bound checks are skipped in this order
         psi = build_single_helicity("--", 0.6 - 0.2j, 0.1 + 0.9j, 2.1, 5.0)
-        assert symmetry_to_dict(symmetry_report(psi)) == {
+        rep = symmetry_report(psi)
+        assert rep.findings == ("no momentum supplied; Dirac diagnostics skipped",
+                                "no momentum supplied; theta-link check skipped")
+        assert symmetry_to_dict(rep) == {
             "parity": {"eigenvalue": None, "residual": 1.2675004445952591},
             "charge_conjugation": {
                 "eigenvalue": None, "residual": 1.414213562373095,
@@ -730,8 +733,6 @@ class TestSymmetryReport:
             "dirac": {"residual_plus": None, "residual_minus": None,
                       "flip_residual": None},
             "theta_link_residual": None,
-            "findings": ["no momentum supplied; Dirac diagnostics skipped",
-                         "no momentum supplied; theta-link check skipped"],
         }
 
 
