@@ -19,20 +19,20 @@ argument name; both helicity families share :func:`single_helicity_params`.
 Signs are drawn as int8.  ``FAMILY_CONSTRUCTORS`` maps the family to that
 constructor, which returns a block's eight float columns and n.
 :func:`campaign` is the one engine over them, behind sample mode and every
-sampled verify campaign of raw or constructed spinors: it draws
-``DRAW_ROWS`` rows of any family at a time, constructs and analyses one
-``SAMPLE_BLOCK_ROWS`` block at a time, and adds up one class x
-helicity-category x charge-conjugation-state count table and the
-constraint maxima.  A constructed row does not depend on the rows built
-with it, and a raw row does not depend on the chunk it is drawn in.
-Each block's row verdicts (class, helicity category and the C state code
-of :func:`classify.eigen_states`) come from one
-:func:`classify.analyze_columns` pass over its columns, which evaluates
-S only for the singular rows, where sigma and omega both test zero: a
-random_raw or single_helicity block, all regular, skips it.  A constructed
-block never exists as an (N, 4) array.  A raw chunk is drawn row after row,
-in the order that fixes its bits, so each raw block is transposed into its
-columns with :func:`kernels.columns`.
+sampled verify campaign of raw or constructed spinors: it draws a
+constructor family's arguments ``DRAW_ROWS`` rows at a time and raw rows
+one ``SAMPLE_BLOCK_ROWS`` block at a time, constructs and analyses one
+block at a time, and adds up one class x helicity-category x
+charge-conjugation-state count table and the constraint maxima.  A
+constructed row does not depend on the rows built with it, and a raw row
+does not depend on the draw it is in.  Each block's row verdicts (class,
+helicity category and the C state code of :func:`classify.eigen_states`)
+come from one :func:`classify.analyze_columns` pass over its columns,
+which evaluates S only for the singular rows, where sigma and omega both
+test zero: a random_raw or single_helicity block, all regular, skips it.
+A constructed block never exists as an (N, 4) array.  A raw block is
+drawn row after row, in the order that fixes its bits, so it is
+transposed into its columns with :func:`kernels.columns`.
 """
 from __future__ import annotations
 
@@ -60,23 +60,22 @@ MASS_RANGE = (0.1, 10.0)
 # norm test and the analysis run one block at a time, which keeps their
 # per-row temporaries in cache and bounds their memory, whatever the count.
 SAMPLE_BLOCK_ROWS = 8192
-# Rows drawn at a time in a campaign, from its one generator, so that memory
-# does not grow with the count: 2 MB of random_raw components, which fits
-# one core's 2 MB L2 on the 2-CPU Xeon it was measured on, or 1.5 MiB of a
-# constructor family's arguments (chunks of 16 blocks, 6 to 8 MB, took a
-# 1e6-row sample's peak RSS 6 MB higher).  A constructor family draws all of
-# a chunk's arguments in turn, so the chunk fixes the order of its RNG calls
-# and another size would move the reports of counts above it; raw rows do
-# not depend on it (the generator fills them one after another, and the
-# rejection keeps them in stream order).  glibc's dynamic mmap and trim
-# thresholds follow the size of the last large free.  A raw chunk is one
-# such free, so a campaign first frees one raw chunk's worth, untouched:
-# without it a constructor family's largest array, 512 KiB, left a 1 MiB
-# trim threshold, below a block's working set, and a 1e6-row sample took
-# 31k minor faults instead of 5.7k.  At 1e6 raw rows, four blocks a chunk
-# took 7.5k; two blocks peaked 1 MB lower but took 42k and ran slower, and
-# one block took 66k.  Drawing every chunk into one reused buffer
-# (Generator.random(out=...), the same bits) took 33k.
+# Rows of a constructor family's arguments drawn at a time in a campaign,
+# from its one generator, so that memory does not grow with the count: 1.5
+# MiB of arguments (chunks of 16 blocks, 6 MiB, took a 1e6-row sample's peak
+# RSS 6 MB higher).  The family draws all of a chunk's arguments in turn, so
+# the chunk fixes the order of its RNG calls and another size would move the
+# reports of counts above it.  Raw rows do not depend on how they are split
+# (the generator fills them one after another, and the rejection keeps them
+# in stream order), so they are drawn one block at a time: 2 MB chunks of
+# them took a 1e6-row sample's peak RSS 1.9 MB higher.  glibc's dynamic mmap
+# and trim thresholds follow the size of the last large free, so a campaign
+# first frees one untouched (DRAW_ROWS, 8) float array, 2 MiB: it keeps the
+# mmap threshold (2 MiB) above a raw block's 512 KiB draw and the trim
+# threshold above a block's working set.  A 1e6-row sample takes 5.3k minor
+# faults (raw) or 5.7k (constructed); with a 512 KiB free instead, raw took
+# 44k, and without any free a constructor family's largest array, 512 KiB,
+# left a 1 MiB trim threshold and took 31k.
 DRAW_ROWS = 4 * SAMPLE_BLOCK_ROWS
 
 
@@ -250,13 +249,14 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
              steer: int | None = None) -> Campaign:
     """Draw, construct and analyse ``count`` rows of ``family`` from ``rng``.
 
-    Rows are drawn DRAW_ROWS at a time, and built and analysed one
-    SAMPLE_BLOCK_ROWS block at a time, so memory does not grow with
-    ``count``; counts add up and maxima combine in any order, so no aggregate
-    depends on the block size.  random_raw rows do not depend on the chunk
-    size; a constructor family's do once ``count`` exceeds DRAW_ROWS, because
-    each chunk draws all of its parameters in turn.  ``steer`` is passed on
-    to :func:`single_helicity_params`.
+    A constructor family's arguments are drawn DRAW_ROWS rows at a time,
+    raw rows one SAMPLE_BLOCK_ROWS block at a time, and the rows are built
+    and analysed one block at a time, so memory does not grow with
+    ``count``.  Counts add up and maxima combine in any order, and raw rows
+    do not depend on how their draw is split, so no aggregate depends on the
+    block size; a constructor family's do on DRAW_ROWS once ``count``
+    exceeds it, because each chunk draws all of its parameters in turn.
+    ``steer`` is passed on to :func:`single_helicity_params`.
     """
     raw = family == "random_raw"
     extra = {} if steer is None else {"steer": steer}
@@ -265,14 +265,13 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
     np.empty((DRAW_ROWS, 8))  # one large free, for glibc: see DRAW_ROWS
     for offset in range(0, count, DRAW_ROWS):
         rows = min(DRAW_ROWS, count - offset)
-        if raw:
-            chunk = random_raw_spinors(rng, rows)
-        else:
+        if not raw:
             params = FAMILY_PARAMS[family](rng, rows, **extra)
             construct = FAMILY_CONSTRUCTORS[family]
         for start in range(0, rows, SAMPLE_BLOCK_ROWS):
             if raw:
-                cols, n = kernels.columns(chunk[start:start + SAMPLE_BLOCK_ROWS]), None
+                cols, n = kernels.columns(random_raw_spinors(
+                    rng, min(SAMPLE_BLOCK_ROWS, rows - start))), None
             else:
                 cols, n = construct(**{
                     key: value[start:start + SAMPLE_BLOCK_ROWS]
@@ -285,5 +284,5 @@ def campaign(family: str, rng, count: int, tol: Tolerances,
             fpk_max = np.maximum(fpk_max, res.fpk_max)
         # release the chunk before the next one is drawn; a constructed
         # block's columns may be views of it, so they went first
-        chunk = params = None
+        params = None
     return Campaign(joint, fpk_max)

@@ -51,12 +51,12 @@ from .tolerances import DEFAULT_TOLERANCES, EXACT, Tolerances
 # Rows of a momentum check constructed, boosted and checked at a time.  Each
 # row's residual depends on that row alone, so the block size moves no
 # result; it bounds the (N, 4) and (N, 2, 2) temporaries.  A fresh
-# `--mode verify` process (2-CPU Xeon, numpy 2.4.6, three runs each) peaked
-# at 41.0-41.1 MB with the 10,000 rows whole, 39.9-40.1 MB at 8192 rows, 37.5
-# at 4096 and 36.7-36.9 at 3500 and 2048, where the rest of the suite sets
-# the peak.  Each block costs a fresh process about 5 ms, so three blocks of
-# a 10,000-row campaign took the three checks 92 ms against 87 whole and 113
-# at 2048 (medians of 10 interleaved processes).
+# `--mode verify` process (2-CPU Xeon, numpy 2.4.6) peaked at 41.0-41.2 MB
+# with the 10,000 rows whole, 39.9-40.1 MB at 8192 rows, 36.1-36.3 at 3500
+# and 35.9-36.0 at 2048; at 3500 dual-helicity-dirac sets the suite's peak
+# (2.9 MiB traced, against 2.0 for fpk-identities and the class campaigns).
+# The suite took 0.22-0.23 s at each size, and the three checks 60 ms at
+# 3500 and 8192 against 64 at 2048 (medians of 10 interleaved processes).
 MOMENTUM_BLOCK_ROWS = 3500
 
 

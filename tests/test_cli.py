@@ -1100,9 +1100,10 @@ def _sample_peak_rss(tmp_path, family, count):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is read in KiB, as Linux reports it")
 def test_sample_peak_rss_grows_only_with_the_drawn_rows(tmp_path):
-    # Nothing is held whole: rows are drawn in fixed chunks of DRAW_ROWS,
-    # and both ends of the range draw several chunks, so peak RSS should not
-    # grow.
+    # Nothing is held whole: raw rows are drawn one SAMPLE_BLOCK_ROWS block
+    # at a time and a constructor family's arguments in fixed chunks of
+    # DRAW_ROWS, and both ends of the range draw several chunks, so peak RSS
+    # should not grow.
     # Both families measure 0 to 4 B/row; drawing the whole sample at once
     # took 64 (random_raw) and 84 (dual_helicity) B/row.
     for family, bound in (("random_raw", 16), ("dual_helicity", 16)):
@@ -1115,12 +1116,13 @@ def test_sample_peak_rss_grows_only_with_the_drawn_rows(tmp_path):
                     reason="ru_maxrss is read in KiB, as Linux reports it")
 def test_sample_raw_working_set_is_bounded(tmp_path):
     # A 1-row sample peaks at the floor: the interpreter, numpy and
-    # numpy.random.  Above it, a 1e6-row random_raw sample holds one 2 MB
-    # draw chunk and the blocks' temporaries: 3.5 MB measured, against
-    # 9.4 MB when raw rows were drawn in 8 MB chunks of 131072 rows.
+    # numpy.random.  Above it, a 1e6-row random_raw sample holds one block's
+    # 512 KiB draw, until it is transposed, and the block's temporaries:
+    # 1.4 MB measured, against 3.3 MB when raw rows were drawn in 2 MB
+    # chunks of 32768 rows and 9.4 MB in 8 MB chunks of 131072 rows.
     extra = (_sample_peak_rss(tmp_path, "random_raw", 1_000_000)[0]
              - _sample_peak_rss(tmp_path, "random_raw", 1)[0])
-    assert extra < 6 * 2**20, f"a 1e6-row sample peaks {extra / 2**20:.1f} MB above the floor"
+    assert extra < 3 * 2**20, f"a 1e6-row sample peaks {extra / 2**20:.1f} MB above the floor"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -60,13 +60,16 @@ def test_raw_draws_do_not_depend_on_the_chunk_size(monkeypatch):
                  for start in range(0, count, rows)]
         np.testing.assert_array_equal(np.concatenate(parts).view(np.uint64),
                                       whole.view(np.uint64))
-    # so a raw campaign's aggregates do not depend on its chunk size either
+    # so a raw campaign's aggregates depend neither on its chunk size nor on
+    # its block size, which is the size of each of its raw draws
     count = 4 * sampling.DRAW_ROWS + 5
     results = []
     for rows in (sampling.DRAW_ROWS, sampling.SAMPLE_BLOCK_ROWS, 4 * sampling.DRAW_ROWS):
-        monkeypatch.setattr(sampling, "DRAW_ROWS", rows)
-        results.append(sampling.campaign("random_raw", sampling.rng_for(13), count,
-                                         DEFAULT_TOLERANCES))
+        for block_rows in (1000, 8192, 32768):
+            monkeypatch.setattr(sampling, "DRAW_ROWS", rows)
+            monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", block_rows)
+            results.append(sampling.campaign("random_raw", sampling.rng_for(13), count,
+                                             DEFAULT_TOLERANCES))
     for result in results[1:]:
         np.testing.assert_array_equal(result.joint, results[0].joint)
         np.testing.assert_array_equal(result.fpk_max.view(np.uint64),
@@ -157,6 +160,17 @@ def test_raw_spinors_respect_norm_floor():
     assert np.min(norms) >= sampling.MIN_RAW_NORM_SQ
     assert np.max(np.abs(psis.real)) <= 1.0
     assert np.max(np.abs(psis.imag)) <= 1.0
+
+
+def test_raw_row_at_the_norm_floor_is_kept(monkeypatch):
+    # only rows below the floor are rejected: with the floor at the smallest
+    # |psi|^2 of a draw, the draw is kept whole, bit for bit
+    drawn = sampling.rng_for(4).uniform(-1.0, 1.0, size=(100, 8))
+    monkeypatch.setattr(sampling, "MIN_RAW_NORM_SQ",
+                        np.einsum("ij,ij->i", drawn, drawn).min())
+    psis = sampling.random_raw_spinors(sampling.rng_for(4), 100)
+    np.testing.assert_array_equal(psis.view(np.float64).view(np.uint64),
+                                  drawn.view(np.uint64))
 
 
 def test_directions_avoid_poles():
