@@ -5,7 +5,7 @@ suite kills.
 
 MODULE names a file of src/spinorlab (``kernels``, ``symmetries``, ...).
 With FUNCTION names, only code inside those functions is mutated; a name
-may be qualified (``FourMomentum.frame``, ``check_dual_helicity_dirac.extremes``)
+may be qualified (``FourMomentum.frame``, ``check_dual_helicity_dirac.residuals``)
 and covers everything nested in it.  The mutations, one per mutant:
 
 * ``+`` <-> ``-``, ``*`` <-> ``/``, ``&`` <-> ``|`` in binary operations;

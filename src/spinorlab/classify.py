@@ -87,7 +87,9 @@ def _regular_classes(sigma, omega, j0, tol: Tolerances):
     out[~sig0 & ~om0] = 1
     out[~sig0 & om0] = 2
     out[sig0 & ~om0] = 3
-    singular = sig0 & om0
+    defined = (j0 > 0) & (j0 < np.inf)  # False for NaN: no bilinears, class 0
+    out[~defined] = 0
+    singular = sig0 & om0 & defined
     if singular.all():
         return out, slice(None), scale
     return out, (np.flatnonzero(singular) if singular.any() else None), scale
@@ -201,9 +203,11 @@ class Analysis(NamedTuple):
 
 def analyze(psis: np.ndarray, n=None,
             tol: Tolerances = DEFAULT_TOLERANCES) -> Analysis:
-    """:func:`analyze_columns` of an (N, 4) spinor array: its
-    :func:`kernels.columns`, transposed once, then the column pass."""
-    return analyze_columns(kernels.columns(psis), n, tol)
+    """:func:`analyze_columns` of an (N, 4) spinor array's :func:`kernels.columns`.
+    A row whose J^0 is not finite and positive (NaN, inf or overflowed) has no
+    bilinears: it gets class 0, without a warning, where bilinear_set raises."""
+    with np.errstate(all="ignore"):
+        return analyze_columns(kernels.columns(psis), n, tol)
 
 
 def analyze_columns(cols, n=None,

@@ -142,7 +142,9 @@ def emit_human(report: dict) -> str:
             continue
         lines.append("")
         lines.append(f"[{section}]")
-        lines.extend(_human_lines(report[section], ""))
+        body = report[section]  # a bare value (a null helicity) takes the section's name
+        lines.extend(_human_lines(body if isinstance(body, (dict, list, tuple))
+                                  else {section: body}, ""))
     return "\n".join(lines) + "\n"
 
 
@@ -171,14 +173,12 @@ def _human_lines(obj, prefix: str) -> list:
             else:
                 lines.append(f"  {label}: {_human_value(value)}")
         return lines
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return [f"  {prefix.rstrip('.')}: (none)"]
-        lines = []
-        for idx, value in enumerate(obj):
-            if isinstance(value, dict):
-                lines.extend(_human_lines(value, f"{prefix}{idx}."))
-            else:
-                lines.append(f"  {prefix}{idx}: {_human_value(value)}")
-        return lines
-    return [f"  {prefix.rstrip('.')}: {_human_value(obj)}"]
+    if not obj:
+        return [f"  {prefix.rstrip('.')}: (none)"]
+    lines = []
+    for idx, value in enumerate(obj):
+        if isinstance(value, dict):
+            lines.extend(_human_lines(value, f"{prefix}{idx}."))
+        else:
+            lines.append(f"  {prefix}{idx}: {_human_value(value)}")
+    return lines

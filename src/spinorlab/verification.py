@@ -5,10 +5,10 @@ measures the worst residual (or violation count) against a pinned threshold,
 and reports a PropertyResult.  The campaigns over raw or constructed
 spinors (fpk-identities and the two class checks) run through
 :func:`sampling.campaign` and read its aggregates.  The momentum checks
-(parity-dirac-dynamics, dual-helicity-dirac and theta-link) draw their
-momenta and amplitudes whole, then construct, boost and take residuals
-``MOMENTUM_BLOCK_ROWS`` rows at a time, each block at one
-:func:`algebra.momentum_frame`, so no working set grows with the campaign.
+(boost-inverse, parity-dirac-dynamics, dual-helicity-dirac, theta-link and
+klein-gordon) draw their momenta and amplitudes whole; :func:`_fold` then
+builds and reduces their residuals ``MOMENTUM_BLOCK_ROWS`` rows at a time,
+each block at one :func:`algebra.momentum_frame`, so no working set grows.
 Campaign momentum ranges are chosen so that the thresholds sit well above
 the float64 rounding floor of the quantity under test:
 
@@ -55,8 +55,8 @@ from .tolerances import DEFAULT_TOLERANCES, EXACT, Tolerances
 # with the 10,000 rows whole, 39.9-40.1 MB at 8192 rows, 36.1-36.3 at 3500
 # and 35.9-36.0 at 2048; at 3500 dual-helicity-dirac sets the suite's peak
 # (2.9 MiB traced, against 2.0 for fpk-identities and the class campaigns).
-# The suite took 0.22-0.23 s at each size, and the three checks 60 ms at
-# 3500 and 8192 against 64 at 2048 (medians of 10 interleaved processes).
+# The suite took 0.22-0.23 s at each size, and its three 10,000-row momentum
+# checks 60 ms at 3500 and 8192 against 64 at 2048 (medians of 10 interleaved runs).
 MOMENTUM_BLOCK_ROWS = 3500
 
 
@@ -70,17 +70,22 @@ class PropertyResult:
     details: str = ""
 
 
-def _below(name: str, values, threshold: float, count: int) -> PropertyResult:
-    """The result of a check that passes when max(values) < threshold."""
-    worst = float(np.max(values))
-    return PropertyResult(name, worst < threshold, worst, threshold, count)
-
-
-def _row_blocks(*columns):
-    """The slices of equal-length columns, ``MOMENTUM_BLOCK_ROWS`` rows at a
-    time, as one tuple per block."""
+def _fold(block, *columns, reduce=(np.max,)):
+    """Per entry of ``reduce`` (np.max or np.min), the extreme of the array
+    ``block(frame, *rows)`` yields for it on each ``MOMENTUM_BLOCK_ROWS`` rows
+    of the columns, which end with ``frame``'s (m, pmag, theta, phi).  A
+    block's frame and arrays are freed before the next block's are built."""
+    out = []
     for start in range(0, len(columns[0]), MOMENTUM_BLOCK_ROWS):
-        yield tuple(c[start:start + MOMENTUM_BLOCK_ROWS] for c in columns)
+        rows = [c[start:start + MOMENTUM_BLOCK_ROWS] for c in columns]
+        out.append([f(v) for f, v in zip(reduce, block(momentum_frame(*rows[-4:]), *rows))])
+    return [float(f(v)) for f, v in zip(reduce, zip(*out))]
+
+
+def _below(name: str, threshold: float, count: int, block, *columns) -> PropertyResult:
+    """A momentum check passing while all of ``block``'s residuals are below threshold."""
+    worst, = _fold(lambda *rows: [block(*rows)], *columns)
+    return PropertyResult(name, worst < threshold, worst, threshold, count)
 
 
 def check_fpk_identities(seed: int = 0) -> PropertyResult:
@@ -88,7 +93,8 @@ def check_fpk_identities(seed: int = 0) -> PropertyResult:
     count = 100_000
     result = sampling.campaign("random_raw", sampling.rng_for(seed), count,
                                DEFAULT_TOLERANCES)
-    return _below("fpk-identities", result.fpk_max, 1e-10, count)
+    worst, threshold = float(np.max(result.fpk_max)), 1e-10
+    return PropertyResult("fpk-identities", worst < threshold, worst, threshold, count)
 
 
 _FAMILY_EXPECTED_CLASSES = {
@@ -145,9 +151,8 @@ def check_parity_dirac_link(seed: int = 3) -> PropertyResult:
     rng = sampling.rng_for(seed)
     mom = sampling.random_momenta(rng, count)
     hel = sampling._random_signs(rng, count)
-    worst = [np.max(dirac_residuals(parity_linked_batch(h, *p), momentum_frame(*p)))
-             for h, *p in _row_blocks(hel, *mom)]
-    return _below("parity-dirac-dynamics", worst, 1e-12, count)
+    return _below("parity-dirac-dynamics", 1e-12, count, lambda f, h, *p:
+                  dirac_residuals(parity_linked_batch(h, *p), f), hel, *mom)
 
 
 def check_dual_helicity_dirac(seed: int = 4) -> PropertyResult:
@@ -162,20 +167,18 @@ def check_dual_helicity_dirac(seed: int = 4) -> PropertyResult:
     a = sampling.random_amplitudes(rng, count)
     c = sampling.random_amplitudes(rng, count)
 
-    def extremes(sign, a, c, m, pmag, theta, phi):
-        f = momentum_frame(m, pmag, theta, phi)
+    def residuals(f, sign, a, c, m, pmag, theta, phi):
         rest = kernels.components(dual_helicity_batch(sign, a, c, theta, phi)[0])
         # the rows' parity images and, since parity exchanges the rest
         # blocks, the boosted rows themselves, from one pair of block boosts
         parr, arr = parity_batch(np.stack([rest, rest[:, [2, 3, 0, 1]]]), f)
-        return (np.min(dirac_residuals(arr, f, 1)),
-                np.min(dirac_residuals(arr, f, -1)),
-                np.max(dirac_flip_residuals(arr, parr, f)),
-                np.max(dirac_flip_residuals(parr, arr, f)))
+        yield dirac_residuals(arr, f, 1)
+        yield dirac_residuals(arr, f, -1)
+        yield dirac_flip_residuals(arr, parr, f)
+        yield dirac_flip_residuals(parr, arr, f)
 
-    per_block = np.array([extremes(*rows) for rows in _row_blocks(sign, a, c, *mom)])
-    min_plus, min_minus = (float(x) for x in np.min(per_block[:, :2], axis=0))
-    max_fwd, max_rev = (float(x) for x in np.max(per_block[:, 2:], axis=0))
+    min_plus, min_minus, max_fwd, max_rev = _fold(
+        residuals, sign, a, c, *mom, reduce=(np.min, np.min, np.max, np.max))
     worst_flip = max(max_fwd, max_rev)
     threshold = 1e-10
     passed = min_plus > 0.1 and min_minus > 0.1 and worst_flip < threshold
@@ -235,26 +238,24 @@ def check_theta_link(seed: int = 6) -> PropertyResult:
     count = 10_000
     rng = sampling.rng_for(seed)
     mom = sampling.random_momenta(rng, count)
-    blocks = np.stack(
-        [sampling.random_amplitudes(rng, count),
-         sampling.random_amplitudes(rng, count)],
-        axis=1,
-    )
+    blocks = np.stack([sampling.random_amplitudes(rng, count),
+                       sampling.random_amplitudes(rng, count)], axis=1)
     zetas = sampling.random_unit_phases(rng, count)
-    worst = [np.max(theta_link_residuals(b, z, momentum_frame(*p)))
-             for b, z, *p in _row_blocks(blocks, zetas, *mom)]
-    return _below("theta-link", worst, 1e-12, count)
+    return _below("theta-link", 1e-12, count,
+                  lambda f, b, z, *_: theta_link_residuals(b, z, f), blocks, zetas, *mom)
 
 
 def check_klein_gordon(seed: int = 7) -> PropertyResult:
     """(gamma_mu p^mu)^2 equals m^2 times the identity on shell, for the
     matrices read off the Dirac kernel that every Dirac residual applies."""
     count = 1_000
-    rng = sampling.rng_for(seed)
-    m, pmag, theta, phi = sampling.random_momenta(rng, count, ratio=(1e-3, 10.0))
-    mats = dirac_matrix_batch(momentum_frame(m, pmag, theta, phi))
-    dev = np.abs(mats @ mats - (m * m)[:, None, None] * np.eye(4))
-    return _below("klein-gordon", np.max(dev, axis=(1, 2)) / m**2, 1e-12, count)
+    mom = sampling.random_momenta(sampling.rng_for(seed), count, ratio=(1e-3, 10.0))
+
+    def deviations(f, m, *_):
+        mats = dirac_matrix_batch(f)
+        dev = np.abs(mats @ mats - (m * m)[:, None, None] * np.eye(4))
+        return np.max(dev, axis=(1, 2)) / m**2
+    return _below("klein-gordon", 1e-12, count, deviations, *mom)
 
 
 def check_clifford_algebra() -> PropertyResult:
@@ -276,11 +277,9 @@ def check_clifford_algebra() -> PropertyResult:
 def check_boost_inverse(seed: int = 8) -> PropertyResult:
     """Right and left boosts at the same momentum are mutual inverses."""
     count = 1_000
-    rng = sampling.rng_for(seed)
-    m, pmag, theta, phi = sampling.random_momenta(rng, count)
-    f = momentum_frame(m, pmag, theta, phi)
-    prod = boost_block_batch(1, f) @ boost_block_batch(-1, f)
-    return _below("boost-inverse", np.abs(prod - np.eye(2)), 1e-12, count)
+    mom = sampling.random_momenta(sampling.rng_for(seed), count)
+    return _below("boost-inverse", 1e-12, count, lambda f, *_: np.abs(
+        boost_block_batch(1, f) @ boost_block_batch(-1, f) - np.eye(2)), *mom)
 
 
 def run_verification_suite(seed: int = 0,

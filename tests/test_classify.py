@@ -361,6 +361,8 @@ def _reference_classes(sigma, omega, j, k, s, tol=DEFAULT_TOLERANCES):
     out[singular & ~k0 & ~s0] = 4
     out[singular & k0 & ~s0] = 5
     out[singular & ~k0 & s0] = 6
+    # a row without a finite, positive J^0 has no bilinears to test
+    out[~(np.isfinite(j[:, 0]) & (j[:, 0] > 0))] = 0
     return out
 
 
@@ -441,6 +443,34 @@ class TestColumnPasses:
             assert got.shape == (3,)
             assert got.tobytes() == want.tobytes()
         assert np.isnan(analyze(psis).fpk_max).all()
+
+
+def test_rows_without_bilinears_get_class_0(rng):
+    # a row holding NaN or inf, or scaled until psi^dag psi overflows, has no
+    # finite, positive J^0: the N=1 path refuses it with ScaleError, and the
+    # block path gives it class 0, category non-eigen and C state neither,
+    # without a RuntimeWarning, and leaves the other rows' verdicts alone
+    good = random_raw_spinors(rng, 6)
+    bad = np.array([[np.nan, 1, 1j, 0], [np.inf, 0, 0, 0], [0, 0, 1j, -np.inf],
+                    [np.nan, np.nan, np.nan, np.nan], [np.inf, 1, np.nan, 0]])
+    bad = np.concatenate([bad, good[:3] * 1e160])
+    for row in bad:
+        with pytest.raises(ScaleError):
+            bilinear_set(BiSpinor(*row))
+    order = rng.permutation(14)
+    psis, is_bad = np.concatenate([good, bad])[order], order >= len(good)
+    n = unit_vectors(*sampling.random_directions(rng, 14))
+    want = analyze(psis[~is_bad], tuple(c[~is_bad] for c in n))
+    for rows, dirs in ((psis, n), (bad, None), (bad[:1], None)):
+        res = analyze(rows, dirs)
+        flags = is_bad if rows is psis else np.ones(len(rows), dtype=bool)
+        assert (res.classes[flags] == 0).all()
+        assert (res.c_states[flags] == 2).all()
+        if dirs is not None:
+            assert (res.categories[flags] == CAT_NON_EIGEN).all()
+            assert res.classes[~flags].tobytes() == want.classes.tobytes()
+            assert res.categories[~flags].tobytes() == want.categories.tobytes()
+            assert res.c_states[~flags].tobytes() == want.c_states.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -870,6 +870,26 @@ def test_boosted_dual_helicity_symmetries_bytes_pinned(tmp_path, capsys):
     assert captured.err == ""
 
 
+# sha256 of the human stdout of a raw-components classify job without a
+# momentum.  Its helicity section is null, the one section that is not a
+# record or a list, and prints under the section's name.
+RAW_HUMAN_PIN_JOB = {
+    "mode": "classify", "format": "human",
+    "spinor": {"components": [[1, 0], [0, 0.5], [0.3, 0], [0, 0]]},
+}
+RAW_HUMAN_BYTES_SHA256 = "464baa67d4a8260aaafcd36f541379b43de876b0e5a3ce1653c9804990b4d82c"
+
+
+def test_raw_classify_human_bytes_pinned(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(RAW_HUMAN_PIN_JOB), encoding="utf-8")
+    assert main(["--job", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "\n[helicity]\n  helicity: -\n\n[findings]\n" in captured.out
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == RAW_HUMAN_BYTES_SHA256
+    assert captured.err == ""
+
+
 # sha256 of the structured stdout of two symmetries jobs at pmag/m = 1e3 and
 # theta = 2.5, where pz < 0: the boost diagonals, the boost factors of the
 # parity-linked constructor and the Dirac entries E + pz all take their
@@ -980,10 +1000,12 @@ def test_sample_bytes_pinned(family, tmp_path, capsys):
 
 
 # sha256 of the structured `sample` stdout at seed 7 and count 262149
-# (2 * 131072 + 5): nine 32768-row draw chunks, the last one of 5 rows, so
-# the bytes cover the chunk boundaries that the count-20000 pins never reach.
-# The count is a literal: random_raw rows do not depend on the chunk size,
-# so its pin holds at any DRAW_ROWS.
+# (2 * 131072 + 5).  dual_helicity draws its constructor arguments in nine
+# 32768-row chunks, the last one of 5 rows, so its bytes cover the chunk
+# boundaries that the count-20000 pins never reach; random_raw draws its rows
+# in 33 blocks of 8192, the last one of 5 rows.  The count is a literal:
+# random_raw rows do not depend on how the draw is split, so its pin holds at
+# any DRAW_ROWS or SAMPLE_BLOCK_ROWS.
 MULTI_CHUNK_SAMPLE_BYTES_SHA256 = {
     "random_raw": "a00be9e5ab72c3b4a06d7b2116126d42f6d69ce16bfb11fc0a585f19a91c7764",
     "dual_helicity": "d079381636e09968272ac3f30368c1081d33e57b5c3b804a6cf0a39287538c67",
