@@ -75,7 +75,6 @@ class JobSpec:
     momentum: Optional[dict]
     boost: bool
     tolerances: Tolerances
-    zeta1: complex
     normalized: dict = field(default_factory=dict)
 
     def __eq__(self, other):
@@ -125,15 +124,11 @@ def _check_keys(doc: dict, allowed, path: str):
             _fail(path, f"unknown key {key!r} (allowed: {', '.join(sorted(allowed))})")
 
 
-def _complex(value, path: str) -> list:
-    return _as_pair(_complex_pair(value, path))
-
-
 def _complex_list(count: int, word: str):
     def parse(value, path: str) -> list:
         if not isinstance(value, (list, tuple)) or len(value) != count:
             _fail(path, f"expected {word} [re, im] pairs")
-        return [_complex(z, f"{path}[{i}]") for i, z in enumerate(value)]
+        return [_complex_pair(z, f"{path}[{i}]") for i, z in enumerate(value)]
     return parse
 
 
@@ -150,11 +145,12 @@ def _one_of(valid: tuple, text: Optional[str] = None):
 
 class Family(NamedTuple):
     """A constructor form of ``spinor``: its (key, parse, default) fields in
-    echo order and its build_* wrapper.  parse(value, path) gives the echo.
+    echo order and its build_* wrapper.  parse(value, path) gives the parsed
+    value, which the echo holds as is: an [re, im] pair becomes a complex.
     A missing key is an error when its default is REQUIRED, else parse reads
-    default(the fields so far, the job's phases).  build takes the echoes,
-    [re, im] pairs as complex, and the momentum last when ``boosted``: the
-    spinor is built at it and carries no direction of its own."""
+    default(the fields so far, the job's phases).  build takes the parsed
+    values, and the momentum last when ``boosted``: the spinor is built at
+    it and carries no direction of its own."""
     fields: tuple
     build: Callable[..., BiSpinor]
     boosted: bool = False
@@ -174,18 +170,18 @@ def _rest_phase(fields, phases):  # theta1 for helicity 1, else theta2
 
 def _helicity_fields(pairs: tuple) -> tuple:
     return (("pair", _one_of(pairs, f"one of {pairs}"), REQUIRED),
-            ("a", _complex, REQUIRED), ("c", _complex, REQUIRED),
+            ("a", _complex_pair, REQUIRED), ("c", _complex_pair, REQUIRED),
             ("theta", _polar_angle, REQUIRED), ("phi", _number, REQUIRED))
 
 
 FAMILIES = {
     "single_helicity": Family(_helicity_fields(("++", "--")), build_single_helicity),
     "dual_helicity": Family(_helicity_fields(("+-", "-+")), build_dual_helicity),
-    "self_conjugate": Family((("sign", _SIGN, _absent), ("c", _complex, REQUIRED),
-                              ("d", _complex, REQUIRED)), build_self_conjugate),
+    "self_conjugate": Family((("sign", _SIGN, _absent), ("c", _complex_pair, REQUIRED),
+                              ("d", _complex_pair, REQUIRED)), build_self_conjugate),
     "weyl": Family((("side", _one_of(("right", "left")), _absent),
                     ("block", _complex_list(2, "two"), _absent)), build_weyl),
-    "singular_form": Family(tuple((key, _complex, REQUIRED) for key in "bcd"),
+    "singular_form": Family(tuple((key, _complex_pair, REQUIRED) for key in "bcd"),
                             build_singular_form),
     "parity_linked": Family(
         (("helicity", _SIGN, _absent), ("phase", _number, _rest_phase)),
@@ -215,10 +211,6 @@ def _parse_spinor(spec, phases) -> dict:
         value = spec[key] if key in spec else default(out, phases)
         out[key] = parse(value, f"spinor.{key}")
     return out
-
-
-def _as_pair(z: complex) -> list:
-    return [z.real, z.imag]
 
 
 def _boosted(spinor_spec: dict) -> bool:
@@ -312,7 +304,7 @@ def parse_job(doc: dict) -> JobSpec:
         "seed": seed,
         "tolerances": {"epsilon_class": eps_class, "epsilon_helicity": eps_hel},
         "phases": {"theta1": theta1, "theta2": theta2,
-                   "zeta1": _as_pair(zeta1), "zeta2": _as_pair(zeta2)},
+                   "zeta1": zeta1, "zeta2": zeta2},
     }
     if spinor_spec is not None:
         normalized["spinor"] = spinor_spec
@@ -325,7 +317,7 @@ def parse_job(doc: dict) -> JobSpec:
 
     return JobSpec(mode=mode, fmt=fmt, seed=seed, count=count, family=family,
                    spinor_spec=spinor_spec, momentum=momentum, boost=boost,
-                   tolerances=tol, zeta1=zeta1, normalized=normalized)
+                   tolerances=tol, normalized=normalized)
 
 
 def _parse_momentum(doc, spinor_spec: dict) -> dict:
@@ -353,18 +345,11 @@ def _parse_momentum(doc, spinor_spec: dict) -> dict:
     return {"m": m, "pmag": pmag, "theta": theta, "phi": phi}
 
 
-def _argument(value):
-    """A build_* argument from its echo: [re, im] pairs become complex."""
-    if not isinstance(value, list):
-        return value
-    return tuple(map(_argument, value)) if isinstance(value[0], list) else complex(*value)
-
-
 def _construct(spec: dict, p: Optional[FourMomentum]) -> BiSpinor:
     if "components" in spec:
-        return BiSpinor(*_argument(spec["components"]))
+        return BiSpinor(*spec["components"])
     family = FAMILIES[spec["family"]]
-    args = [_argument(spec[key]) for key, _, _ in family.fields]
+    args = [spec[key] for key, _, _ in family.fields]
     return family.build(*args, p) if family.boosted else family.build(*args)
 
 
@@ -399,7 +384,7 @@ def run_job(job: JobSpec) -> tuple[dict, int]:
     findings = list(crep.findings)
     if job.mode == "symmetries":
         from .symmetries import symmetry_report
-        srep = symmetry_report(psi, p, job.zeta1)
+        srep = symmetry_report(psi, p, job.normalized["phases"]["zeta1"])
         sym = symmetry_to_dict(srep)
         findings.extend(srep.findings)
         sym["phases"] = job.normalized["phases"]
@@ -554,7 +539,3 @@ def run(argv=None) -> NoReturn:
         code = 1
     sys.stderr.flush()
     os._exit(code)
-
-
-if __name__ == "__main__":
-    run()

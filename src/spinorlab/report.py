@@ -155,6 +155,8 @@ def _human_value(value) -> str:
         return "yes" if value else "no"
     if isinstance(value, float):
         return format_float(value)
+    if isinstance(value, complex):
+        return _human_value([value.real, value.imag])
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_human_value(v) for v in value) + "]"
     return str(value)

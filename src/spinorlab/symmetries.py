@@ -19,8 +19,12 @@ The batch forms take a block's momenta as one :class:`algebra.Frame`, built
 once per block (N=1 forms: :meth:`FourMomentum.frame`).  Dirac residuals
 are normalized by m ||psi||, so one threshold covers every scale.  Being
 homogeneous of degree 0 in the spinor and in (m, pmag), the parity, Dirac,
-flip and theta-link residuals read spinors scaled near 1 by exact powers of
-two and the frame's scaled (m, pmag), so nothing under- or overflows.
+flip and theta-link residuals read the frame's scaled (m, pmag), and the
+N=1 forms scale their spinor near 1 by an exact power of two, so nothing
+under- or overflows at any magnitude.  The batch residuals take their rows
+as given: their components and squared norms must lie inside the float64
+range, as every row of the `verify` suite does, and there scaling a row by
+a power of two leaves each residual's bits unchanged.
 """
 from __future__ import annotations
 
@@ -241,12 +245,12 @@ def dirac_residuals(psis, frame, sign=1) -> np.ndarray:
 
     Zero for spinors obeying the Dirac dynamics with the chosen mass branch;
     at least one for dual-helicity spinors, whose Dirac image is orthogonal
-    to them.  Every row needs m > 0.
+    to them.  Every row needs m > 0, and its components and squared norm
+    inside the float64 range.
     """
-    arr = _pow2_scaled(psis)
-    out = kernels.dirac_apply_shift(arr, frame, sign * frame.m)
+    out = kernels.dirac_apply_shift(psis, frame, sign * frame.m)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.linalg.norm(out, axis=1) / (frame.m * np.linalg.norm(arr, axis=1))
+        return np.linalg.norm(out, axis=1) / (frame.m * np.linalg.norm(psis, axis=1))
 
 
 def dirac_residual(psi: BiSpinor, p: FourMomentum, sign: int = 1) -> float:
@@ -257,7 +261,7 @@ def dirac_residual(psi: BiSpinor, p: FourMomentum, sign: int = 1) -> float:
         raise MasslessError("Dirac residual requires m > 0")
     if psi.is_zero():
         raise ZeroSpinorError("Dirac residual of the zero spinor is undefined")
-    res = dirac_residuals(psi.array[None, :], p.frame(), sign)
+    res = dirac_residuals(_pow2_scaled(psi.array[None, :]), p.frame(), sign)
     return _finite(float(res[0]), "Dirac residual")
 
 
@@ -269,13 +273,13 @@ def dirac_flip_residuals(src, dst, frame) -> np.ndarray:
     carries src onto the line spanned by dst.  The Dirac operator maps each
     spinor boosted from rest onto m times its parity image, so for a
     dual-helicity spinor and its :func:`parity_batch` image this vanishes in
-    both directions.
+    both directions.  Every row needs its components and squared norm
+    inside the float64 range.
     """
-    v = kernels.dirac_apply_shift(_pow2_scaled(src), frame, 0.0)
-    w = _pow2_scaled(dst)
-    coeff = np.sum(np.conj(w) * v, axis=1) / np.sum(np.conj(w) * w, axis=1)
+    v = kernels.dirac_apply_shift(src, frame, 0.0)
+    coeff = np.sum(np.conj(dst) * v, axis=1) / np.sum(np.conj(dst) * dst, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (np.linalg.norm(v - coeff[:, None] * w, axis=1)
+        return (np.linalg.norm(v - coeff[:, None] * dst, axis=1)
                 / np.linalg.norm(v, axis=1))
 
 
@@ -287,8 +291,8 @@ def dirac_flip_residual(psi_from: BiSpinor, psi_onto: BiSpinor,
     if p.m <= 0.0:
         raise MasslessError("flip residual requires m > 0 (the image vanishes "
                             "on the light cone)")
-    res = dirac_flip_residuals(psi_from.array[None, :], psi_onto.array[None, :],
-                               p.frame())
+    src, dst = _pow2_scaled([psi_from.array, psi_onto.array])[:, None]
+    res = dirac_flip_residuals(src, dst, p.frame())
     return _finite(float(res[0]), "flip residual")
 
 
@@ -302,9 +306,9 @@ def theta_link_residuals(blocks, zeta, frame) -> np.ndarray:
     rest rows (zeta Theta conj(block), block): lhs is zeta Theta conj of
     the boosted lower block, rhs the boosted upper one.  One (N, 2) block,
     unit phase and ``frame`` row per row; each residual is
-    || lhs - rhs || / || lhs ||.  Every row needs m > 0.
+    || lhs - rhs || / || lhs ||.  Every row needs m > 0, and its components
+    and squared norm inside the float64 range.
     """
-    blocks = _pow2_scaled(blocks)
     zeta = np.asarray(zeta, dtype=complex)[..., None]
     rest = np.concatenate([zeta * theta_conjugate(blocks), blocks], axis=-1)
     boosted = boost_bispinor_batch(rest, frame)
@@ -329,7 +333,7 @@ def theta_link_check(phi_left_rest, p: FourMomentum, zeta: complex = 1.0) -> flo
         raise ValueError("zeta must be a unit phase")
     if p.m <= 0.0:
         raise MasslessError("boost requires m > 0")
-    res = theta_link_residuals(block[None, :], [complex(zeta)], p.frame())
+    res = theta_link_residuals(_pow2_scaled(block[None, :]), [complex(zeta)], p.frame())
     return _finite(float(res[0]), "theta-link residual")
 
 

@@ -27,7 +27,7 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 PEAK_RSS = Path(__file__).parent.parent / "scripts" / "peak_rss.py"
 # the `phases` a symmetries report echoes when the job gives none
 DEFAULT_PHASES = {"theta1": 0.0, "theta2": 3.141592653589793,
-                  "zeta1": [1.0, 0.0], "zeta2": [1.0, 0.0]}
+                  "zeta1": 1 + 0j, "zeta2": 1 + 0j}
 
 
 def run_cli(args=(), stdin_text=None, tmp_path=None, doc=None):
@@ -48,16 +48,14 @@ class TestParseJob:
                        "c": [1, 0], "theta": 1.5707963, "phi": 0},
         })
         assert job.spinor_spec["family"] == "dual_helicity"
-        assert job.spinor_spec["a"] == [1.0, 0.0]
+        assert job.spinor_spec["a"] == 1 + 0j
 
     def test_raw_form(self):
         job = parse_job({
             "mode": "classify",
             "spinor": {"components": [[1, 0], [0, 0], [1, 0], [0, 0]]},
         })
-        assert job.spinor_spec == {
-            "components": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
-        }
+        assert job.spinor_spec == {"components": [1 + 0j, 0j, 1 + 0j, 0j]}
 
     def test_missing_momentum_in_symmetries_mode(self):
         with pytest.raises(JobError, match="momentum required for Dirac residual"):
@@ -118,9 +116,19 @@ class TestParseJob:
             "momentum": {"m": 2.0, "pmag": 1.0},
             "seed": 9,
         })
-        again = parse_job(json.loads(json.dumps(job.normalized)))
+        again = parse_job(json.loads(emit_structured(job.normalized)))
         assert again == job
         assert again.normalized == job.normalized
+
+    def test_threshold_and_unit_phase_bounds(self):
+        # a zero helicity threshold is refused as a zero class threshold is,
+        # and a phase passes while | |zeta| - 1 | is at most 1e-12
+        with pytest.raises(JobError, match="thresholds must be positive"):
+            parse_job({"mode": "verify", "tolerances": {"epsilon_helicity": 0}})
+        parse_job({"mode": "verify", "phases": {"zeta1": [1 + 0.5e-12, 0]}})
+        for name in ("zeta1", "zeta2"):
+            with pytest.raises(JobError, match=f"phases.{name}: must be a unit phase"):
+                parse_job({"mode": "verify", "phases": {name: [1 + 1.5e-12, 0]}})
 
     def test_sample_mode_requires_family(self):
         with pytest.raises(JobError, match="family"):

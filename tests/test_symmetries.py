@@ -33,7 +33,12 @@ from spinorlab import (
 )
 from spinorlab import kernels, sampling
 from spinorlab.algebra import boost_block_batch, momentum_frame, theta_conjugate
-from spinorlab.factory import boost_bispinor_batch, singular_form_batch
+from spinorlab.factory import (
+    boost_bispinor_batch,
+    dual_helicity_batch,
+    parity_linked_batch,
+    singular_form_batch,
+)
 from spinorlab.report import symmetry_to_dict
 from spinorlab.sampling import random_raw_spinors
 from spinorlab.symmetries import (
@@ -41,7 +46,9 @@ from spinorlab.symmetries import (
     c_eigen_residuals,
     c_involution_max,
     charge_conjugate_batch,
+    dirac_flip_residuals,
     dirac_matrix_batch,
+    dirac_residuals,
     eigen_states,
     parity_batch,
     theta_link_residuals,
@@ -690,6 +697,57 @@ class TestThetaLink:
     def test_non_unit_phase_rejected(self):
         with pytest.raises(ValueError):
             theta_link_check([1.0, 0.0], FourMomentum(1.0, 1.0), 2.0)
+
+
+def _times_pow2(rows, k):
+    return np.ldexp(rows.view(np.float64), k).view(complex)
+
+
+class TestBatchResidualsTakeRowsAsGiven:
+    # The batch residuals do not rescale their rows.  On rows drawn as each
+    # verify campaign draws them, a power-of-two factor moves no bit of any
+    # residual, so rows scaled or not read the same.
+    ROWS = 2000
+    SHIFTS = (-200, -60, -1, 1, 60, 200)
+
+    def test_dirac_residuals(self):
+        rng = sampling.rng_for(3)
+        mom = sampling.random_momenta(rng, self.ROWS)
+        psis = parity_linked_batch(sampling._random_signs(rng, self.ROWS), *mom)
+        frame = momentum_frame(*mom)
+        for sign in (1, -1):
+            want = dirac_residuals(psis, frame, sign).tobytes()
+            for k in self.SHIFTS:
+                assert dirac_residuals(_times_pow2(psis, k), frame, sign).tobytes() == want
+
+    def test_dirac_flip_residuals(self):
+        # dual-helicity rows and their parity images, scaled by every pair of
+        # factors, equal or not
+        rng = sampling.rng_for(4)
+        mom = sampling.random_momenta(rng, self.ROWS, ratio=(1e-3, 1e2))
+        sign = sampling._random_signs(rng, self.ROWS)
+        a, c = (sampling.random_amplitudes(rng, self.ROWS) for _ in range(2))
+        frame = momentum_frame(*mom)
+        rest = kernels.components(dual_helicity_batch(sign, a, c, *mom[2:])[0])
+        parr, arr = parity_batch(np.stack([rest, rest[:, [2, 3, 0, 1]]]), frame)
+        for src, dst in ((arr, parr), (parr, arr)):
+            want = dirac_flip_residuals(src, dst, frame).tobytes()
+            for k in self.SHIFTS:
+                for j in self.SHIFTS:
+                    got = dirac_flip_residuals(_times_pow2(src, k), _times_pow2(dst, j),
+                                               frame)
+                    assert got.tobytes() == want
+
+    def test_theta_link_residuals(self):
+        rng = sampling.rng_for(6)
+        mom = sampling.random_momenta(rng, self.ROWS)
+        blocks = np.stack([sampling.random_amplitudes(rng, self.ROWS),
+                           sampling.random_amplitudes(rng, self.ROWS)], axis=1)
+        zetas = sampling.random_unit_phases(rng, self.ROWS)
+        frame = momentum_frame(*mom)
+        want = theta_link_residuals(blocks, zetas, frame).tobytes()
+        for k in self.SHIFTS:
+            assert theta_link_residuals(_times_pow2(blocks, k), zetas, frame).tobytes() == want
 
 
 class TestSymmetryReport:

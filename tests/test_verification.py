@@ -1,6 +1,8 @@
 """The verify class checks' miss arithmetic, pinned where it counts misses,
 the momentum checks' independence of their row block size, and a negative
-control for each momentum check: rows that break its claim make it fail.
+control for each check but fpk-identities: rows or matrices that break its
+claim make it fail.  fpk-identities has none, since its identities hold for
+every spinor and no row source can break them.
 
 At the default tolerances both class checks count 0 misses, so the way a
 miss is counted goes untested there.  Loose thresholds turn rows away from
@@ -9,7 +11,7 @@ their class and category; these pins hold the exact counts and details.
 import numpy as np
 import pytest
 
-from spinorlab import verification
+from spinorlab import sampling, verification
 from spinorlab.algebra import theta_conjugate
 from spinorlab.factory import boost_bispinor_batch
 from spinorlab.tolerances import Tolerances
@@ -146,3 +148,42 @@ def test_boost_inverse_fails_for_same_handed_boosts(monkeypatch):
     boost = verification.boost_block_batch
     monkeypatch.setattr(verification, "boost_block_batch", lambda side, frame: boost(1, frame))
     assert _fails(verification.check_boost_inverse()).worst > 1.0
+
+
+def test_clifford_algebra_fails_with_a_repeated_gamma(monkeypatch):
+    # gamma(1) replaced by gamma(0): {g0, g0} = 2 I where the metric wants -2 I
+    gamma = verification.gamma
+    monkeypatch.setattr(verification, "gamma", lambda mu: gamma(0 if mu == 1 else mu))
+    assert _fails(verification.check_clifford_algebra()).worst == 4.0
+
+
+def test_charge_conjugation_fails_on_self_conjugate_single_rows(monkeypatch):
+    # the single-helicity rows built as C eigenspinors: nearest conjugacy 0
+    self_conjugate = verification.self_conjugate_batch
+    monkeypatch.setattr(verification, "single_helicity_batch",
+                        lambda sign, a, c, theta, phi: self_conjugate(sign, a, c))
+    res = _fails(verification.check_charge_conjugation())
+    assert "nearest single-helicity conjugacy 0.000" in res.details
+
+
+def test_constructor_class_table_fails_on_self_conjugate_weyl_rows(monkeypatch):
+    # class-5 rows where the table expects Weyl's class 6
+    self_conjugate = verification.self_conjugate_batch
+    monkeypatch.setitem(sampling.FAMILY_CONSTRUCTORS, "weyl",
+                        lambda right, b0, b1: self_conjugate(1, b0, b1))
+    res = _fails(verification.check_constructor_class_table())
+    assert "weyl: 10000/10000 off" in res.details
+
+
+def test_helicity_dichotomy_fails_along_a_wrong_direction(monkeypatch):
+    # single-helicity rows handed on with n as (ny, nz, nx): their blocks are
+    # no helicity eigenstates along it
+    single = sampling.FAMILY_CONSTRUCTORS["single_helicity"]
+
+    def rotated(**params):
+        cols, (nx, ny, nz) = single(**params)
+        return cols, (ny, nz, nx)
+
+    monkeypatch.setitem(sampling.FAMILY_CONSTRUCTORS, "single_helicity", rotated)
+    res = _fails(verification.check_helicity_dichotomy())
+    assert "single_helicity: 10000/10000 off" in res.details
